@@ -142,10 +142,10 @@ def random_orthonormal_family(
     raise RuntimeError("rank-deficient draws three times in a row")
 
 
-def _mode_weights(fam: OrthonormalFamily, beta: float, mode: str) -> np.ndarray:
-    ks = np.arange(-fam.band, fam.band + 1, dtype=float)
+def _mode_weights(band: int, alpha: float, beta: float, mode: str) -> np.ndarray:
+    ks = np.arange(-band, band + 1, dtype=float)
     if mode == "add":
-        return (fam.alpha * ks) ** 2 + fam.alpha**2 * beta
+        return (alpha * ks) ** 2 + alpha**2 * beta
     if mode == "subtract":
         return ks**2 - beta
     raise ValueError(f"mode must be 'add' or 'subtract', got {mode!r}")
@@ -198,46 +198,39 @@ def density_and_kinetic(
         if abs(refined - value) > 1e-8 * max(1.0, abs(refined)):
             raise ConvergenceError("cubed-density integral moved under grid doubling")
         value = refined
-    weights = _mode_weights(fam, beta, mode)
+    weights = _mode_weights(fam.band, fam.alpha, beta, mode)
     kinetic = float(np.einsum("k,nkj->", weights, np.abs(fam.coeffs) ** 2).real)
     return value, kinetic
+
+
+def _verify_trace(fam, beta, mode, solve_k, params, seed) -> BoundReport:
+    # Shared body of the trace verifiers; solve_k is K1 or K2.
+    lhs, kinetic = density_and_kinetic(fam, beta, mode)
+    k_const = solve_k(beta).value
+    rhs = k_const**2 * kinetic
+    meta = {
+        "kind": f"trace_{mode}",
+        "beta": beta,
+        **params,
+        "n_members": fam.n_members,
+        "m_dim": fam.m_dim,
+        "band": fam.band,
+    }
+    if seed is not None:
+        meta["seed"] = seed
+    return BoundReport.build(lhs, rhs, constant_used=k_const**2, **meta)
 
 
 def verify_trace1(fam: OrthonormalFamily, alpha: float, beta: float, seed: int | None = None) -> BoundReport:
     """Cubed-density trace bound with the mass-added kinetic form and K1^2."""
     if abs(fam.period - TWO_PI / alpha) > 1e-9 * fam.period:
         raise ValueError("family period does not match 2*pi/alpha")
-    lhs, kinetic = density_and_kinetic(fam, beta, "add")
-    k_const = interp.k1(beta).value
-    rhs = k_const**2 * kinetic
-    meta = {
-        "kind": "trace_add",
-        "beta": beta,
-        "alpha": alpha,
-        "n_members": fam.n_members,
-        "m_dim": fam.m_dim,
-        "band": fam.band,
-    }
-    if seed is not None:
-        meta["seed"] = seed
-    return BoundReport.build(lhs, rhs, constant_used=k_const**2, **meta)
+    return _verify_trace(fam, beta, "add", interp.k1, {"alpha": alpha}, seed)
 
 
 def verify_trace2(fam: OrthonormalFamily, beta: float, seed: int | None = None) -> BoundReport:
     """Zero-mean mirror of :func:`verify_trace1`, with K2(beta)^2."""
-    lhs, kinetic = density_and_kinetic(fam, beta, "subtract")
-    k_const = interp.k2(beta).value
-    rhs = k_const**2 * kinetic
-    meta = {
-        "kind": "trace_subtract",
-        "beta": beta,
-        "n_members": fam.n_members,
-        "m_dim": fam.m_dim,
-        "band": fam.band,
-    }
-    if seed is not None:
-        meta["seed"] = seed
-    return BoundReport.build(lhs, rhs, constant_used=k_const**2, **meta)
+    return _verify_trace(fam, beta, "subtract", interp.k2, {}, seed)
 
 
 def verify_interpolation(
@@ -261,21 +254,16 @@ def verify_interpolation(
     band = (len(c) - 1) // 2
     ks = np.arange(-band, band + 1, dtype=float)
     if which == "subtract":
-        if not 0.0 <= beta < 1.0:
-            raise ValueError("subtract mode requires beta in [0, 1)")
         if abs(alpha - 1.0) > 1e-12:
             raise ValueError("subtract mode lives on the period-2*pi circle")
         if abs(c[band]) > 1e-12 * max(1.0, float(np.linalg.norm(c))):
             raise ValueError("subtract mode requires a zero-mean function")
-        weights = ks**2 - beta
         k_const = interp.k2(beta).value
     elif which == "add":
-        if beta <= 0:
-            raise ValueError("add mode requires beta > 0")
-        weights = (alpha * ks) ** 2 + alpha**2 * beta
         k_const = interp.k1(beta).value
     else:
         raise ValueError(f"which must be 'add' or 'subtract', got {which!r}")
+    weights = _mode_weights(band, alpha, beta, which)
 
     period = TWO_PI / alpha
     n = 16 * (2 * band + 1)

@@ -183,14 +183,33 @@ def trace_power_integral(
     return refined
 
 
-def _scatter_blocks(a: np.ndarray, ks: np.ndarray, potential: MatrixPotential) -> None:
-    # Subtract the potential coupling -V_{k-k'} into the block matrix a.
-    m = potential.m_dim
-    for i, k in enumerate(ks):
-        for j, kp in enumerate(ks):
-            dk = int(k - kp)
-            if abs(dk) <= potential.band:
-                a[i * m : (i + 1) * m, j * m : (j + 1) * m] -= potential.coeff(dk)
+def _assemble_lattice(
+    modes: np.ndarray, kinetic: np.ndarray, coeffs: np.ndarray, coupled: np.ndarray
+) -> np.ndarray:
+    """Galerkin matrix diag(kinetic) - V on an integer mode lattice.
+
+    modes is (n, d) and coeffs has shape (2b_1+1, ..., 2b_d+1, m, m), so each
+    mode carries an (m, m) block.  Modes i and j couple through
+    coeffs[k_i - k_j] when both are flagged in `coupled` and the difference
+    lies inside the coefficient box.  The scatter runs once per box offset,
+    so besides the matrix it only allocates arrays of length n.
+    """
+    n, d = modes.shape
+    m = coeffs.shape[-1]
+    widths = np.array(coeffs.shape[:d])
+    a = np.diag(np.repeat(kinetic, m).astype(complex))
+    blocks = a.reshape(n, m, n, m)  # view: blocks[i, :, j, :] couples mode i to mode j
+    # row of each coupled mode in a table over the modes' bounding box, padded
+    # by the band so that every partner k_i - dk indexes inside it; -1 elsewhere
+    rows = np.flatnonzero(coupled)
+    bands = (widths - 1) // 2
+    low = modes.min(axis=0, initial=0) - bands
+    row_of = np.full(tuple(modes.max(axis=0, initial=0) - low + bands + 1), -1, np.intp)
+    row_of[tuple((modes[rows] - low).T)] = rows
+    for offset in np.ndindex(*widths):
+        j = row_of[tuple((modes[rows] - low - (np.array(offset) - bands)).T)]
+        blocks[rows[j >= 0], :, j[j >= 0], :] -= coeffs[offset]
+    return a
 
 
 def assemble_h1(potential: MatrixPotential, alpha: float, beta: float, n_max: int) -> np.ndarray:
@@ -202,13 +221,8 @@ def assemble_h1(potential: MatrixPotential, alpha: float, beta: float, n_max: in
     if n_max < potential.band:
         raise ValueError("truncation must cover the potential band")
     ks = np.arange(-n_max, n_max + 1)
-    m = potential.m_dim
-    size = len(ks) * m
-    a = np.zeros((size, size), dtype=complex)
     kinetic = alpha * alpha * (ks.astype(float) ** 2 + beta)
-    a[np.arange(size), np.arange(size)] = np.repeat(kinetic, m)
-    _scatter_blocks(a, ks, potential)
-    return a
+    return _assemble_lattice(ks[:, None], kinetic, potential.coeffs, np.ones(len(ks), bool))
 
 
 def assemble_h2(potential: MatrixPotential, delta: float, n_max: int) -> np.ndarray:
@@ -224,13 +238,8 @@ def assemble_h2(potential: MatrixPotential, delta: float, n_max: int) -> np.ndar
     if n_max < 1:
         raise ValueError("need at least one mode pair")
     ks = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
-    m = potential.m_dim
-    size = len(ks) * m
-    a = np.zeros((size, size), dtype=complex)
     kinetic = ks.astype(float) ** 2 - delta
-    a[np.arange(size), np.arange(size)] = np.repeat(kinetic, m)
-    _scatter_blocks(a, ks, potential)
-    return a
+    return _assemble_lattice(ks[:, None], kinetic, potential.coeffs, np.ones(len(ks), bool))
 
 
 def negative_spectrum(
@@ -262,6 +271,29 @@ def riesz_mean(report: EigenReport, gamma: float) -> float:
     return float(np.sum(np.asarray(report.negatives) ** gamma))
 
 
+def _verify_1d(potential, rep, k_value, gamma, grid, seed) -> BoundReport:
+    # Shared tail of the h1/h2 verifiers: Riesz mean of rep against the
+    # (pi/sqrt3) K L_cl trace bound, K = k_value.
+    lhs = riesz_mean(rep, gamma)
+    const = math.pi / math.sqrt(3.0) * k_value * special.semiclassical_constant(gamma, 1)
+    quad_grid = grid if grid is not None else 32 * (2 * potential.band + 1)
+    rhs = const * trace_power_integral(potential, gamma + 0.5, quad_grid)
+    meta = {
+        "operator": rep.operator,
+        "gamma": gamma,
+        **rep.params,
+        "truncation": rep.truncation,
+        "quadrature": quad_grid,
+        "m_dim": potential.m_dim,
+        "band": potential.band,
+        "negative_count": len(rep.negatives),
+        "lhs_is_lower_bound": True,
+    }
+    if seed is not None:
+        meta["seed"] = seed
+    return BoundReport.build(lhs, rhs, constant_used=const, **meta)
+
+
 def verify_bound_h1(
     potential: MatrixPotential,
     alpha: float,
@@ -280,29 +312,7 @@ def verify_bound_h1(
     n = n_max if n_max is not None else potential.band + 32
     a = assemble_h1(potential, alpha, beta, n)
     rep = negative_spectrum(a, operator="h1", truncation=n, params={"alpha": alpha, "beta": beta})
-    lhs = riesz_mean(rep, gamma)
-    const = (
-        math.pi / math.sqrt(3.0)
-        * interp.k1(beta).value
-        * special.semiclassical_constant(gamma, 1)
-    )
-    quad_grid = grid if grid is not None else 32 * (2 * potential.band + 1)
-    rhs = const * trace_power_integral(potential, gamma + 0.5, quad_grid)
-    meta = {
-        "operator": "h1",
-        "gamma": gamma,
-        "alpha": alpha,
-        "beta": beta,
-        "truncation": n,
-        "quadrature": quad_grid,
-        "m_dim": potential.m_dim,
-        "band": potential.band,
-        "negative_count": len(rep.negatives),
-        "lhs_is_lower_bound": True,
-    }
-    if seed is not None:
-        meta["seed"] = seed
-    return BoundReport.build(lhs, rhs, constant_used=const, **meta)
+    return _verify_1d(potential, rep, interp.k1(beta).value, gamma, grid, seed)
 
 
 def verify_bound_h2(
@@ -317,25 +327,4 @@ def verify_bound_h2(
     n = n_max if n_max is not None else potential.band + 32
     a = assemble_h2(potential, delta, n)
     rep = negative_spectrum(a, operator="h2", truncation=n, params={"delta": delta})
-    lhs = riesz_mean(rep, gamma)
-    const = (
-        math.pi / math.sqrt(3.0)
-        * interp.k2(delta).value
-        * special.semiclassical_constant(gamma, 1)
-    )
-    quad_grid = grid if grid is not None else 32 * (2 * potential.band + 1)
-    rhs = const * trace_power_integral(potential, gamma + 0.5, quad_grid)
-    meta = {
-        "operator": "h2",
-        "gamma": gamma,
-        "delta": delta,
-        "truncation": n,
-        "quadrature": quad_grid,
-        "m_dim": potential.m_dim,
-        "band": potential.band,
-        "negative_count": len(rep.negatives),
-        "lhs_is_lower_bound": True,
-    }
-    if seed is not None:
-        meta["seed"] = seed
-    return BoundReport.build(lhs, rhs, constant_used=const, **meta)
+    return _verify_1d(potential, rep, interp.k2(delta).value, gamma, grid, seed)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import interp, special
 from .reports import BoundReport
-from .spectral1d import negative_spectrum, riesz_mean
+from .spectral1d import _assemble_lattice, negative_spectrum, riesz_mean
 
 __all__ = [
     "TorusGeometry",
@@ -274,24 +274,7 @@ def assemble_torus_operator(
         raise ValueError(f"mode count {size} exceeds budget {MODE_BUDGET}")
     alphas = np.asarray(geom.alphas)
     kinetic = np.sum((alphas * modes) ** 2, axis=1)
-    a = np.diag(kinetic.astype(complex))
-    bands = np.asarray(potential.bands)
-    flat = potential.coeffs.ravel()
-    dims = np.asarray(potential.coeffs.shape)
-    in_p = modes[:, -1] != 0
-    chunk = max(1, 2_000_000 // max(size, 1))
-    for start in range(0, size, chunk):
-        stop = min(size, start + chunk)
-        diff = modes[start:stop, None, :] - modes[None, :, :]
-        mask = np.all(np.abs(diff) <= bands, axis=-1)
-        mask &= in_p[start:stop, None] & in_p[None, :]
-        idx = np.ravel_multi_index(
-            tuple((diff[mask] + bands).T), tuple(dims)
-        )
-        block = np.zeros((stop - start, size), dtype=complex)
-        block[mask] = flat[idx]
-        a[start:stop, :] -= block
-    return a
+    return _assemble_lattice(modes, kinetic, potential.coeffs[..., None, None], modes[:, -1] != 0)
 
 
 def potential_power_integral(

@@ -70,6 +70,28 @@ def torus_constant_potential_eigs(v: float, alphas, n_max: int) -> np.ndarray:
     return np.sort(kin - v)
 
 
+def galerkin_loop(modes, kinetic, coeffs, coupled) -> np.ndarray:
+    """Galerkin matrix diag(kinetic) - V by an explicit loop over mode pairs.
+
+    modes is (n, d); coeffs[b_1 + dk_1, ..., b_d + dk_d] is the (m, m)
+    potential block of the lattice difference dk, and a pair couples only
+    when both of its modes are flagged in `coupled`.
+    """
+    modes = np.asarray(modes)
+    n, d = modes.shape
+    m = coeffs.shape[-1]
+    bands = np.array([(w - 1) // 2 for w in coeffs.shape[:d]])
+    size = n * m
+    a = np.zeros((size, size), dtype=complex)
+    a[np.arange(size), np.arange(size)] = np.repeat(kinetic, m)
+    for i in range(n):
+        for j in range(n):
+            dk = modes[i] - modes[j]
+            if coupled[i] and coupled[j] and np.all(np.abs(dk) <= bands):
+                a[i * m : (i + 1) * m, j * m : (j + 1) * m] -= coeffs[tuple(dk + bands)]
+    return a
+
+
 def riesz_mean_of(eigs, gamma: float) -> float:
     neg = np.asarray(eigs, dtype=float)
     neg = -neg[neg < 0]

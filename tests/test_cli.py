@@ -99,6 +99,28 @@ class TestThresholds:
         assert code == 2
 
 
+# Each is rejected by a library ValueError (or the CLI's own --alpha check)
+# and must end in exit 2 with a one-line error, never a traceback.
+BAD_ARGV = [
+    "constants --d 0",
+    "constants --gamma -1",
+    "k-curve --which k1 --min 0",
+    "k-curve --which k2 --min 0.5 --max 1.2",
+    "k-curve -n 1",
+    "k-curve --min 0.5 --max 0.1",
+    "thresholds --tol 0.5",
+    "verify --kind h1 --beta 0",
+    "verify --kind trace1 --beta 0",
+    "verify --kind h2 --delta 1",
+    "verify --kind trace2 --delta -0.1",
+    "verify --kind torus --d 1",
+    "verify --kind torus --alpha 1.5",
+    "verify --kind h1 --alpha 0",
+    "verify --kind trace1 --alpha 0",
+    "verify --kind torus --alpha 0",
+]
+
+
 class TestVerify:
     def test_h2_batch_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--kind", "h2", "--seeds", "5", "--gamma", "1")
@@ -138,13 +160,17 @@ class TestVerify:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_kind_and_params(self, capsys):
-        code, _, _ = run(capsys, "verify", "--kind", "h7")
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [pytest.param(row, "error:", id=row.replace(" ", "_")) for row in BAD_ARGV]
+        # argparse rejects an unknown kind itself, after printing the usage line
+        + [pytest.param("verify --kind h7", "usage:", id="verify_--kind_h7")],
+    )
+    def test_bad_kind_and_params(self, capsys, argv, prefix):
+        code, _, err = run(capsys, *argv.split())
         assert code == 2
-        code, _, _ = run(capsys, "verify", "--kind", "h1", "--beta", "0")
-        assert code == 2
-        code, _, _ = run(capsys, "verify", "--kind", "h2", "--delta", "1.0")
-        assert code == 2
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
 
     def test_thread_override_is_output_invariant(self, capsys, tmp_path, monkeypatch):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -197,8 +223,13 @@ class TestConfigFile:
         assert doc["config"]["d"] == 4  # explicit flag beats config
         assert doc["config"]["gamma"] == 2.0
 
+        spaced = run(capsys, "constants", "--config", str(cfg))
+        assert run(capsys, "constants", f"--config={cfg}") == spaced
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "constants", "--config", "/nonexistent/cfg")
+        assert code == 2
+        code, _, err = run(capsys, "constants", "--config=/nonexistent/cfg")
         assert code == 2
 
     def test_malformed_config(self, capsys, tmp_path):

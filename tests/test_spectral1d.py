@@ -7,7 +7,7 @@ import pytest
 from ltbounds import spectral1d as sp1
 from ltbounds.reports import ConvergenceError
 
-from oracles import h1_constant_potential_eigs, h2_constant_potential_eigs
+from oracles import galerkin_loop, h1_constant_potential_eigs, h2_constant_potential_eigs
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,6 +130,22 @@ class TestAssembly:
             sp1.assemble_h1(pot, 0.5, 1.0, 5)  # wrong period for this alpha
         with pytest.raises(ValueError):
             sp1.assemble_h1(pot, 1.0, 1.0, 1)  # truncation below band
+
+    @pytest.mark.parametrize("m_dim", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_h1_matches_loop_oracle(self, m_dim, alpha):
+        pot = sp1.random_psd_potential(m_dim, 1, TWO_PI / alpha, 1.0, 11)
+        ks = np.arange(-6, 7)
+        kinetic = alpha * alpha * (ks.astype(float) ** 2 + 0.3)
+        want = galerkin_loop(ks[:, None], kinetic, pot.coeffs, np.ones(len(ks), bool))
+        assert np.array_equal(sp1.assemble_h1(pot, alpha, 0.3, 6), want)
+
+    def test_h2_matches_loop_oracle(self):
+        pot = sp1.random_psd_potential(2, 1, TWO_PI, 1.0, 12)
+        ks = np.concatenate([np.arange(-6, 0), np.arange(1, 7)])
+        kinetic = ks.astype(float) ** 2 - 0.4
+        want = galerkin_loop(ks[:, None], kinetic, pot.coeffs, np.ones(len(ks), bool))
+        assert np.array_equal(sp1.assemble_h2(pot, 0.4, 6), want)
 
     def test_h2_constant_scalar_diagonal(self):
         pot = sp1.constant_potential(2.3)

@@ -6,7 +6,7 @@ import pytest
 from ltbounds import interp, torus
 from ltbounds.spectral1d import negative_spectrum, riesz_mean
 
-from oracles import riesz_mean_of, torus_constant_potential_eigs
+from oracles import galerkin_loop, riesz_mean_of, torus_constant_potential_eigs
 
 
 class TestGeometry:
@@ -142,6 +142,23 @@ class TestAssembly:
         geom = torus.TorusGeometry((0.5, 1.0))
         a = torus.assemble_torus_operator(pot, geom, (6, 6))
         assert float(np.max(np.abs(a - a.conj().T))) == 0.0
+
+    @pytest.mark.parametrize(
+        "alphas, n_modes",
+        [((1.0, 1.0), (4, 4)), ((0.5, 1.0), (4, 4)), ((0.5, 0.75, 1.0), (2, 2, 2))],
+    )
+    @pytest.mark.parametrize("include_q_block", [False, True])
+    def test_matches_loop_oracle(self, alphas, n_modes, include_q_block):
+        pot = torus.ScalarPotentialD.random(len(alphas), 1, 1.0, 6)
+        mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in n_modes], indexing="ij")
+        modes = np.stack([g.ravel() for g in mesh], axis=-1)
+        if not include_q_block:
+            modes = modes[modes[:, -1] != 0]
+        kinetic = np.sum((np.asarray(alphas) * modes) ** 2, axis=1)
+        want = galerkin_loop(modes, kinetic, pot.coeffs[..., None, None], modes[:, -1] != 0)
+        geom = torus.TorusGeometry(alphas)
+        a = torus.assemble_torus_operator(pot, geom, n_modes, include_q_block=include_q_block)
+        assert np.array_equal(a, want)
 
     def test_mode_budget_guard(self):
         pot = torus.ScalarPotentialD.constant(2, 1.0)
