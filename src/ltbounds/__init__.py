@@ -11,7 +11,6 @@ from .special import (
     xcoth_excess,
 )
 from .interp import (
-    SolverOptions,
     ConstantResult,
     CurveTable,
     g_objective,

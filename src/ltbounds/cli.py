@@ -3,20 +3,19 @@
 Every command emits a machine-readable document (JSON; CSV for curves) that
 embeds the package version, the full parameter echo and the seed, so two
 runs with the same configuration are byte-identical.  Exit codes: 0 all
-passed, 1 at least one bound violation, 2 usage or validity error.
+passed, 1 at least one bound violation, 2 usage or validity error (a
+quadrature that fails its grid-doubling check included).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import ctypes
 import json
 import math
-import os
 import sys
 
 from . import __version__, attractor, families, interp, special, spectral1d, torus
+from .reports import ConvergenceError
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,18 +109,6 @@ def _verify_one(kind: str, args, seed: int):
     raise ValueError(f"unknown verify kind {kind!r}")
 
 
-def _pin_mmap_threshold() -> None:
-    # glibc raises its mmap threshold to the largest block freed so far, after
-    # which freed Galerkin matrices (17.8 MB at 1,056 torus modes) stay resident
-    # in per-thread arenas by chance; a fixed 1 MiB threshold unmaps them on free.
-    libc = ctypes.CDLL(None) if os.name == "posix" else None
-    mallopt = getattr(libc, "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        mallopt.restype = ctypes.c_int
-        mallopt(-3, 1 << 20)  # -3 is M_MMAP_THRESHOLD
-
-
 def cmd_verify(args) -> int:
     if args.seeds < 1:
         return _fail_usage("--seeds must be >= 1")
@@ -130,14 +117,12 @@ def cmd_verify(args) -> int:
     if args.kind in ("h1", "trace1", "torus") and not args.alpha > 0:
         return _fail_usage("this kind requires --alpha > 0")
 
-    _pin_mmap_threshold()
+    # Seeds run in order on this thread; the dense eigensolves' BLAS threads
+    # are the only parallelism, since a seed pool on top oversubscribes cores.
     seeds = [args.seed_base + i for i in range(args.seeds)]
-    workers = int(os.environ.get("LT_TORUS_THREADS", "0") or 0) or min(4, os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(lambda s: _verify_one(args.kind, args, s), seeds))
+    reports = [_verify_one(args.kind, args, s) for s in seeds]
     if args.rhs_scale != 1.0:
         reports = [rep.with_rhs_scaled(args.rhs_scale) for rep in reports]
-    reports.sort(key=lambda rep: rep.metadata.get("seed", 0))
     all_pass = all(rep.passed for rep in reports)
     config = {
         "kind": args.kind,
@@ -293,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail_usage(str(exc))
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ConvergenceError) as exc:
         return _fail_usage(str(exc))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import interp
-from .reports import BoundReport, ConvergenceError
+from .reports import BoundReport, _check_doubling
 
 __all__ = [
     "OrthonormalFamily",
@@ -171,7 +171,6 @@ def density_and_kinetic(
     beta: float,
     mode: str,
     grid: int | None = None,
-    check: bool = True,
 ) -> tuple[float, float]:
     """(integral of Tr[U(x,x)^3], kinetic quadratic form) for the family.
 
@@ -193,14 +192,11 @@ def density_and_kinetic(
         return float(fam.period / nodes * np.sum(tr3))
 
     value = rho_cubed(n)
-    if check:
-        refined = rho_cubed(2 * n)
-        if abs(refined - value) > 1e-8 * max(1.0, abs(refined)):
-            raise ConvergenceError("cubed-density integral moved under grid doubling")
-        value = refined
+    refined = rho_cubed(2 * n)
+    _check_doubling(value, refined, "cubed-density integral")
     weights = _mode_weights(fam.band, fam.alpha, beta, mode)
     kinetic = float(np.einsum("k,nkj->", weights, np.abs(fam.coeffs) ** 2).real)
-    return value, kinetic
+    return refined, kinetic
 
 
 def _verify_trace(fam, beta, mode, solve_k, params, seed) -> BoundReport:

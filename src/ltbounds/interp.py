@@ -25,7 +25,6 @@ import numpy as np
 from . import special
 
 __all__ = [
-    "SolverOptions",
     "ConstantResult",
     "CurveTable",
     "g_objective",
@@ -40,28 +39,17 @@ __all__ = [
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for the sup-over-lambda search.
-
-    The logarithmic grid guards against missed peaks near the origin; the
-    golden-section pass refines the best grid point to refine_rel_tol
-    relative accuracy in lambda.
-    """
-
-    lambda_min: float = 1e-10
-    lambda_max: float = 1e8
-    grid_points: int = 2000
-    refine: bool = True
-    refine_rel_tol: float = 1e-12
-    # Interior maxima within this distance of 1 still get a reported argmax:
-    # at the K2 threshold the sup is attained at a finite point and at
-    # infinity simultaneously, and the finite maximizer is the useful datum.
-    argmax_tie_tol: float = 1e-9
-
-
-DEFAULT_OPTS = SolverOptions()
+# The sup-over-lambda search: a logarithmic grid guards against missed peaks
+# near the origin, and a golden-section pass refines the best grid point to
+# _REFINE_REL_TOL relative accuracy in lambda.
+_LAMBDA_MIN = 1e-10
+_LAMBDA_MAX = 1e8
+_GRID_POINTS = 2000
+_REFINE_REL_TOL = 1e-12
+# Interior maxima within this distance of 1 still get a reported argmax: at
+# the K2 threshold the sup is attained at a finite point and at infinity
+# simultaneously, and the finite maximizer is the useful datum.
+_ARGMAX_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,8 +64,6 @@ class ConstantResult:
     value: float
     argmax_lambda: float | None
     interior_max: float
-    grid_points: int
-    refined: bool
 
 
 def g_objective(lam, beta):
@@ -132,57 +118,54 @@ def _golden_max(fn, log_lo: float, log_hi: float, tol: float) -> tuple[float, fl
     return (math.exp(c), fc) if fc >= fd else (math.exp(d), fd)
 
 
-def _interior_max(fn, opts: SolverOptions) -> tuple[float, float, bool]:
+def _interior_max(fn) -> tuple[float, float, bool]:
     """Locate the maximum of fn over the lambda grid.
 
     Returns (lam_best, value_best, interior) where interior is False when
     the best grid point sits on the grid boundary, i.e. the scan found no
     interior peak and the 'maximum' is really the approach to a limit.
     """
-    grid = np.geomspace(opts.lambda_min, opts.lambda_max, opts.grid_points)
+    grid = np.geomspace(_LAMBDA_MIN, _LAMBDA_MAX, _GRID_POINTS)
     vals = fn(grid)
     i = int(np.argmax(vals))
-    interior = 0 < i < opts.grid_points - 1
+    interior = 0 < i < _GRID_POINTS - 1
     lam_best, v_best = float(grid[i]), float(vals[i])
-    if opts.refine:
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, opts.grid_points - 1)]
-        tol = math.log1p(opts.refine_rel_tol)
-        lam_ref, v_ref = _golden_max(fn, math.log(lo), math.log(hi), tol)
-        if v_ref > v_best:
-            lam_best, v_best = lam_ref, v_ref
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, _GRID_POINTS - 1)]
+    tol = math.log1p(_REFINE_REL_TOL)
+    lam_ref, v_ref = _golden_max(fn, math.log(lo), math.log(hi), tol)
+    if v_ref > v_best:
+        lam_best, v_best = lam_ref, v_ref
     return lam_best, v_best, interior
 
 
-def _constant(fn, beta: float, opts: SolverOptions) -> ConstantResult:
-    lam_best, v_best, interior = _interior_max(fn, opts)
+def _constant(fn, beta: float) -> ConstantResult:
+    lam_best, v_best, interior = _interior_max(fn)
     value = max(1.0, v_best)
-    report_argmax = interior and v_best > 1.0 - opts.argmax_tie_tol
+    report_argmax = interior and v_best > 1.0 - _ARGMAX_TIE_TOL
     return ConstantResult(
         beta=float(beta),
         value=float(value),
         argmax_lambda=float(lam_best) if report_argmax else None,
         interior_max=float(v_best),
-        grid_points=opts.grid_points,
-        refined=opts.refine,
     )
 
 
-def k1(beta: float, opts: SolverOptions = DEFAULT_OPTS) -> ConstantResult:
+def k1(beta: float) -> ConstantResult:
     """Sharp constant of the mass-added inequality: 2 sup sqrt(lam) g_beta(lam)."""
     if beta <= 0:
         raise ValueError("k1 requires beta > 0")
-    return _constant(lambda lam: g_objective(lam, beta), beta, opts)
+    return _constant(lambda lam: g_objective(lam, beta), beta)
 
 
-def k2(beta: float, opts: SolverOptions = DEFAULT_OPTS) -> ConstantResult:
+def k2(beta: float) -> ConstantResult:
     """Sharp constant of the mass-subtracted (zero-mean) inequality."""
     if not 0.0 <= beta < 1.0:
         raise ValueError("k2 requires beta in [0, 1)")
-    return _constant(lambda lam: f_objective(lam, beta), beta, opts)
+    return _constant(lambda lam: f_objective(lam, beta), beta)
 
 
-def beta_star(tol: float = 1e-6, opts: SolverOptions = DEFAULT_OPTS) -> float:
+def beta_star(tol: float = 1e-6) -> float:
     """Smallest beta with K1(beta) = 1, by bisection on the interior maximum.
 
     K1 is monotone non-increasing, so the excess (interior max - 1) changes
@@ -193,7 +176,7 @@ def beta_star(tol: float = 1e-6, opts: SolverOptions = DEFAULT_OPTS) -> float:
     lo, hi = 1e-4, 1.0
 
     def excess(b: float) -> float:
-        return k1(b, opts).interior_max - 1.0
+        return k1(b).interior_max - 1.0
 
     if not (excess(lo) > 0.0 and excess(hi) < 0.0):
         raise RuntimeError("beta_star bracket failure: excess does not change sign")
@@ -206,7 +189,7 @@ def beta_star(tol: float = 1e-6, opts: SolverOptions = DEFAULT_OPTS) -> float:
     return 0.5 * (lo + hi)
 
 
-def beta_star_star(tol: float = 1e-6, opts: SolverOptions = DEFAULT_OPTS) -> float:
+def beta_star_star(tol: float = 1e-6) -> float:
     """Largest beta with K2(beta) = 1; mirror image of :func:`beta_star`.
 
     K2 is monotone non-decreasing; bracket [0, 1 - 1e-6].
@@ -216,7 +199,7 @@ def beta_star_star(tol: float = 1e-6, opts: SolverOptions = DEFAULT_OPTS) -> flo
     lo, hi = 0.0, 1.0 - 1e-6
 
     def excess(b: float) -> float:
-        return k2(b, opts).interior_max - 1.0
+        return k2(b).interior_max - 1.0
 
     if not (excess(lo) < 0.0 and excess(hi) > 0.0):
         raise RuntimeError("beta_star_star bracket failure: excess does not change sign")
@@ -297,32 +280,31 @@ class CurveTable:
         return json.dumps(payload, sort_keys=True)
 
 
-def export_curve(
-    which: str,
-    beta_min: float,
-    beta_max: float,
-    n: int,
-    opts: SolverOptions = DEFAULT_OPTS,
-) -> CurveTable:
+def export_curve(which: str, beta_min: float, beta_max: float, n: int) -> CurveTable:
     """Sample K1 or K2 on n equispaced betas and enforce monotonicity.
 
-    K1 must be non-increasing and K2 non-decreasing; a violation beyond
-    solver noise indicates a sup-search bug, hence the assertion.
+    The whole range is checked before any solve.  K1 must be non-increasing
+    and K2 non-decreasing; a violation beyond solver noise indicates a
+    sup-search bug, hence the assertion.
     """
     if n < 2:
         raise ValueError("need at least 2 sample points")
     if beta_min >= beta_max:
         raise ValueError("beta_min must be < beta_max")
     if which == "k1":
+        if beta_min <= 0:
+            raise ValueError("k1 requires beta > 0")
         solve = k1
     elif which == "k2":
+        if not (0.0 <= beta_min and beta_max < 1.0):
+            raise ValueError("k2 requires beta in [0, 1)")
         solve = k2
     else:
         raise ValueError(f"which must be 'k1' or 'k2', got {which!r}")
     betas = np.linspace(beta_min, beta_max, n)
     rows = []
     for b in betas:
-        res = solve(float(b), opts)
+        res = solve(float(b))
         rows.append((res.beta, res.value, res.argmax_lambda))
     values = [r[1] for r in rows]
     sign = -1.0 if which == "k1" else 1.0

@@ -16,6 +16,13 @@ class ConvergenceError(RuntimeError):
     """Raised when a self-convergence check (grid doubling) fails."""
 
 
+def _check_doubling(value: float, refined: float, what: str) -> None:
+    # One flag for every quadrature: relative drift above 1e-8 (absolute
+    # below magnitude 1) under grid doubling.
+    if abs(refined - value) > 1e-8 * max(1.0, abs(refined)):
+        raise ConvergenceError(f"{what} moved {abs(refined - value):.3e} under grid doubling")
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of checking one inequality instance lhs <= rhs.

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import interp, special
-from .reports import BoundReport, ConvergenceError
+from .reports import BoundReport, _check_doubling
 
 __all__ = [
     "MatrixPotential",
@@ -145,15 +145,13 @@ def random_psd_potential(
     return pot
 
 
-def trace_power_integral(
-    potential: MatrixPotential, p: float, grid: int | None = None, check: bool = True
-) -> float:
+def trace_power_integral(potential: MatrixPotential, p: float, grid: int | None = None) -> float:
     """Quadrature of Tr[V(x)^p] over one period.
 
     Uniform nodes (rectangle rule, spectrally accurate for smooth periodic
     integrands); the matrix power goes through a Hermitian eigendecomposition
-    with round-off negatives clipped to zero.  With check=True the grid is
-    doubled and a relative drift above 1e-8 raises ConvergenceError; the
+    with round-off negatives clipped to zero.  The grid is then doubled: a
+    relative drift above 1e-8 raises ConvergenceError, and otherwise the
     refined value is returned.
     """
     if p < 1:
@@ -173,13 +171,8 @@ def trace_power_integral(
         return float(potential.period / nodes * np.sum(evs**p))
 
     value = quad(n)
-    if not check:
-        return value
     refined = quad(2 * n)
-    if abs(refined - value) > 1e-8 * max(1.0, abs(refined)):
-        raise ConvergenceError(
-            f"trace integral moved {abs(refined - value):.3e} under grid doubling"
-        )
+    _check_doubling(value, refined, "trace integral")
     return refined
 
 

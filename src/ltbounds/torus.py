@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import interp, special
-from .reports import BoundReport
+from .reports import BoundReport, _check_doubling
 from .spectral1d import _assemble_lattice, negative_spectrum, riesz_mean
 
 __all__ = [
@@ -257,9 +257,11 @@ def assemble_torus_operator(
     """Galerkin matrix of -Laplacian - P V P on tensor Fourier modes.
 
     The basis is the range of the mean-removing projection (modes with
-    k_d != 0); include_q_block=True appends the complementary k_d = 0 modes,
+    k_d != 0); include_q_block=True adds the complementary k_d = 0 modes,
     on which the operator acts as the bare Laplacian (the projection kills
-    the potential coupling there).
+    the potential coupling there).  Either way the modes keep the
+    lexicographic (meshgrid "ij") order of the (2n+1)^d box, so the k_d = 0
+    modes are interleaved with the others, not appended after them.
     """
     n_modes = tuple(int(n) for n in n_modes)
     if len(n_modes) != geom.d:
@@ -277,20 +279,34 @@ def assemble_torus_operator(
     return _assemble_lattice(modes, kinetic, potential.coeffs[..., None, None], modes[:, -1] != 0)
 
 
+def _quad_nodes(potential: ScalarPotentialD, grid) -> tuple:
+    # default: 8 nodes per potential mode along each axis
+    if grid is None:
+        return tuple(8 * (2 * b + 1) for b in potential.bands)
+    return tuple(int(g) for g in grid)
+
+
 def potential_power_integral(
     potential: ScalarPotentialD, geom: TorusGeometry, p: float, grid=None
 ) -> float:
-    """Tensor rectangle rule for int V^p, with V clipped to >= 0 pointwise."""
+    """Tensor rectangle rule for int V^p, with V clipped to >= 0 pointwise.
+
+    V^p is not a trig polynomial for fractional p, so the grid is also
+    doubled per axis: a relative drift above 1e-8 raises ConvergenceError.
+    The value on the stated grid is returned.
+    """
     if p < 1:
         raise ValueError("power p must be >= 1")
-    nodes = (
-        tuple(int(g) for g in grid)
-        if grid is not None
-        else tuple(8 * (2 * b + 1) for b in potential.bands)
-    )
-    vals = np.clip(potential.values_on_grid(nodes), 0.0, None)
-    cell = geom.volume / float(np.prod(nodes))
-    return float(cell * np.sum(vals**p))
+
+    def quad(nodes: tuple) -> float:
+        vals = np.clip(potential.values_on_grid(nodes), 0.0, None)
+        cell = geom.volume / float(np.prod(nodes))
+        return float(cell * np.sum(vals**p))
+
+    nodes = _quad_nodes(potential, grid)
+    value = quad(nodes)
+    _check_doubling(value, quad(tuple(2 * n for n in nodes)), "potential integral")
+    return value
 
 
 def verify_bound_torus(
@@ -313,11 +329,7 @@ def verify_bound_torus(
     a = assemble_torus_operator(potential, geom, n_modes)
     rep = negative_spectrum(a, operator="torus", truncation=max(n_modes))
     lhs = riesz_mean(rep, gamma)
-    quad_nodes = (
-        tuple(int(g) for g in grid)
-        if grid is not None
-        else tuple(8 * (2 * b + 1) for b in potential.bands)
-    )
+    quad_nodes = _quad_nodes(potential, grid)
     rhs = const * potential_power_integral(potential, geom, gamma + 0.5 * geom.d, quad_nodes)
     meta = {
         "operator": "torus",

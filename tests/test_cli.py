@@ -1,9 +1,10 @@
 import json
 import math
+import threading
 
 import pytest
 
-from ltbounds import __version__
+from ltbounds import __version__, cli
 from ltbounds.cli import main
 
 
@@ -118,6 +119,8 @@ BAD_ARGV = [
     "verify --kind h1 --alpha 0",
     "verify --kind trace1 --alpha 0",
     "verify --kind torus --alpha 0",
+    # seed 45's integral of V^2.1 moves 1.6e-8 (relative) under grid doubling
+    "verify --kind torus --band 1 --gamma 1.1 --seed-base 45 --seeds 1",
 ]
 
 
@@ -172,13 +175,19 @@ class TestVerify:
         assert err.startswith(prefix)
         assert "Traceback" not in err
 
-    def test_thread_override_is_output_invariant(self, capsys, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        monkeypatch.setenv("LT_TORUS_THREADS", "1")
-        assert run(capsys, "verify", "--kind", "h2", "--seeds", "4", "--out", str(a))[0] == 0
-        monkeypatch.setenv("LT_TORUS_THREADS", "4")
-        assert run(capsys, "verify", "--kind", "h2", "--seeds", "4", "--out", str(b))[0] == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_seeds_run_in_order_on_the_main_thread(self, capsys, monkeypatch):
+        # BLAS threads are the only parallelism: a seed pool on top of them
+        # oversubscribes the cores.
+        calls = []
+        verify_one = cli._verify_one
+
+        def recording(kind, args, seed):
+            calls.append((seed, threading.current_thread() is threading.main_thread()))
+            return verify_one(kind, args, seed)
+
+        monkeypatch.setattr(cli, "_verify_one", recording)
+        assert run(capsys, "verify", "--kind", "h2", "--seeds", "4")[0] == 0
+        assert calls == [(0, True), (1, True), (2, True), (3, True)]
 
 
 class TestAttractor:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,22 @@ class TestCurveExport:
             interp.export_curve("k1", 0.5, 0.1, 10)
         with pytest.raises(ValueError):
             interp.export_curve("k1", 0.1, 0.5, 1)
+
+    @pytest.mark.parametrize(
+        "which, lo, hi, message",
+        [
+            ("k2", 0.5, 1.2, "k2 requires beta in [0, 1)"),
+            ("k2", -0.1, 0.5, "k2 requires beta in [0, 1)"),
+            ("k1", 0.0, 0.5, "k1 requires beta > 0"),
+        ],
+    )
+    def test_range_rejected_before_any_solve(self, monkeypatch, which, lo, hi, message):
+        calls = []
+        for name in ("k1", "k2"):
+            monkeypatch.setattr(interp, name, lambda beta: calls.append(beta))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            interp.export_curve(which, lo, hi, 50)
+        assert calls == []
 
 
 class TestConstantResultInvariants:

@@ -82,8 +82,8 @@ class TestTracePowerIntegral:
 
     def test_grid_doubling_stable(self):
         pot = sp1.random_psd_potential(2, 3, TWO_PI, 1.0, 3)
-        a = sp1.trace_power_integral(pot, 1.5, check=False)
-        b = sp1.trace_power_integral(pot, 1.5, grid=64 * (2 * pot.band + 1), check=False)
+        a = sp1.trace_power_integral(pot, 1.5)
+        b = sp1.trace_power_integral(pot, 1.5, grid=64 * (2 * pot.band + 1))
         assert a == pytest.approx(b, rel=1e-8)
 
     def test_convergence_flag_fires_on_coarse_grid(self):

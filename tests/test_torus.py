@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ltbounds import interp, torus
+from ltbounds.reports import ConvergenceError
 from ltbounds.spectral1d import negative_spectrum, riesz_mean
 
 from oracles import galerkin_loop, riesz_mean_of, torus_constant_potential_eigs
@@ -121,6 +122,15 @@ class TestScalarPotential:
         small = torus.potential_power_integral(pot, torus.TorusGeometry((1.0, 1.0)), 2.0)
         big = torus.potential_power_integral(pot, torus.TorusGeometry((0.25, 1.0)), 2.0)
         assert big == pytest.approx(4.0 * small, rel=1e-12)
+
+    def test_power_integral_flags_coarse_grid(self):
+        # V^2.5 is not a trig polynomial; at 10 nodes per axis the band-2
+        # potential's integral moves about 3e-5 (relative) under grid doubling.
+        pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
+        geom = torus.TorusGeometry((1.0, 1.0))
+        with pytest.raises(ConvergenceError):
+            torus.potential_power_integral(pot, geom, 2.5, grid=(10, 10))
+        torus.potential_power_integral(pot, geom, 2.5)  # default grid is fine
 
 
 class TestAssembly:
