@@ -36,6 +36,14 @@ def _document(command: str, config: dict, body: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def finite_float(text: str) -> float:
+    """argparse type for every float flag: nan and +-inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -188,49 +196,49 @@ def _build_parser() -> argparse.ArgumentParser:
     io_flags.add_argument("--config", default=None)
 
     p = sub.add_parser("constants", parents=[io_flags], help="semiclassical and torus-bound constants")
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=finite_float, default=1.0)
     p.add_argument("--d", type=int, default=2)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("k-curve", parents=[io_flags], help="export a K1/K2 curve")
     p.add_argument("--which", choices=("k1", "k2"), default="k1")
-    p.add_argument("--min", dest="beta_min", type=float, default=0.01)
-    p.add_argument("--max", dest="beta_max", type=float, default=0.5)
+    p.add_argument("--min", dest="beta_min", type=finite_float, default=0.01)
+    p.add_argument("--max", dest="beta_max", type=finite_float, default=0.5)
     p.add_argument("-n", "--num", type=int, default=50)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_k_curve)
 
     p = sub.add_parser("thresholds", parents=[io_flags], help="compute both K = 1 thresholds")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=finite_float, default=1e-6)
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("verify", parents=[io_flags], help="randomized bound verification batch")
     p.add_argument("--kind", choices=VERIFY_KINDS, default="h2")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--seed-base", type=int, default=0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--gamma", type=finite_float, default=1.0)
+    p.add_argument("--beta", type=finite_float, default=0.5)
+    p.add_argument("--delta", type=finite_float, default=0.5)
+    p.add_argument("--alpha", type=finite_float, default=1.0)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m-dim", type=int, default=2)
     p.add_argument("--band", type=int, default=2)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=finite_float, default=1.0)
     p.add_argument("--family-size", type=int, default=3)
-    p.add_argument("--rhs-scale", type=float, default=1.0,
+    p.add_argument("--rhs-scale", type=finite_float, default=1.0,
                    help="fault injection: multiply every rhs by this factor")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("attractor", parents=[io_flags], help="closed-form dimension bounds")
     p.add_argument("--formula", choices=("square", "elongated", "kolmogorov"), default="square")
-    p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--length", type=float, default=1.0)
-    p.add_argument("--grad-g", type=float, default=1.0)
-    p.add_argument("--aspect", type=float, default=1.0)
-    p.add_argument("--c-lt", type=float, default=1.5)
-    p.add_argument("--c-p", type=float, default=math.pi / 6.0)
-    p.add_argument("--c-q", type=float, default=6.0)
+    p.add_argument("--nu", type=finite_float, default=1.0)
+    p.add_argument("--mu", type=finite_float, default=1.0)
+    p.add_argument("--length", type=finite_float, default=1.0)
+    p.add_argument("--grad-g", type=finite_float, default=1.0)
+    p.add_argument("--aspect", type=finite_float, default=1.0)
+    p.add_argument("--c-lt", type=finite_float, default=1.5)
+    p.add_argument("--c-p", type=finite_float, default=math.pi / 6.0)
+    p.add_argument("--c-q", type=finite_float, default=6.0)
     p.set_defaults(func=cmd_attractor)
 
     return parser
@@ -278,7 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail_usage(str(exc))
     try:
         return args.func(args)
-    except (ValueError, ConvergenceError) as exc:
+    except (ValueError, ArithmeticError, ConvergenceError) as exc:
+        # ArithmeticError: inputs whose arithmetic overflows or divides by an
+        # underflowed zero, e.g. attractor --mu 1e-300
         return _fail_usage(str(exc))
 
 

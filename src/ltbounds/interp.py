@@ -16,6 +16,7 @@ thresholds are located by bisection on the interior maximum.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -50,6 +51,9 @@ _REFINE_REL_TOL = 1e-12
 # the K2 threshold the sup is attained at a finite point and at infinity
 # simultaneously, and the finite maximizer is the useful datum.
 _ARGMAX_TIE_TOL = 1e-9
+# k1, k2 and the thresholds are memoised per process: the verifiers ask for
+# the same few betas over and over, and every result is immutable.
+_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,7 @@ def _constant(fn, beta: float) -> ConstantResult:
     )
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def k1(beta: float) -> ConstantResult:
     """Sharp constant of the mass-added inequality: 2 sup sqrt(lam) g_beta(lam)."""
     if beta <= 0:
@@ -158,6 +163,7 @@ def k1(beta: float) -> ConstantResult:
     return _constant(lambda lam: g_objective(lam, beta), beta)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def k2(beta: float) -> ConstantResult:
     """Sharp constant of the mass-subtracted (zero-mean) inequality."""
     if not 0.0 <= beta < 1.0:
@@ -165,23 +171,18 @@ def k2(beta: float) -> ConstantResult:
     return _constant(lambda lam: f_objective(lam, beta), beta)
 
 
-def beta_star(tol: float = 1e-6) -> float:
-    """Smallest beta with K1(beta) = 1, by bisection on the interior maximum.
-
-    K1 is monotone non-increasing, so the excess (interior max - 1) changes
-    sign exactly once on the bracket [1e-4, 1].
-    """
+def _bisect(name: str, excess, lo: float, hi: float, tol: float) -> float:
+    # excess is positive at lo, negative at hi and changes sign once.  Below
+    # the float spacing of the bracket the midpoint stops moving, so the
+    # loop also ends when it is no longer strictly inside.
     if not 0.0 < tol <= 0.01:
         raise ValueError("tol must lie in (0, 0.01]")
-    lo, hi = 1e-4, 1.0
-
-    def excess(b: float) -> float:
-        return k1(b).interior_max - 1.0
-
     if not (excess(lo) > 0.0 and excess(hi) < 0.0):
-        raise RuntimeError("beta_star bracket failure: excess does not change sign")
+        raise RuntimeError(f"{name} bracket failure: excess does not change sign")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if excess(mid) > 0.0:
             lo = mid
         else:
@@ -189,27 +190,23 @@ def beta_star(tol: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def beta_star(tol: float = 1e-6) -> float:
+    """Smallest beta with K1(beta) = 1, by bisection on the interior maximum.
+
+    K1 is monotone non-increasing, so the excess (interior max - 1) changes
+    sign exactly once on the bracket [1e-4, 1].
+    """
+    return _bisect("beta_star", lambda b: k1(b).interior_max - 1.0, 1e-4, 1.0, tol)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def beta_star_star(tol: float = 1e-6) -> float:
     """Largest beta with K2(beta) = 1; mirror image of :func:`beta_star`.
 
     K2 is monotone non-decreasing; bracket [0, 1 - 1e-6].
     """
-    if not 0.0 < tol <= 0.01:
-        raise ValueError("tol must lie in (0, 0.01]")
-    lo, hi = 0.0, 1.0 - 1e-6
-
-    def excess(b: float) -> float:
-        return k2(b).interior_max - 1.0
-
-    if not (excess(lo) < 0.0 and excess(hi) > 0.0):
-        raise RuntimeError("beta_star_star bracket failure: excess does not change sign")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect("beta_star_star", lambda b: 1.0 - k2(b).interior_max, 0.0, 1.0 - 1e-6, tol)
 
 
 def _tail_integral(c: float, x: float) -> float:
@@ -238,18 +235,15 @@ def series_bound_check(
     if lam <= 0:
         raise ValueError("series_bound_check requires lambda > 0")
     k = np.arange(1, terms + 1, dtype=float)
+    # the solver checks beta's range first; its memo makes the call free
     if which == "k1":
-        if beta <= 0:
-            raise ValueError("which='k1' requires beta > 0")
+        const = k1(beta).value
         c = beta + lam
         partial = 1.0 / c + 2.0 * float(np.sum(1.0 / (k * k + c)))
-        const = k1(beta).value
     elif which == "k2":
-        if not 0.0 <= beta < 1.0:
-            raise ValueError("which='k2' requires beta in [0, 1)")
+        const = k2(beta).value
         c = lam - beta
         partial = 2.0 * float(np.sum(1.0 / (k * k + c)))
-        const = k2(beta).value
     else:
         raise ValueError(f"which must be 'k1' or 'k2', got {which!r}")
     tail = 2.0 * 0.5 * (_tail_integral(c, terms) + _tail_integral(c, terms + 1))

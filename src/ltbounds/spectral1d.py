@@ -35,10 +35,15 @@ __all__ = [
     "riesz_mean",
     "verify_bound_h1",
     "verify_bound_h2",
+    "ROW_BUDGET",
 ]
 
 _PSD_TOL = 1e-10
+_PSD_SAMPLES = 512
 _EIG_CUT_REL = 1e-12
+# Largest dense Galerkin matrix (rows = modes * m_dim) any assembler builds:
+# 10,000 complex rows are 1.6 GB, and the eigensolver roughly doubles that.
+ROW_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -47,8 +52,9 @@ class MatrixPotential:
 
     coeffs has shape (2*band+1, m_dim, m_dim); row k+band holds the
     coefficient of exp(i*k*(2pi/period)*x).  Hermitian symmetry
-    coeffs[-k] = coeffs[k]^H holds exactly, which makes V(x) pointwise
-    Hermitian and every Galerkin matrix exactly self-adjoint.
+    coeffs[-k] = coeffs[k]^H (k = 0 included) is checked exactly on
+    construction, which makes V(x) pointwise Hermitian and every Galerkin
+    matrix exactly self-adjoint.
     """
 
     m_dim: int
@@ -62,6 +68,8 @@ class MatrixPotential:
             raise ValueError(f"coeffs shape {self.coeffs.shape} != {expected}")
         if self.period <= 0:
             raise ValueError("period must be positive")
+        if not np.array_equal(self.coeffs[::-1], self.coeffs.conj().transpose(0, 2, 1)):
+            raise ValueError("coefficients are not exactly adjoint pairs coeffs[-k] = coeffs[k]^H")
 
     def coeff(self, k: int) -> np.ndarray:
         if abs(k) > self.band:
@@ -78,13 +86,9 @@ class MatrixPotential:
         phases = np.exp(1j * self.alpha * np.outer(np.asarray(x, float), ks))
         return np.einsum("nm,mij->nij", phases, self.coeffs)
 
-    def validate(self, samples: int = 512) -> None:
-        """Assert Hermitian symmetry and pointwise positive semidefiniteness."""
-        for k in range(1, self.band + 1):
-            herm_gap = np.max(np.abs(self.coeff(-k) - self.coeff(k).conj().T))
-            if herm_gap != 0.0:
-                raise ValueError(f"coefficient pair +-{k} is not exactly adjoint")
-        x = np.arange(samples) * (self.period / samples)
+    def validate(self) -> None:
+        """Assert pointwise positive semidefiniteness on a sample grid."""
+        x = np.arange(_PSD_SAMPLES) * (self.period / _PSD_SAMPLES)
         vals = self.evaluate(x)
         evs = np.linalg.eigvalsh(vals)
         scale = max(1.0, float(np.max(np.abs(evs))))
@@ -100,9 +104,6 @@ class EigenReport:
     """Magnitudes of the negative eigenvalues, sorted descending."""
 
     negatives: tuple
-    truncation: int
-    operator: str
-    params: dict = field(default_factory=dict)
 
 
 def constant_potential(value: float, m_dim: int = 1, period: float = 2.0 * math.pi) -> MatrixPotential:
@@ -176,6 +177,11 @@ def trace_power_integral(potential: MatrixPotential, p: float, grid: int | None 
     return refined
 
 
+def _check_rows(rows: int) -> None:
+    if rows > ROW_BUDGET:
+        raise ValueError(f"Galerkin size {rows} exceeds the dense budget {ROW_BUDGET} rows")
+
+
 def _assemble_lattice(
     modes: np.ndarray, kinetic: np.ndarray, coeffs: np.ndarray, coupled: np.ndarray
 ) -> np.ndarray:
@@ -189,6 +195,7 @@ def _assemble_lattice(
     """
     n, d = modes.shape
     m = coeffs.shape[-1]
+    _check_rows(n * m)
     widths = np.array(coeffs.shape[:d])
     a = np.diag(np.repeat(kinetic, m).astype(complex))
     blocks = a.reshape(n, m, n, m)  # view: blocks[i, :, j, :] couples mode i to mode j
@@ -235,24 +242,14 @@ def assemble_h2(potential: MatrixPotential, delta: float, n_max: int) -> np.ndar
     return _assemble_lattice(ks[:, None], kinetic, potential.coeffs, np.ones(len(ks), bool))
 
 
-def negative_spectrum(
-    matrix: np.ndarray,
-    operator: str = "h1",
-    truncation: int = 0,
-    params: dict | None = None,
-) -> EigenReport:
+def negative_spectrum(matrix: np.ndarray) -> EigenReport:
     """Magnitudes of eigenvalues below -cut, cut = 1e-12 * max|A|, descending."""
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix contains non-finite entries")
     evs = np.linalg.eigvalsh(matrix)
     cut = _EIG_CUT_REL * float(np.max(np.abs(matrix))) if matrix.size else 0.0
     neg = np.sort(-evs[evs < -cut])[::-1]
-    return EigenReport(
-        negatives=tuple(float(v) for v in neg),
-        truncation=truncation,
-        operator=operator,
-        params=dict(params or {}),
-    )
+    return EigenReport(negatives=tuple(float(v) for v in neg))
 
 
 def riesz_mean(report: EigenReport, gamma: float) -> float:
@@ -264,18 +261,16 @@ def riesz_mean(report: EigenReport, gamma: float) -> float:
     return float(np.sum(np.asarray(report.negatives) ** gamma))
 
 
-def _verify_1d(potential, rep, k_value, gamma, grid, seed) -> BoundReport:
+def _verify_1d(potential, rep, k_value, gamma, grid, seed, **params) -> BoundReport:
     # Shared tail of the h1/h2 verifiers: Riesz mean of rep against the
-    # (pi/sqrt3) K L_cl trace bound, K = k_value.
+    # (pi/sqrt3) K L_cl trace bound, K = k_value; params join the metadata.
     lhs = riesz_mean(rep, gamma)
     const = math.pi / math.sqrt(3.0) * k_value * special.semiclassical_constant(gamma, 1)
     quad_grid = grid if grid is not None else 32 * (2 * potential.band + 1)
     rhs = const * trace_power_integral(potential, gamma + 0.5, quad_grid)
     meta = {
-        "operator": rep.operator,
         "gamma": gamma,
-        **rep.params,
-        "truncation": rep.truncation,
+        **params,
         "quadrature": quad_grid,
         "m_dim": potential.m_dim,
         "band": potential.band,
@@ -304,8 +299,11 @@ def verify_bound_h1(
     """
     n = n_max if n_max is not None else potential.band + 32
     a = assemble_h1(potential, alpha, beta, n)
-    rep = negative_spectrum(a, operator="h1", truncation=n, params={"alpha": alpha, "beta": beta})
-    return _verify_1d(potential, rep, interp.k1(beta).value, gamma, grid, seed)
+    rep = negative_spectrum(a)
+    return _verify_1d(
+        potential, rep, interp.k1(beta).value, gamma, grid, seed,
+        operator="h1", alpha=alpha, beta=beta, truncation=n,
+    )
 
 
 def verify_bound_h2(
@@ -319,5 +317,8 @@ def verify_bound_h2(
     """Mass-subtracted mirror of :func:`verify_bound_h1`, with K2(delta)."""
     n = n_max if n_max is not None else potential.band + 32
     a = assemble_h2(potential, delta, n)
-    rep = negative_spectrum(a, operator="h2", truncation=n, params={"delta": delta})
-    return _verify_1d(potential, rep, interp.k2(delta).value, gamma, grid, seed)
+    rep = negative_spectrum(a)
+    return _verify_1d(
+        potential, rep, interp.k2(delta).value, gamma, grid, seed,
+        operator="h2", delta=delta, truncation=n,
+    )

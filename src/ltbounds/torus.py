@@ -18,13 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import interp, special
 from .reports import BoundReport, _check_doubling
-from .spectral1d import _assemble_lattice, negative_spectrum, riesz_mean
+from .spectral1d import _assemble_lattice, _check_rows, negative_spectrum, riesz_mean
 
 __all__ = [
     "TorusGeometry",
@@ -35,11 +34,10 @@ __all__ = [
     "assemble_torus_operator",
     "potential_power_integral",
     "verify_bound_torus",
-    "MODE_BUDGET",
 ]
 
-MODE_BUDGET = 20_000
 _THRESHOLD_TOL = 1e-6
+_PSD_SAMPLES = 48
 _DELTA_CAP = 1.0 - 1e-6
 
 
@@ -90,22 +88,7 @@ class BetaSelection:
             raise ValueError("unit regime implies factor exactly 1")
 
 
-@lru_cache(maxsize=None)
-def _thresholds(tol: float) -> tuple[float, float]:
-    return interp.beta_star(tol), interp.beta_star_star(tol)
-
-
-@lru_cache(maxsize=None)
-def _k1_value(beta: float) -> float:
-    return interp.k1(beta).value
-
-
-@lru_cache(maxsize=None)
-def _k2_value(delta: float) -> float:
-    return interp.k2(delta).value
-
-
-def choose_betas(geom: TorusGeometry, threshold_tol: float = _THRESHOLD_TOL) -> BetaSelection:
+def choose_betas(geom: TorusGeometry) -> BetaSelection:
     """Pick the auxiliary masses for a geometry.
 
     Working values sit one bisection tolerance inside the K1 = 1 / K2 = 1
@@ -114,33 +97,21 @@ def choose_betas(geom: TorusGeometry, threshold_tol: float = _THRESHOLD_TOL) -> 
     at the threshold masses, all of them shrink uniformly until delta hits
     the cap just below 1.
     """
-    bs, bss = _thresholds(threshold_tol)
-    beta_work = bs + threshold_tol
-    bss_work = bss - threshold_tol
-    ssq = sum(a * a for a in geom.alphas[:-1])
-    delta0 = beta_work * ssq
-    if delta0 <= bss_work:
+    beta = interp.beta_star(_THRESHOLD_TOL) + _THRESHOLD_TOL
+    delta = beta * sum(a * a for a in geom.alphas[:-1])
+    if delta <= interp.beta_star_star(_THRESHOLD_TOL) - _THRESHOLD_TOL:
         return BetaSelection(
-            betas=(beta_work,) * (geom.d - 1),
-            delta=delta0,
+            betas=(beta,) * (geom.d - 1),
+            delta=delta,
             constant_factor=1.0,
             in_unit_regime=True,
         )
-    if delta0 < _DELTA_CAP:
-        factor = _k1_value(beta_work) ** (geom.d - 1) * _k2_value(delta0)
-        return BetaSelection(
-            betas=(beta_work,) * (geom.d - 1),
-            delta=delta0,
-            constant_factor=factor,
-            in_unit_regime=False,
-        )
-    shrink = _DELTA_CAP / delta0
-    beta_small = shrink * beta_work
-    factor = _k1_value(beta_small) ** (geom.d - 1) * _k2_value(_DELTA_CAP)
+    if delta >= _DELTA_CAP:
+        beta, delta = _DELTA_CAP / delta * beta, _DELTA_CAP
     return BetaSelection(
-        betas=(beta_small,) * (geom.d - 1),
-        delta=_DELTA_CAP,
-        constant_factor=factor,
+        betas=(beta,) * (geom.d - 1),
+        delta=delta,
+        constant_factor=interp.k1(beta).value ** (geom.d - 1) * interp.k2(delta).value,
         in_unit_regime=False,
     )
 
@@ -170,6 +141,8 @@ class ScalarPotentialD:
         expected = tuple(2 * b + 1 for b in bands)
         if self.coeffs.shape != expected:
             raise ValueError(f"coeffs shape {self.coeffs.shape} != {expected}")
+        if not np.array_equal(np.flip(self.coeffs).conj(), self.coeffs):
+            raise ValueError("coefficients are not exactly conjugate-symmetric")
 
     @property
     def d(self) -> int:
@@ -217,14 +190,9 @@ class ScalarPotentialD:
         pot.validate()
         return pot
 
-    def validate(self, samples: int = 48) -> None:
-        """Conjugate symmetry and pointwise non-negativity on a phase grid."""
-        flipped = self.coeffs
-        for axis in range(self.d):
-            flipped = np.flip(flipped, axis=axis)
-        if float(np.max(np.abs(flipped.conj() - self.coeffs))) != 0.0:
-            raise ValueError("coefficients are not exactly conjugate-symmetric")
-        nodes = [min(samples, 4 * (2 * b + 1)) for b in self.bands]
+    def validate(self) -> None:
+        """Pointwise non-negativity on a phase grid."""
+        nodes = [min(_PSD_SAMPLES, 4 * (2 * b + 1)) for b in self.bands]
         vals = self.values_on_grid(nodes)
         if float(vals.min()) < -1e-10 * max(1.0, float(np.abs(vals).max())):
             raise ValueError("potential is not pointwise non-negative")
@@ -270,10 +238,10 @@ def assemble_torus_operator(
         raise ValueError("truncation must cover the potential band")
     if n_modes[-1] < 1:
         raise ValueError("need at least one mode pair along the projected axis")
+    # counted before _mode_list builds the whole (2n+1)^d box
+    last_axis = 2 * n_modes[-1] + (1 if include_q_block else 0)
+    _check_rows(math.prod(2 * n + 1 for n in n_modes[:-1]) * last_axis)
     modes = _mode_list(geom, n_modes, include_q_block)
-    size = len(modes)
-    if size > MODE_BUDGET:
-        raise ValueError(f"mode count {size} exceeds budget {MODE_BUDGET}")
     alphas = np.asarray(geom.alphas)
     kinetic = np.sum((alphas * modes) ** 2, axis=1)
     return _assemble_lattice(modes, kinetic, potential.coeffs[..., None, None], modes[:, -1] != 0)
@@ -327,7 +295,7 @@ def verify_bound_torus(
     sel = choose_betas(geom)
     const = lt_constant_bound(gamma, sel, geom.d)
     a = assemble_torus_operator(potential, geom, n_modes)
-    rep = negative_spectrum(a, operator="torus", truncation=max(n_modes))
+    rep = negative_spectrum(a)
     lhs = riesz_mean(rep, gamma)
     quad_nodes = _quad_nodes(potential, grid)
     rhs = const * potential_power_integral(potential, geom, gamma + 0.5 * geom.d, quad_nodes)

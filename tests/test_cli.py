@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ltbounds import __version__, cli
+from ltbounds import __version__, cli, interp
 from ltbounds.cli import main
 
 
@@ -121,6 +125,23 @@ BAD_ARGV = [
     "verify --kind torus --alpha 0",
     # seed 45's integral of V^2.1 moves 1.6e-8 (relative) under grid doubling
     "verify --kind torus --band 1 --gamma 1.1 --seed-base 45 --seeds 1",
+    # 15,000 rows: over the dense budget, rejected before any allocation
+    "verify --kind torus --d 3 --band 0 --seeds 1",
+    # mu^3 underflows to 0 and the formula divides by it
+    "attractor --nu 1e300 --mu 1e-300",
+]
+
+# argparse's finite-float type rejects these while parsing, after printing
+# the usage line.
+NON_FINITE_ARGV = [
+    "verify --kind h2 --gamma nan",
+    "verify --kind trace1 --beta nan",
+    "verify --kind h2 --rhs-scale nan",
+    "verify --kind trace1 --beta inf",
+    "verify --kind h2 --rhs-scale inf",
+    "constants --gamma nan",
+    "attractor --grad-g inf",
+    "k-curve --max nan",
 ]
 
 
@@ -167,7 +188,8 @@ class TestVerify:
         "argv, prefix",
         [pytest.param(row, "error:", id=row.replace(" ", "_")) for row in BAD_ARGV]
         # argparse rejects an unknown kind itself, after printing the usage line
-        + [pytest.param("verify --kind h7", "usage:", id="verify_--kind_h7")],
+        + [pytest.param("verify --kind h7", "usage:", id="verify_--kind_h7")]
+        + [pytest.param(row, "usage:", id=row.replace(" ", "_")) for row in NON_FINITE_ARGV],
     )
     def test_bad_kind_and_params(self, capsys, argv, prefix):
         code, _, err = run(capsys, *argv.split())
@@ -188,6 +210,85 @@ class TestVerify:
         monkeypatch.setattr(cli, "_verify_one", recording)
         assert run(capsys, "verify", "--kind", "h2", "--seeds", "4")[0] == 0
         assert calls == [(0, True), (1, True), (2, True), (3, True)]
+
+    def test_each_constant_is_solved_once_per_beta(self, capsys, monkeypatch):
+        # every seed asks for K1(0.5) (h1) or K2(0.5) (trace2); the memo in
+        # interp answers all but the first
+        solved = []
+        constant = interp._constant
+
+        def counting(fn, beta):
+            solved.append(beta)
+            return constant(fn, beta)
+
+        monkeypatch.setattr(interp, "_constant", counting)
+        interp.k1.cache_clear()
+        interp.k2.cache_clear()
+        for kind in ("h1", "trace2"):
+            assert run(capsys, "verify", "--kind", kind, "--seeds", "12")[0] == 0
+        assert solved == [0.5, 0.5]
+
+
+def _options(command, flags, required=None):
+    """argv for one subcommand with any subset of flags, as --flag=value."""
+    return st.fixed_dictionaries(required or {}, optional=flags).map(
+        lambda chosen: [command] + [f"{flag}={value}" for flag, value in chosen.items()]
+    )
+
+
+NON_FINITE = ("nan", "inf", "-inf")
+FLOATS = st.sampled_from(
+    ("0", "-1", "0.01", "0.25", "0.5", "1", "1.5", "3", "1e-300", "1e300") + NON_FINITE
+)
+FLOAT_FLAGS = {
+    "--gamma", "--min", "--max", "--tol", "--beta", "--delta", "--alpha", "--scale",
+    "--rhs-scale", "--nu", "--mu", "--length", "--grad-g", "--aspect", "--c-lt", "--c-p", "--c-q",
+}
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# Sizes stay small: at most 1,332 torus rows (d = 2, band 3) and 2 seeds.
+# The one 3-torus inside the box that the row budget alone keeps from
+# taking gigabytes (band 0, 15,000 rows) is left to the bad-argv table.
+ARGV = st.one_of(
+    _options("constants", {"--gamma": FLOATS, "--d": _ints(-1, 4)}),
+    _options("k-curve", {
+        "--which": st.sampled_from(("k1", "k2")), "--min": FLOATS, "--max": FLOATS,
+        "--num": _ints(-1, 5), "--format": st.sampled_from(("csv", "json")),
+    }),
+    _options("thresholds", {
+        "--tol": st.sampled_from(("0", "-1", "1e-300", "1e-3", "0.01", "0.5", "1e300") + NON_FINITE),
+    }),
+    _options("verify", {
+        "--kind": st.sampled_from(cli.VERIFY_KINDS), "--seed-base": _ints(0, 50),
+        "--gamma": FLOATS, "--beta": FLOATS, "--delta": FLOATS, "--alpha": FLOATS,
+        "--d": _ints(-1, 4), "--m-dim": _ints(-1, 3), "--band": _ints(-1, 3),
+        "--scale": FLOATS, "--family-size": _ints(-1, 4), "--rhs-scale": FLOATS,
+    }, required={"--seeds": _ints(-1, 2)}).filter(
+        lambda argv: not {"--kind=torus", "--d=3", "--band=0"} <= set(argv)
+    ),
+    _options("attractor", {
+        "--formula": st.sampled_from(("square", "elongated", "kolmogorov")), "--nu": FLOATS,
+        "--mu": FLOATS, "--length": FLOATS, "--grad-g": FLOATS, "--aspect": FLOATS,
+        "--c-lt": FLOATS, "--c-p": FLOATS, "--c-q": FLOATS,
+    }),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(ARGV)
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if any(flag in FLOAT_FLAGS and value in NON_FINITE
+           for flag, value in (token.split("=", 1) for token in argv[1:])):
+        assert code == 2
 
 
 class TestAttractor:

@@ -193,6 +193,27 @@ class TestThresholds:
         with pytest.raises(ValueError):
             interp.beta_star_star(0.5)
 
+    @pytest.mark.parametrize(
+        "name, threshold, window",
+        [("k1", interp.beta_star, (0.0440, 0.0460)), ("k2", interp.beta_star_star, (0.8380, 0.8400))],
+    )
+    def test_tol_below_float_spacing_terminates(self, monkeypatch, name, threshold, window):
+        # A tol under the float spacing near the threshold never shrinks the
+        # bracket below it; the bisection must stop once the midpoint sticks
+        # (about 60 solves) instead of looping forever.
+        solve = getattr(interp, name)
+        calls = []
+
+        def limited(beta):
+            calls.append(beta)
+            if len(calls) > 200:
+                raise RuntimeError("bisection does not terminate")
+            return solve(beta)
+
+        monkeypatch.setattr(interp, name, limited)
+        threshold.cache_clear()
+        assert window[0] <= threshold(1e-300) <= window[1]
+
 
 class TestMonotonicity:
     def test_k1_non_increasing(self):

@@ -164,6 +164,29 @@ class TestAssembly:
         assert a.shape == (2 * 2 * 7, 2 * 2 * 7)
 
 
+class TestPairingAndBudget:
+    def test_unpaired_coefficients_rejected_on_construction(self):
+        # V_1 = 0.9 without its adjoint V_-1 would assemble a non-Hermitian
+        # matrix, of which eigvalsh reads only one triangle.
+        coeffs = np.array([0.0, 1.0, 0.9], dtype=complex).reshape(3, 1, 1)
+        with pytest.raises(ValueError, match="adjoint"):
+            sp1.MatrixPotential(m_dim=1, band=1, period=TWO_PI, coeffs=coeffs)
+
+    def test_non_hermitian_head_rejected(self):
+        coeffs = np.array([[[1.0, 0.5j], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="adjoint"):
+            sp1.MatrixPotential(m_dim=2, band=0, period=TWO_PI, coeffs=coeffs)
+
+    def test_row_budget_counts_matrix_blocks(self, monkeypatch):
+        pot = sp1.constant_potential(1.0, m_dim=2)
+        monkeypatch.setattr(sp1, "ROW_BUDGET", 2 * 2 * 7)
+        assert sp1.assemble_h2(pot, 0.1, 7).shape == (28, 28)
+        with pytest.raises(ValueError, match="budget"):
+            sp1.assemble_h2(pot, 0.1, 8)
+        with pytest.raises(ValueError, match="budget"):
+            sp1.assemble_h1(pot, 1.0, 0.5, 7)
+
+
 class TestNegativeSpectrum:
     def test_simple_diagonal(self):
         rep = sp1.negative_spectrum(np.diag([-1.0, 0.0, 2.0]))
@@ -194,15 +217,15 @@ class TestNegativeSpectrum:
 
 class TestRieszMean:
     def test_trivia(self):
-        rep = sp1.EigenReport(negatives=(1.0, 1.0), truncation=4, operator="h2")
+        rep = sp1.EigenReport(negatives=(1.0, 1.0))
         assert sp1.riesz_mean(rep, 1.0) == 2.0
-        rep = sp1.EigenReport(negatives=(4.0,), truncation=4, operator="h1")
+        rep = sp1.EigenReport(negatives=(4.0,))
         assert sp1.riesz_mean(rep, 1.5) == pytest.approx(8.0, rel=1e-15)
-        empty = sp1.EigenReport(negatives=(), truncation=4, operator="h1")
+        empty = sp1.EigenReport(negatives=())
         assert sp1.riesz_mean(empty, 2.0) == 0.0
 
     def test_gamma_validation(self):
-        rep = sp1.EigenReport(negatives=(1.0,), truncation=4, operator="h1")
+        rep = sp1.EigenReport(negatives=(1.0,))
         with pytest.raises(ValueError):
             sp1.riesz_mean(rep, 0.5)
 

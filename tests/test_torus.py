@@ -106,6 +106,13 @@ class TestScalarPotential:
         vals = pot.values_on_grid((40, 40))
         assert float(vals.min()) >= -1e-10 * max(1.0, float(vals.max()))
 
+    def test_unpaired_coefficients_rejected_on_construction(self):
+        coeffs = np.zeros((3, 3), dtype=complex)
+        coeffs[1, 1] = 1.0
+        coeffs[2, 1] = 0.4  # no conjugate partner at (0, 1)
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
+            torus.ScalarPotentialD(bands=(1, 1), coeffs=coeffs)
+
     def test_random_deterministic(self):
         a = torus.ScalarPotentialD.random(2, 1, 1.0, 3)
         b = torus.ScalarPotentialD.random(2, 1, 1.0, 3)
@@ -175,6 +182,17 @@ class TestAssembly:
         geom = torus.TorusGeometry((1.0, 1.0))
         with pytest.raises(ValueError):
             torus.assemble_torus_operator(pot, geom, (100, 100))
+
+    def test_budget_checked_before_the_mode_box_is_built(self, monkeypatch):
+        def no_modes(*args):
+            raise AssertionError("the mode box was built")
+
+        monkeypatch.setattr(torus, "_mode_list", no_modes)
+        pot = torus.ScalarPotentialD.constant(3, 1.0)
+        geom = torus.TorusGeometry((1.0, 1.0, 1.0))
+        # 25 * 25 * 24 = 15,000 rows
+        with pytest.raises(ValueError, match="budget"):
+            torus.assemble_torus_operator(pot, geom, (12, 12, 12))
 
     def test_q_block_does_not_change_negative_spectrum(self):
         pot = torus.ScalarPotentialD.random(2, 1, 1.2, 15)
