@@ -93,12 +93,10 @@ def cmd_thresholds(args) -> int:
 
 def _verify_one(kind: str, args, seed: int):
     if kind == "h1":
-        pot = spectral1d.random_psd_potential(
-            args.m_dim, args.band, TWO_PI / args.alpha, args.scale, seed
-        )
+        pot = spectral1d.random_psd_potential(args.m_dim, args.band, args.scale, seed)
         return spectral1d.verify_bound_h1(pot, args.alpha, args.beta, args.gamma, seed=seed)
     if kind == "h2":
-        pot = spectral1d.random_psd_potential(args.m_dim, args.band, TWO_PI, args.scale, seed)
+        pot = spectral1d.random_psd_potential(args.m_dim, args.band, args.scale, seed)
         return spectral1d.verify_bound_h2(pot, args.delta, args.gamma, seed=seed)
     if kind == "torus":
         geom = torus.TorusGeometry((args.alpha,) * (args.d - 1) + (1.0,))

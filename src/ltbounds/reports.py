@@ -28,8 +28,10 @@ class BoundReport:
     """Outcome of checking one inequality instance lhs <= rhs.
 
     ratio is lhs/rhs (0 when both sides vanish, inf when only rhs does);
-    passed is equivalent to ratio <= 1 + PASS_SLACK.  metadata carries the
-    discretization parameters so a failing instance can be reproduced.
+    passed is equivalent to ratio <= 1 + PASS_SLACK.  A non-finite side, such
+    as an overflowed moment, is rejected, since its ratio would be nan.
+    metadata carries the discretization parameters so a failing instance
+    can be reproduced.
     """
 
     lhs: float
@@ -41,6 +43,8 @@ class BoundReport:
 
     @classmethod
     def build(cls, lhs: float, rhs: float, constant_used: float, **metadata) -> "BoundReport":
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise ValueError(f"bound sides must be finite, got lhs={lhs}, rhs={rhs}")
         if lhs < 0 or rhs < 0:
             raise ValueError("bound sides must be non-negative")
         if rhs == 0.0:

@@ -48,55 +48,56 @@ ROW_BUDGET = 10_000
 
 @dataclass(frozen=True)
 class MatrixPotential:
-    """Band-limited Hermitian matrix potential stored as Fourier coefficients.
+    """Band-limited Hermitian matrix potential on an integer mode lattice.
 
-    coeffs has shape (2*band+1, m_dim, m_dim); row k+band holds the
-    coefficient of exp(i*k*(2pi/period)*x).  Hermitian symmetry
+    coeffs has shape (2*b_1+1, ..., 2*b_d+1, m, m); the block at k + b is the
+    coefficient of exp(i k.theta) in phase coordinates theta in [0, 2pi)^d.
+    The operator fixes the physical periods.  Hermitian symmetry
     coeffs[-k] = coeffs[k]^H (k = 0 included) is checked exactly on
-    construction, which makes V(x) pointwise Hermitian and every Galerkin
+    construction, which makes V pointwise Hermitian and every Galerkin
     matrix exactly self-adjoint.
     """
 
-    m_dim: int
-    band: int
-    period: float
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = (2 * self.band + 1, self.m_dim, self.m_dim)
-        if self.coeffs.shape != expected:
-            raise ValueError(f"coeffs shape {self.coeffs.shape} != {expected}")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if not np.array_equal(self.coeffs[::-1], self.coeffs.conj().transpose(0, 2, 1)):
+        # a non-square (m, m) block fails the pairing check below
+        if self.d < 1 or any(w % 2 == 0 for w in self.coeffs.shape[:-2]):
+            raise ValueError(f"coeffs shape {self.coeffs.shape} is not (2b_1+1, ..., 2b_d+1, m, m)")
+        lattice = tuple(range(self.d))
+        if not np.array_equal(np.flip(self.coeffs, lattice), self.coeffs.conj().swapaxes(-1, -2)):
             raise ValueError("coefficients are not exactly adjoint pairs coeffs[-k] = coeffs[k]^H")
 
-    def coeff(self, k: int) -> np.ndarray:
-        if abs(k) > self.band:
-            return np.zeros((self.m_dim, self.m_dim), dtype=complex)
-        return self.coeffs[k + self.band]
+    @property
+    def d(self) -> int:
+        return self.coeffs.ndim - 2
 
     @property
-    def alpha(self) -> float:
-        return 2.0 * math.pi / self.period
+    def bands(self) -> tuple:
+        return tuple((w - 1) // 2 for w in self.coeffs.shape[:-2])
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Pointwise values V(x_i); returns shape (len(x), m_dim, m_dim)."""
-        ks = np.arange(-self.band, self.band + 1)
-        phases = np.exp(1j * self.alpha * np.outer(np.asarray(x, float), ks))
-        return np.einsum("nm,mij->nij", phases, self.coeffs)
+    @property
+    def m_dim(self) -> int:
+        return self.coeffs.shape[-1]
+
+    def values_on_grid(self, nodes) -> np.ndarray:
+        """V on the uniform phase grid with nodes[j] points on axis j; shape (*nodes, m, m)."""
+        out = self.coeffs
+        for axis, (b, n) in enumerate(zip(self.bands, nodes)):
+            theta = 2.0 * math.pi * np.arange(n) / n
+            phases = np.exp(1j * np.outer(theta, np.arange(-b, b + 1)))
+            out = np.moveaxis(np.tensordot(phases, out, axes=([1], [axis])), 0, axis)
+        return out
 
     def validate(self) -> None:
-        """Assert pointwise positive semidefiniteness on a sample grid."""
-        x = np.arange(_PSD_SAMPLES) * (self.period / _PSD_SAMPLES)
-        vals = self.evaluate(x)
-        evs = np.linalg.eigvalsh(vals)
+        """Assert pointwise positive semidefiniteness on a phase grid of
+        max(ceil(512^(1/d)), 4 nodes per mode) points per axis."""
+        per_axis = math.ceil(_PSD_SAMPLES ** (1.0 / self.d))
+        nodes = [max(per_axis, 4 * (2 * b + 1)) for b in self.bands]
+        evs = np.linalg.eigvalsh(self.values_on_grid(nodes))
         scale = max(1.0, float(np.max(np.abs(evs))))
         if float(np.min(evs)) < -_PSD_TOL * scale:
             raise ValueError("potential is not pointwise PSD on the sample grid")
-        tr = np.einsum("nii->n", vals)
-        if float(np.max(np.abs(tr.imag))) > 1e-12 * scale:
-            raise ValueError("trace of V(x) is not real on the sample grid")
 
 
 @dataclass(frozen=True)
@@ -106,75 +107,86 @@ class EigenReport:
     negatives: tuple
 
 
-def constant_potential(value: float, m_dim: int = 1, period: float = 2.0 * math.pi) -> MatrixPotential:
+def constant_potential(value: float, m_dim: int = 1) -> MatrixPotential:
     """Scalar-multiple-of-identity potential V(x) = value * I."""
     if value < 0:
         raise ValueError("constant potential must be >= 0")
-    coeffs = np.zeros((1, m_dim, m_dim), dtype=complex)
-    coeffs[0] = value * np.eye(m_dim)
-    return MatrixPotential(m_dim=m_dim, band=0, period=period, coeffs=coeffs)
+    return MatrixPotential((value * np.eye(m_dim, dtype=complex))[None])
 
 
-def random_psd_potential(
-    m_dim: int, band: int, period: float, scale: float, seed: int
-) -> MatrixPotential:
-    """Random pointwise-PSD potential V(x) = W(x) W(x)^H.
+def _psd_coeffs(d: int, m_dim: int, band: int, scale: float, seed: int) -> np.ndarray:
+    """Coefficients of V = W W^H on the d-dimensional lattice.
 
-    W is band-limited with i.i.d. complex Gaussian coefficients of standard
-    deviation `scale`; squaring doubles the band.  Deterministic per seed.
+    W has band `band` per axis and i.i.d. complex Gaussian (m_dim, m_dim)
+    coefficient blocks of standard deviation `scale`; squaring doubles the
+    band.  V_m = sum_k W_k W_{k-m}^H is formed on the lexicographically
+    non-negative half of the offsets and mirrored exactly onto the other.
     """
-    if m_dim < 1 or band < 0 or period <= 0 or scale <= 0:
+    if d < 1 or m_dim < 1 or band < 0 or scale <= 0:
         raise ValueError("invalid potential parameters")
     rng = np.random.default_rng(seed)
-    shape = (2 * band + 1, m_dim, m_dim)
+    shape = (2 * band + 1,) * d + (m_dim, m_dim)
     w = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     out_band = 2 * band
-    coeffs = np.zeros((2 * out_band + 1, m_dim, m_dim), dtype=complex)
-    for m in range(0, out_band + 1):
-        # V_m = sum_k W_k W_{k-m}^H over the overlapping index range
-        acc = np.zeros((m_dim, m_dim), dtype=complex)
-        for k in range(-band + m, band + 1):
-            acc += w[k + band] @ w[k - m + band].conj().T
-        if m == 0:
-            acc = 0.5 * (acc + acc.conj().T)  # exact Hermitian head
-            coeffs[out_band] = acc
+    coeffs = np.zeros((2 * out_band + 1,) * d + (m_dim, m_dim), dtype=complex)
+    for idx in np.ndindex(*coeffs.shape[:d]):
+        m = tuple(i - out_band for i in idx)
+        if m < (0,) * d:
+            continue  # mirrored from -m
+        # k runs over the overlap of W's box with its shift by m
+        src = tuple(slice(max(0, mj), 2 * band + 1 + min(0, mj)) for mj in m)
+        dst = tuple(slice(max(0, -mj), 2 * band + 1 + min(0, -mj)) for mj in m)
+        a, b = (w[s].reshape(-1, m_dim, m_dim) for s in (src, dst))
+        acc = np.einsum("nij,nkj->ik", a, b.conj())
+        if not any(m):
+            coeffs[idx] = 0.5 * (acc + acc.conj().T)  # exact Hermitian head
         else:
-            coeffs[out_band + m] = acc
-            coeffs[out_band - m] = acc.conj().T
-    pot = MatrixPotential(m_dim=m_dim, band=out_band, period=period, coeffs=coeffs)
+            coeffs[idx] = acc
+            coeffs[tuple(2 * out_band - i for i in idx)] = acc.conj().T
+    return coeffs
+
+
+def _power_integral(potential: MatrixPotential, p: float, volume: float, nodes) -> float:
+    """Rectangle rule for the integral of Tr V_+^p over a cell of `volume`.
+
+    Negative eigenvalues of V are clipped to zero.  Tr V_+^p is not
+    band-limited for fractional p, so the grid (at least 4 nodes per mode on
+    every axis) is doubled: a relative drift above 1e-8 raises
+    ConvergenceError, and otherwise the refined value is returned.
+    """
+    if p < 1:
+        raise ValueError("power p must be >= 1")
+    nodes = tuple(int(n) for n in nodes)
+    minimum = tuple(4 * (2 * b + 1) for b in potential.bands)
+    if len(nodes) != len(minimum) or any(n < lo for n, lo in zip(nodes, minimum)):
+        raise ValueError(f"grid {nodes} below minimum {minimum}")
+
+    def quad(grid: tuple) -> float:
+        evs = np.clip(np.linalg.eigvalsh(potential.values_on_grid(grid)), 0.0, None)
+        return float(volume / math.prod(grid) * np.sum(evs**p))
+
+    value = quad(nodes)
+    refined = quad(tuple(2 * n for n in nodes))
+    _check_doubling(value, refined, "power integral")
+    return refined
+
+
+def random_psd_potential(m_dim: int, band: int, scale: float, seed: int) -> MatrixPotential:
+    """Random pointwise-PSD 1D potential V = W W^H, deterministic per seed;
+    W has band `band` and coefficient standard deviation `scale`."""
+    pot = MatrixPotential(_psd_coeffs(1, m_dim, band, scale, seed))
     pot.validate()
     return pot
 
 
-def trace_power_integral(potential: MatrixPotential, p: float, grid: int | None = None) -> float:
-    """Quadrature of Tr[V(x)^p] over one period.
-
-    Uniform nodes (rectangle rule, spectrally accurate for smooth periodic
-    integrands); the matrix power goes through a Hermitian eigendecomposition
-    with round-off negatives clipped to zero.  The grid is then doubled: a
-    relative drift above 1e-8 raises ConvergenceError, and otherwise the
-    refined value is returned.
-    """
-    if p < 1:
-        raise ValueError("power p must be >= 1")
-    min_grid = 4 * (2 * potential.band + 1)
-    # Tr V^p is not band-limited (fractional powers kink where an eigenvalue
-    # branch grazes zero); 32x oversampling keeps the doubling drift well
-    # under the 1e-8 flag for the random PSD ensemble.
-    n = grid if grid is not None else 32 * (2 * potential.band + 1)
-    if n < min_grid:
-        raise ValueError(f"grid {n} below minimum {min_grid}")
-
-    def quad(nodes: int) -> float:
-        x = np.arange(nodes) * (potential.period / nodes)
-        evs = np.linalg.eigvalsh(potential.evaluate(x))
-        evs = np.clip(evs, 0.0, None)
-        return float(potential.period / nodes * np.sum(evs**p))
-
-    value = quad(n)
-    refined = quad(2 * n)
-    _check_doubling(value, refined, "trace integral")
-    return refined
+def trace_power_integral(
+    potential: MatrixPotential, p: float, period: float, grid: int | None = None
+) -> float:
+    """Integral of Tr V_+^p over one period of a 1D potential.  Fractional
+    powers kink where an eigenvalue branch grazes zero; the default 32 nodes
+    per mode keep the random PSD ensemble's doubling drift well under 1e-8."""
+    n = grid if grid is not None else 32 * (2 * potential.bands[0] + 1)
+    return _power_integral(potential, p, period, (n,))
 
 
 def _check_rows(rows: int) -> None:
@@ -216,9 +228,9 @@ def assemble_h1(potential: MatrixPotential, alpha: float, beta: float, n_max: in
     """Galerkin matrix of the mass-added operator on modes |k| <= n_max."""
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    if abs(potential.period - 2.0 * math.pi / alpha) > 1e-9 * potential.period:
-        raise ValueError("potential period does not match 2*pi/alpha")
-    if n_max < potential.band:
+    if potential.d != 1:
+        raise ValueError("the mass-added operator needs a 1D potential")
+    if n_max < potential.bands[0]:
         raise ValueError("truncation must cover the potential band")
     ks = np.arange(-n_max, n_max + 1)
     kinetic = alpha * alpha * (ks.astype(float) ** 2 + beta)
@@ -233,8 +245,8 @@ def assemble_h2(potential: MatrixPotential, delta: float, n_max: int) -> np.ndar
     """
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
-    if abs(potential.period - 2.0 * math.pi) > 1e-9 * potential.period:
-        raise ValueError("mass-subtracted operator lives on period 2*pi")
+    if potential.d != 1:
+        raise ValueError("the mass-subtracted operator needs a 1D potential")
     if n_max < 1:
         raise ValueError("need at least one mode pair")
     ks = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
@@ -261,19 +273,19 @@ def riesz_mean(report: EigenReport, gamma: float) -> float:
     return float(np.sum(np.asarray(report.negatives) ** gamma))
 
 
-def _verify_1d(potential, rep, k_value, gamma, grid, seed, **params) -> BoundReport:
+def _verify_1d(potential, period, rep, k_value, gamma, grid, seed, **params) -> BoundReport:
     # Shared tail of the h1/h2 verifiers: Riesz mean of rep against the
     # (pi/sqrt3) K L_cl trace bound, K = k_value; params join the metadata.
     lhs = riesz_mean(rep, gamma)
     const = math.pi / math.sqrt(3.0) * k_value * special.semiclassical_constant(gamma, 1)
-    quad_grid = grid if grid is not None else 32 * (2 * potential.band + 1)
-    rhs = const * trace_power_integral(potential, gamma + 0.5, quad_grid)
+    quad_grid = grid if grid is not None else 32 * (2 * potential.bands[0] + 1)
+    rhs = const * trace_power_integral(potential, gamma + 0.5, period, quad_grid)
     meta = {
         "gamma": gamma,
         **params,
         "quadrature": quad_grid,
         "m_dim": potential.m_dim,
-        "band": potential.band,
+        "band": potential.bands[0],
         "negative_count": len(rep.negatives),
         "lhs_is_lower_bound": True,
     }
@@ -297,11 +309,11 @@ def verify_bound_h1(
     the continuum moment).  rhs: (pi/sqrt3) K1(beta) L_cl(gamma,1) times the
     trace integral of V^(gamma+1/2).
     """
-    n = n_max if n_max is not None else potential.band + 32
+    n = n_max if n_max is not None else potential.bands[0] + 32
     a = assemble_h1(potential, alpha, beta, n)
     rep = negative_spectrum(a)
     return _verify_1d(
-        potential, rep, interp.k1(beta).value, gamma, grid, seed,
+        potential, 2.0 * math.pi / alpha, rep, interp.k1(beta).value, gamma, grid, seed,
         operator="h1", alpha=alpha, beta=beta, truncation=n,
     )
 
@@ -315,10 +327,10 @@ def verify_bound_h2(
     seed: int | None = None,
 ) -> BoundReport:
     """Mass-subtracted mirror of :func:`verify_bound_h1`, with K2(delta)."""
-    n = n_max if n_max is not None else potential.band + 32
+    n = n_max if n_max is not None else potential.bands[0] + 32
     a = assemble_h2(potential, delta, n)
     rep = negative_spectrum(a)
     return _verify_1d(
-        potential, rep, interp.k2(delta).value, gamma, grid, seed,
+        potential, 2.0 * math.pi, rep, interp.k2(delta).value, gamma, grid, seed,
         operator="h2", delta=delta, truncation=n,
     )

@@ -15,15 +15,15 @@ exactly 1 (the unit regime).
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import interp, special
-from .reports import BoundReport, _check_doubling
-from .spectral1d import _assemble_lattice, _check_rows, negative_spectrum, riesz_mean
+from .reports import BoundReport
+from .spectral1d import MatrixPotential, _assemble_lattice, _check_rows, _power_integral
+from .spectral1d import _psd_coeffs, negative_spectrum, riesz_mean
 
 __all__ = [
     "TorusGeometry",
@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 _THRESHOLD_TOL = 1e-6
-_PSD_SAMPLES = 48
 _DELTA_CAP = 1.0 - 1e-6
 
 
@@ -127,84 +126,27 @@ def lt_constant_bound(gamma: float, sel: BetaSelection, d: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ScalarPotentialD:
-    """Scalar band-limited potential on the d-torus, conjugate-symmetric
-    coefficients indexed by k + band per axis (so V is real)."""
-
-    bands: tuple
-    coeffs: np.ndarray = field(repr=False)
+class ScalarPotentialD(MatrixPotential):
+    """Real scalar potential on the d-torus: a MatrixPotential with 1x1
+    blocks, whose exact adjoint pairing makes V real."""
 
     def __post_init__(self):
-        bands = tuple(int(b) for b in self.bands)
-        object.__setattr__(self, "bands", bands)
-        expected = tuple(2 * b + 1 for b in bands)
-        if self.coeffs.shape != expected:
-            raise ValueError(f"coeffs shape {self.coeffs.shape} != {expected}")
-        if not np.array_equal(np.flip(self.coeffs).conj(), self.coeffs):
-            raise ValueError("coefficients are not exactly conjugate-symmetric")
-
-    @property
-    def d(self) -> int:
-        return len(self.bands)
+        super().__post_init__()
+        if self.m_dim != 1:
+            raise ValueError("a torus potential has 1x1 coefficient blocks")
 
     @classmethod
     def constant(cls, d: int, value: float) -> "ScalarPotentialD":
         if value < 0:
             raise ValueError("constant potential must be >= 0")
-        coeffs = np.zeros((1,) * d, dtype=complex)
-        coeffs[(0,) * d] = value
-        return cls(bands=(0,) * d, coeffs=coeffs)
+        return cls(np.full((1,) * (d + 2), value, dtype=complex))
 
     @classmethod
     def random(cls, d: int, band: int, scale: float, seed: int) -> "ScalarPotentialD":
         """V = |w|^2 for a random band-limited w; output band doubles."""
-        if band < 0 or scale <= 0:
-            raise ValueError("invalid potential parameters")
-        rng = np.random.default_rng(seed)
-        shape = (2 * band + 1,) * d
-        w = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-        out_band = 2 * band
-        out_shape = (2 * out_band + 1,) * d
-        coeffs = np.zeros(out_shape, dtype=complex)
-        # autocorrelation v_m = sum_k w_k conj(w_{k-m}) over the overlap box
-        for m in itertools.product(range(-out_band, out_band + 1), repeat=d):
-            if m < tuple([0] * d):
-                continue  # fill the lexicographically negative half by mirroring
-            src = []
-            dst = []
-            for mj in m:
-                lo = max(0, mj)
-                hi = min(2 * band, 2 * band + mj)
-                src.append(slice(lo, hi + 1))
-                dst.append(slice(lo - mj, hi - mj + 1))
-            val = complex(np.sum(w[tuple(src)] * np.conj(w[tuple(dst)])))
-            idx = tuple(mj + out_band for mj in m)
-            mirror = tuple(-mj + out_band for mj in m)
-            if idx == mirror:
-                coeffs[idx] = val.real
-            else:
-                coeffs[idx] = val
-                coeffs[mirror] = val.conjugate()
-        pot = cls(bands=(out_band,) * d, coeffs=coeffs)
+        pot = cls(_psd_coeffs(d, 1, band, scale, seed))
         pot.validate()
         return pot
-
-    def validate(self) -> None:
-        """Pointwise non-negativity on a phase grid."""
-        nodes = [min(_PSD_SAMPLES, 4 * (2 * b + 1)) for b in self.bands]
-        vals = self.values_on_grid(nodes)
-        if float(vals.min()) < -1e-10 * max(1.0, float(np.abs(vals).max())):
-            raise ValueError("potential is not pointwise non-negative")
-
-    def values_on_grid(self, nodes) -> np.ndarray:
-        """Real values on the uniform phase grid with nodes[j] points per axis."""
-        out = self.coeffs
-        for axis, (b, n) in enumerate(zip(self.bands, nodes)):
-            theta = 2.0 * math.pi * np.arange(n) / n
-            phases = np.exp(1j * np.outer(theta, np.arange(-b, b + 1)))
-            out = np.moveaxis(np.tensordot(phases, out, axes=([1], [axis])), 0, axis)
-        return out.real
 
 
 def _mode_list(geom: TorusGeometry, n_modes, include_q_block: bool) -> np.ndarray:
@@ -244,37 +186,21 @@ def assemble_torus_operator(
     modes = _mode_list(geom, n_modes, include_q_block)
     alphas = np.asarray(geom.alphas)
     kinetic = np.sum((alphas * modes) ** 2, axis=1)
-    return _assemble_lattice(modes, kinetic, potential.coeffs[..., None, None], modes[:, -1] != 0)
+    return _assemble_lattice(modes, kinetic, potential.coeffs, modes[:, -1] != 0)
 
 
 def _quad_nodes(potential: ScalarPotentialD, grid) -> tuple:
-    # default: 8 nodes per potential mode along each axis
-    if grid is None:
+    if grid is None:  # 8 nodes per potential mode along each axis
         return tuple(8 * (2 * b + 1) for b in potential.bands)
-    return tuple(int(g) for g in grid)
+    return tuple(map(int, grid))
 
 
 def potential_power_integral(
     potential: ScalarPotentialD, geom: TorusGeometry, p: float, grid=None
 ) -> float:
-    """Tensor rectangle rule for int V^p, with V clipped to >= 0 pointwise.
-
-    V^p is not a trig polynomial for fractional p, so the grid is also
-    doubled per axis: a relative drift above 1e-8 raises ConvergenceError.
-    The value on the stated grid is returned.
-    """
-    if p < 1:
-        raise ValueError("power p must be >= 1")
-
-    def quad(nodes: tuple) -> float:
-        vals = np.clip(potential.values_on_grid(nodes), 0.0, None)
-        cell = geom.volume / float(np.prod(nodes))
-        return float(cell * np.sum(vals**p))
-
-    nodes = _quad_nodes(potential, grid)
-    value = quad(nodes)
-    _check_doubling(value, quad(tuple(2 * n for n in nodes)), "potential integral")
-    return value
+    """Integral of V_+^p over the torus: the tensor rectangle rule on the
+    stated grid (default 8 nodes per mode per axis), refined by doubling."""
+    return _power_integral(potential, p, geom.volume, _quad_nodes(potential, grid))
 
 
 def verify_bound_torus(

@@ -5,6 +5,7 @@ dense grid scans, closed-form eigenvalue enumerations) so that it shares no
 code path with the library routines it checks.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -90,6 +91,59 @@ def galerkin_loop(modes, kinetic, coeffs, coupled) -> np.ndarray:
             if coupled[i] and coupled[j] and np.all(np.abs(dk) <= bands):
                 a[i * m : (i + 1) * m, j * m : (j + 1) * m] -= coeffs[tuple(dk + bands)]
     return a
+
+
+def psd_coeffs_1d_loop(m_dim: int, band: int, scale: float, seed: int) -> np.ndarray:
+    """Coefficients of the 1D potential V = W W^H, by a double loop over
+    offsets m and overlapping indices k."""
+    rng = np.random.default_rng(seed)
+    shape = (2 * band + 1, m_dim, m_dim)
+    w = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    out_band = 2 * band
+    coeffs = np.zeros((2 * out_band + 1, m_dim, m_dim), dtype=complex)
+    for m in range(0, out_band + 1):
+        # V_m = sum_k W_k W_{k-m}^H over the overlapping index range
+        acc = np.zeros((m_dim, m_dim), dtype=complex)
+        for k in range(-band + m, band + 1):
+            acc += w[k + band] @ w[k - m + band].conj().T
+        if m == 0:
+            acc = 0.5 * (acc + acc.conj().T)  # exact Hermitian head
+            coeffs[out_band] = acc
+        else:
+            coeffs[out_band + m] = acc
+            coeffs[out_band - m] = acc.conj().T
+    return coeffs
+
+
+def psd_coeffs_torus_loop(d: int, band: int, scale: float, seed: int) -> np.ndarray:
+    """Coefficients of the scalar torus potential V = |w|^2, one offset of
+    an itertools box loop at a time; shape (4*band+1,)*d."""
+    rng = np.random.default_rng(seed)
+    shape = (2 * band + 1,) * d
+    w = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    out_band = 2 * band
+    out_shape = (2 * out_band + 1,) * d
+    coeffs = np.zeros(out_shape, dtype=complex)
+    # autocorrelation v_m = sum_k w_k conj(w_{k-m}) over the overlap box
+    for m in itertools.product(range(-out_band, out_band + 1), repeat=d):
+        if m < tuple([0] * d):
+            continue  # fill the lexicographically negative half by mirroring
+        src = []
+        dst = []
+        for mj in m:
+            lo = max(0, mj)
+            hi = min(2 * band, 2 * band + mj)
+            src.append(slice(lo, hi + 1))
+            dst.append(slice(lo - mj, hi - mj + 1))
+        val = complex(np.sum(w[tuple(src)] * np.conj(w[tuple(dst)])))
+        idx = tuple(mj + out_band for mj in m)
+        mirror = tuple(-mj + out_band for mj in m)
+        if idx == mirror:
+            coeffs[idx] = val.real
+        else:
+            coeffs[idx] = val
+            coeffs[mirror] = val.conjugate()
+    return coeffs
 
 
 def riesz_mean_of(eigs, gamma: float) -> float:

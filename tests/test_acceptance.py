@@ -116,9 +116,9 @@ def test_c06_one_dimensional_spectral_bounds():
         m_dim = 1 + seed % 3
         band = 1 + seed % 2  # stored band 2 or 4 after squaring
         gamma = gammas[seed % 3]
-        pot = spectral1d.random_psd_potential(m_dim, band, TWO_PI, 1.0, seed)
+        pot = spectral1d.random_psd_potential(m_dim, band, 1.0, seed)
         rep = spectral1d.verify_bound_h1(
-            pot, 1.0, betas[seed % 3], gamma, n_max=pot.band + 32, seed=seed
+            pot, 1.0, betas[seed % 3], gamma, n_max=pot.bands[0] + 32, seed=seed
         )
         assert rep.passed and rep.ratio <= 1.0, rep.to_json()
         worst = max(worst, rep.ratio)
@@ -126,9 +126,9 @@ def test_c06_one_dimensional_spectral_bounds():
         m_dim = 1 + seed % 3
         band = 1 + seed % 2
         gamma = gammas[seed % 3]
-        pot = spectral1d.random_psd_potential(m_dim, band, TWO_PI, 1.0, 1000 + seed)
+        pot = spectral1d.random_psd_potential(m_dim, band, 1.0, 1000 + seed)
         rep = spectral1d.verify_bound_h2(
-            pot, deltas[seed % 3], gamma, n_max=pot.band + 32, seed=seed
+            pot, deltas[seed % 3], gamma, n_max=pot.bands[0] + 32, seed=seed
         )
         assert rep.passed and rep.ratio <= 1.0, rep.to_json()
         worst = max(worst, rep.ratio)

@@ -127,6 +127,9 @@ BAD_ARGV = [
     "verify --kind torus --band 1 --gamma 1.1 --seed-base 45 --seeds 1",
     # 15,000 rows: over the dense budget, rejected before any allocation
     "verify --kind torus --d 3 --band 0 --seeds 1",
+    # the Riesz mean |lambda|^gamma overflows to inf: no verdict is possible
+    "verify --kind h2 --gamma 400 --scale 3 --seeds 1",
+    "verify --kind torus --gamma 300 --scale 3 --seeds 1",
     # mu^3 underflows to 0 and the formula divides by it
     "attractor --nu 1e300 --mu 1e-300",
 ]

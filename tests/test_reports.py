@@ -29,6 +29,11 @@ class TestBoundReport:
         with pytest.raises(ValueError):
             BoundReport.build(-1.0, 1.0, constant_used=1.0)
 
+    @pytest.mark.parametrize("lhs, rhs", [(math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_sides_rejected(self, lhs, rhs):
+        with pytest.raises(ValueError, match="finite"):
+            BoundReport.build(lhs, rhs, constant_used=1.0)
+
     def test_rhs_scaling(self):
         rep = BoundReport.build(1.0, 2.0, constant_used=0.5, seed=7)
         scaled = rep.with_rhs_scaled(0.01)

@@ -7,7 +7,13 @@ import pytest
 from ltbounds import spectral1d as sp1
 from ltbounds.reports import ConvergenceError
 
-from oracles import galerkin_loop, h1_constant_potential_eigs, h2_constant_potential_eigs
+from oracles import (
+    galerkin_loop,
+    h1_constant_potential_eigs,
+    h2_constant_potential_eigs,
+    psd_coeffs_1d_loop,
+    psd_coeffs_torus_loop,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -16,93 +22,123 @@ def _hermitized_conjugation(pot, unitary):
     """Conjugate every coefficient by a constant unitary, keeping the exact
     adjoint pairing of the coefficient family."""
     coeffs = np.zeros_like(pot.coeffs)
-    for m in range(0, pot.band + 1):
-        c = unitary @ pot.coeff(m) @ unitary.conj().T
+    b = pot.bands[0]
+    for m in range(0, b + 1):
+        c = unitary @ pot.coeffs[m + b] @ unitary.conj().T
         if m == 0:
             c = 0.5 * (c + c.conj().T)
-            coeffs[pot.band] = c
+            coeffs[b] = c
         else:
-            coeffs[pot.band + m] = c
-            coeffs[pot.band - m] = c.conj().T
-    return sp1.MatrixPotential(m_dim=pot.m_dim, band=pot.band, period=pot.period, coeffs=coeffs)
+            coeffs[b + m] = c
+            coeffs[b - m] = c.conj().T
+    return sp1.MatrixPotential(coeffs)
 
 
 class TestRandomPotential:
     def test_deterministic(self):
-        a = sp1.random_psd_potential(2, 2, TWO_PI, 1.0, 42)
-        b = sp1.random_psd_potential(2, 2, TWO_PI, 1.0, 42)
+        a = sp1.random_psd_potential(2, 2, 1.0, 42)
+        b = sp1.random_psd_potential(2, 2, 1.0, 42)
         assert np.array_equal(a.coeffs, b.coeffs)
-        c = sp1.random_psd_potential(2, 2, TWO_PI, 1.0, 43)
+        c = sp1.random_psd_potential(2, 2, 1.0, 43)
         assert not np.array_equal(a.coeffs, c.coeffs)
 
     def test_band_zero_is_constant(self):
-        pot = sp1.random_psd_potential(1, 0, TWO_PI, 0.7, 5)
-        assert pot.band == 0
-        x = np.linspace(0.0, TWO_PI, 17)
-        vals = pot.evaluate(x)[:, 0, 0]
+        pot = sp1.random_psd_potential(1, 0, 0.7, 5)
+        assert pot.bands[0] == 0
+        vals = pot.values_on_grid((17,))[:, 0, 0]
         assert np.allclose(vals, vals[0])
         assert vals[0].real > 0.0
 
     def test_pointwise_psd(self):
-        pot = sp1.random_psd_potential(2, 2, TWO_PI, 1.0, 42)
-        x = np.arange(512) * (TWO_PI / 512)
-        evs = np.linalg.eigvalsh(pot.evaluate(x))
+        pot = sp1.random_psd_potential(2, 2, 1.0, 42)
+        evs = np.linalg.eigvalsh(pot.values_on_grid((512,)))
         assert float(np.min(evs)) >= -1e-10 * max(1.0, float(np.max(evs)))
 
     def test_band_doubles(self):
-        pot = sp1.random_psd_potential(3, 4, TWO_PI, 0.5, 0)
-        assert pot.band == 8
+        pot = sp1.random_psd_potential(3, 4, 0.5, 0)
+        assert pot.bands[0] == 8
         assert pot.coeffs.shape == (17, 3, 3)
 
     def test_exact_adjoint_pairs(self):
-        pot = sp1.random_psd_potential(3, 3, TWO_PI, 1.0, 11)
-        for k in range(1, pot.band + 1):
-            assert np.array_equal(pot.coeff(-k), pot.coeff(k).conj().T)
+        pot = sp1.random_psd_potential(3, 3, 1.0, 11)
+        b = pot.bands[0]
+        for k in range(1, b + 1):
+            assert np.array_equal(pot.coeffs[-k + b], pot.coeffs[k + b].conj().T)
+
+    def test_validate_rejects_a_sign_changing_potential(self):
+        coeffs = np.array([0.5, 0.0, 0.5], dtype=complex).reshape(3, 1, 1)  # V = cos(theta)
+        pot = sp1.MatrixPotential(coeffs)
+        with pytest.raises(ValueError, match="PSD"):
+            pot.validate()
 
     def test_validation_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            sp1.random_psd_potential(0, 1, TWO_PI, 1.0, 0)
+            sp1.random_psd_potential(0, 1, 1.0, 0)
         with pytest.raises(ValueError):
-            sp1.random_psd_potential(1, 1, TWO_PI, 0.0, 0)
+            sp1.random_psd_potential(1, 1, 0.0, 0)
+
+
+def _assert_parity(got, want):
+    # same coefficients up to summation order, and the pairing exact
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want))) <= 1e-14 * float(np.max(np.abs(want)))
+    lattice = tuple(range(got.ndim - 2))
+    assert np.array_equal(np.flip(got, lattice), got.conj().swapaxes(-1, -2))
+
+
+class TestGeneratorParity:
+    @pytest.mark.parametrize("m_dim", [1, 2, 3])
+    @pytest.mark.parametrize("band", [0, 1, 2])
+    def test_matches_1d_loop_oracle(self, m_dim, band):
+        for seed in range(5):
+            want = psd_coeffs_1d_loop(m_dim, band, 1.0, seed)
+            _assert_parity(sp1._psd_coeffs(1, m_dim, band, 1.0, seed), want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("band", [0, 1])
+    def test_matches_torus_loop_oracle(self, d, band):
+        for seed in range(5):
+            want = psd_coeffs_torus_loop(d, band, 1.0, seed)[..., None, None]
+            _assert_parity(sp1._psd_coeffs(d, 1, band, 1.0, seed), want)
 
 
 class TestTracePowerIntegral:
     def test_constant_scalar(self):
         pot = sp1.constant_potential(2.0)
-        val = sp1.trace_power_integral(pot, 1.5, grid=8)
+        val = sp1.trace_power_integral(pot, 1.5, TWO_PI, grid=8)
         assert val == pytest.approx(TWO_PI * 2.0**1.5, rel=1e-14)
 
     def test_constant_diagonal(self):
         coeffs = np.zeros((1, 2, 2), dtype=complex)
         coeffs[0] = np.diag([0.5, 3.0])
-        pot = sp1.MatrixPotential(m_dim=2, band=0, period=TWO_PI, coeffs=coeffs)
+        pot = sp1.MatrixPotential(coeffs)
         for p in (1.0, 1.5, 2.5):
-            val = sp1.trace_power_integral(pot, p, grid=8)
+            val = sp1.trace_power_integral(pot, p, TWO_PI, grid=8)
             assert val == pytest.approx(TWO_PI * (0.5**p + 3.0**p), rel=1e-13)
 
     def test_grid_doubling_stable(self):
-        pot = sp1.random_psd_potential(2, 3, TWO_PI, 1.0, 3)
-        a = sp1.trace_power_integral(pot, 1.5)
-        b = sp1.trace_power_integral(pot, 1.5, grid=64 * (2 * pot.band + 1))
+        pot = sp1.random_psd_potential(2, 3, 1.0, 3)
+        a = sp1.trace_power_integral(pot, 1.5, TWO_PI)
+        b = sp1.trace_power_integral(pot, 1.5, TWO_PI, grid=64 * (2 * pot.bands[0] + 1))
         assert a == pytest.approx(b, rel=1e-8)
 
     def test_convergence_flag_fires_on_coarse_grid(self):
         # seed 0 has a near-degenerate eigenvalue branch; at 8x oversampling
         # the fractional-power kink still moves the integral above the flag.
-        pot = sp1.random_psd_potential(2, 2, TWO_PI, 1.0, 0)
+        pot = sp1.random_psd_potential(2, 2, 1.0, 0)
         with pytest.raises(ConvergenceError):
-            sp1.trace_power_integral(pot, 1.5, grid=8 * (2 * pot.band + 1))
-        sp1.trace_power_integral(pot, 1.5)  # default grid is fine
+            sp1.trace_power_integral(pot, 1.5, TWO_PI, grid=8 * (2 * pot.bands[0] + 1))
+        sp1.trace_power_integral(pot, 1.5, TWO_PI)  # default grid is fine
 
     def test_grid_minimum_enforced(self):
-        pot = sp1.random_psd_potential(1, 2, TWO_PI, 1.0, 1)
+        pot = sp1.random_psd_potential(1, 2, 1.0, 1)
         with pytest.raises(ValueError):
-            sp1.trace_power_integral(pot, 1.5, grid=4)
+            sp1.trace_power_integral(pot, 1.5, TWO_PI, grid=4)
 
     def test_power_validation(self):
         pot = sp1.constant_potential(1.0)
         with pytest.raises(ValueError):
-            sp1.trace_power_integral(pot, 0.5)
+            sp1.trace_power_integral(pot, 0.5, TWO_PI)
 
 
 class TestAssembly:
@@ -113,35 +149,33 @@ class TestAssembly:
         assert np.allclose(eigs, h1_constant_potential_eigs(1.7, 1.0, 1.0, 6), atol=1e-13)
 
     def test_h1_zero_potential_positive(self):
-        pot = sp1.constant_potential(0.0, m_dim=2, period=TWO_PI / 0.5)
+        pot = sp1.constant_potential(0.0, m_dim=2)
         a = sp1.assemble_h1(pot, 0.5, 0.3, 4)
         assert float(np.min(np.linalg.eigvalsh(a))) >= 0.5**2 * 0.3 - 1e-14
 
     def test_h1_exact_hermiticity(self):
-        pot = sp1.random_psd_potential(2, 3, TWO_PI, 1.0, 9)
-        a = sp1.assemble_h1(pot, 1.0, 0.5, pot.band + 8)
+        pot = sp1.random_psd_potential(2, 3, 1.0, 9)
+        a = sp1.assemble_h1(pot, 1.0, 0.5, pot.bands[0] + 8)
         assert float(np.max(np.abs(a - a.conj().T))) == 0.0
 
-    def test_h1_size_and_period_check(self):
-        pot = sp1.random_psd_potential(2, 1, TWO_PI, 1.0, 0)
+    def test_h1_size_and_truncation_check(self):
+        pot = sp1.random_psd_potential(2, 1, 1.0, 0)
         a = sp1.assemble_h1(pot, 1.0, 1.0, 5)
         assert a.shape == (2 * 11, 2 * 11)
-        with pytest.raises(ValueError):
-            sp1.assemble_h1(pot, 0.5, 1.0, 5)  # wrong period for this alpha
         with pytest.raises(ValueError):
             sp1.assemble_h1(pot, 1.0, 1.0, 1)  # truncation below band
 
     @pytest.mark.parametrize("m_dim", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_h1_matches_loop_oracle(self, m_dim, alpha):
-        pot = sp1.random_psd_potential(m_dim, 1, TWO_PI / alpha, 1.0, 11)
+        pot = sp1.random_psd_potential(m_dim, 1, 1.0, 11)
         ks = np.arange(-6, 7)
         kinetic = alpha * alpha * (ks.astype(float) ** 2 + 0.3)
         want = galerkin_loop(ks[:, None], kinetic, pot.coeffs, np.ones(len(ks), bool))
         assert np.array_equal(sp1.assemble_h1(pot, alpha, 0.3, 6), want)
 
     def test_h2_matches_loop_oracle(self):
-        pot = sp1.random_psd_potential(2, 1, TWO_PI, 1.0, 12)
+        pot = sp1.random_psd_potential(2, 1, 1.0, 12)
         ks = np.concatenate([np.arange(-6, 0), np.arange(1, 7)])
         kinetic = ks.astype(float) ** 2 - 0.4
         want = galerkin_loop(ks[:, None], kinetic, pot.coeffs, np.ones(len(ks), bool))
@@ -158,6 +192,14 @@ class TestAssembly:
         a = sp1.assemble_h2(pot, 0.8, 4)
         assert float(np.min(np.linalg.eigvalsh(a))) >= 1.0 - 0.8 - 1e-14
 
+    def test_assemblers_reject_a_2d_potential(self):
+        pot = sp1.MatrixPotential(np.eye(2, dtype=complex)[None, None])
+        assert pot.d == 2
+        with pytest.raises(ValueError, match="1D potential"):
+            sp1.assemble_h1(pot, 1.0, 0.5, 4)
+        with pytest.raises(ValueError, match="1D potential"):
+            sp1.assemble_h2(pot, 0.5, 4)
+
     def test_h2_mode_count_excludes_zero(self):
         pot = sp1.constant_potential(1.0, m_dim=2)
         a = sp1.assemble_h2(pot, 0.1, 7)
@@ -170,12 +212,12 @@ class TestPairingAndBudget:
         # matrix, of which eigvalsh reads only one triangle.
         coeffs = np.array([0.0, 1.0, 0.9], dtype=complex).reshape(3, 1, 1)
         with pytest.raises(ValueError, match="adjoint"):
-            sp1.MatrixPotential(m_dim=1, band=1, period=TWO_PI, coeffs=coeffs)
+            sp1.MatrixPotential(coeffs)
 
     def test_non_hermitian_head_rejected(self):
         coeffs = np.array([[[1.0, 0.5j], [0.0, 1.0]]])
         with pytest.raises(ValueError, match="adjoint"):
-            sp1.MatrixPotential(m_dim=2, band=0, period=TWO_PI, coeffs=coeffs)
+            sp1.MatrixPotential(coeffs)
 
     def test_row_budget_counts_matrix_blocks(self, monkeypatch):
         pot = sp1.constant_potential(1.0, m_dim=2)
@@ -203,7 +245,7 @@ class TestNegativeSpectrum:
         assert rep.negatives == (1.0, 1.0)
 
     def test_sorted_descending_positive(self):
-        pot = sp1.random_psd_potential(2, 2, TWO_PI, 2.0, 17)
+        pot = sp1.random_psd_potential(2, 2, 2.0, 17)
         rep = sp1.negative_spectrum(sp1.assemble_h2(pot, 0.5, 20))
         vals = rep.negatives
         assert all(v > 0 for v in vals)
@@ -248,7 +290,7 @@ class TestVerifyH1:
 
     def test_random_suite(self):
         for seed in range(20):
-            pot = sp1.random_psd_potential(2, 2, TWO_PI, 1.0, seed)
+            pot = sp1.random_psd_potential(2, 2, 1.0, seed)
             report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0, seed=seed)
             assert report.passed, report.to_json()
             assert report.ratio <= 1.0
@@ -271,31 +313,32 @@ class TestVerifyH2:
     def test_random_suite(self):
         for i, seed in enumerate(range(20)):
             gamma = (1.0, 1.5, 2.0)[i % 3]
-            pot = sp1.random_psd_potential(3, 2, TWO_PI, 1.0, seed)
+            pot = sp1.random_psd_potential(3, 2, 1.0, seed)
             report = sp1.verify_bound_h2(pot, 0.5, gamma, seed=seed)
             assert report.passed, report.to_json()
 
 
 class TestStructuralInvariants:
     def test_rayleigh_ritz_monotonicity(self):
-        pot = sp1.random_psd_potential(2, 2, TWO_PI, 1.5, 23)
+        pot = sp1.random_psd_potential(2, 2, 1.5, 23)
         means = []
-        for n in (pot.band + 4, 2 * (pot.band + 4), 4 * (pot.band + 4)):
+        b = pot.bands[0]
+        for n in (b + 4, 2 * (b + 4), 4 * (b + 4)):
             rep = sp1.negative_spectrum(sp1.assemble_h2(pot, 0.3, n))
             means.append(sp1.riesz_mean(rep, 1.0))
         assert means[0] <= means[1] + 1e-12
         assert means[1] <= means[2] + 1e-12
 
     def test_truncation_convergence(self):
-        pot = sp1.random_psd_potential(2, 3, TWO_PI, 1.0, 31)
-        n = pot.band + 32
+        pot = sp1.random_psd_potential(2, 3, 1.0, 31)
+        n = pot.bands[0] + 32
         rep_a = sp1.negative_spectrum(sp1.assemble_h2(pot, 0.2, n))
         rep_b = sp1.negative_spectrum(sp1.assemble_h2(pot, 0.2, 2 * n))
         a, b = sp1.riesz_mean(rep_a, 1.0), sp1.riesz_mean(rep_b, 1.0)
         assert a == pytest.approx(b, rel=1e-8)
 
     def test_gauge_invariance(self):
-        pot = sp1.random_psd_potential(3, 2, TWO_PI, 1.0, 7)
+        pot = sp1.random_psd_potential(3, 2, 1.0, 7)
         q, _ = np.linalg.qr(
             np.random.default_rng(99).standard_normal((3, 3))
             + 1j * np.random.default_rng(98).standard_normal((3, 3))
@@ -306,7 +349,7 @@ class TestStructuralInvariants:
         assert np.allclose(eig_a, eig_b, atol=1e-10)
 
     def test_gamma_lifting_consistency(self):
-        pot = sp1.random_psd_potential(2, 3, TWO_PI, 1.5, 13)
+        pot = sp1.random_psd_potential(2, 3, 1.5, 13)
         for gamma in (1.0, 1.25, 1.5, 2.0):
             assert sp1.verify_bound_h2(pot, 0.1, gamma).passed
 

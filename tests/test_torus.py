@@ -96,22 +96,33 @@ class TestConstantBound:
 class TestScalarPotential:
     def test_constant(self):
         pot = torus.ScalarPotentialD.constant(2, 2.0)
-        vals = pot.values_on_grid((4, 4))
+        vals = pot.values_on_grid((4, 4))[..., 0, 0].real
         assert np.allclose(vals, 2.0)
 
     def test_random_nonnegative_and_symmetric(self):
         pot = torus.ScalarPotentialD.random(2, 2, 1.0, 7)
         assert pot.bands == (4, 4)
         pot.validate()
-        vals = pot.values_on_grid((40, 40))
+        vals = pot.values_on_grid((40, 40))[..., 0, 0].real
         assert float(vals.min()) >= -1e-10 * max(1.0, float(vals.max()))
 
     def test_unpaired_coefficients_rejected_on_construction(self):
         coeffs = np.zeros((3, 3), dtype=complex)
         coeffs[1, 1] = 1.0
         coeffs[2, 1] = 0.4  # no conjugate partner at (0, 1)
-        with pytest.raises(ValueError, match="conjugate-symmetric"):
-            torus.ScalarPotentialD(bands=(1, 1), coeffs=coeffs)
+        with pytest.raises(ValueError, match="adjoint"):
+            torus.ScalarPotentialD(coeffs[..., None, None])
+
+    def test_matrix_blocks_rejected(self):
+        with pytest.raises(ValueError, match="1x1"):
+            torus.ScalarPotentialD(np.eye(2, dtype=complex)[None, None])
+
+    def test_validate_rejects_a_sign_changing_potential(self):
+        coeffs = np.zeros((3, 3), dtype=complex)
+        coeffs[0, 1] = coeffs[2, 1] = 0.5  # V = cos(theta_1)
+        pot = torus.ScalarPotentialD(coeffs[..., None, None])
+        with pytest.raises(ValueError, match="PSD"):
+            pot.validate()
 
     def test_random_deterministic(self):
         a = torus.ScalarPotentialD.random(2, 1, 1.0, 3)
@@ -130,13 +141,33 @@ class TestScalarPotential:
         big = torus.potential_power_integral(pot, torus.TorusGeometry((0.25, 1.0)), 2.0)
         assert big == pytest.approx(4.0 * small, rel=1e-12)
 
+    def test_power_integral_returns_the_doubled_grid_value(self):
+        pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
+        geom = torus.TorusGeometry((0.5, 1.0))
+
+        def rectangle(n):
+            vals = np.clip(pot.values_on_grid((n, n))[..., 0, 0].real, 0.0, None)
+            return geom.volume / n**2 * float(np.sum(vals**2.5))
+
+        got = torus.potential_power_integral(pot, geom, 2.5)  # 40 nodes per axis
+        assert got == pytest.approx(rectangle(80), rel=1e-13)
+        assert abs(got - rectangle(40)) > 1e-10 * got
+
+    def test_power_integral_rejects_grid_below_minimum(self):
+        # 4 nodes per mode: 20 per axis for the band-2 potential
+        pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
+        geom = torus.TorusGeometry((1.0, 1.0))
+        with pytest.raises(ValueError, match="below minimum"):
+            torus.potential_power_integral(pot, geom, 2.5, grid=(10, 10))
+
     def test_power_integral_flags_coarse_grid(self):
-        # V^2.5 is not a trig polynomial; at 10 nodes per axis the band-2
-        # potential's integral moves about 3e-5 (relative) under grid doubling.
+        # V^2.5 is not a trig polynomial; at 20 nodes per axis, the minimum
+        # for the band-2 potential, its integral moves about 2e-7 (relative)
+        # under grid doubling.
         pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
         geom = torus.TorusGeometry((1.0, 1.0))
         with pytest.raises(ConvergenceError):
-            torus.potential_power_integral(pot, geom, 2.5, grid=(10, 10))
+            torus.potential_power_integral(pot, geom, 2.5, grid=(20, 20))
         torus.potential_power_integral(pot, geom, 2.5)  # default grid is fine
 
 
@@ -172,7 +203,7 @@ class TestAssembly:
         if not include_q_block:
             modes = modes[modes[:, -1] != 0]
         kinetic = np.sum((np.asarray(alphas) * modes) ** 2, axis=1)
-        want = galerkin_loop(modes, kinetic, pot.coeffs[..., None, None], modes[:, -1] != 0)
+        want = galerkin_loop(modes, kinetic, pot.coeffs, modes[:, -1] != 0)
         geom = torus.TorusGeometry(alphas)
         a = torus.assemble_torus_operator(pot, geom, n_modes, include_q_block=include_q_block)
         assert np.array_equal(a, want)
