@@ -19,7 +19,6 @@ from .interp import (
     k2,
     beta_star,
     beta_star_star,
-    series_bound_check,
     export_curve,
 )
 from .reports import BoundReport, ConvergenceError

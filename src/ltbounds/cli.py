@@ -17,8 +17,6 @@ import sys
 from . import __version__, attractor, families, interp, special, spectral1d, torus
 from .reports import ConvergenceError
 
-TWO_PI = 2.0 * math.pi
-
 VERIFY_KINDS = ("h1", "h2", "torus", "trace1", "trace2")
 
 
@@ -104,12 +102,12 @@ def _verify_one(kind: str, args, seed: int):
         return torus.verify_bound_torus(pot, geom, args.gamma, seed=seed)
     if kind == "trace1":
         fam = families.random_orthonormal_family(
-            args.family_size, args.m_dim, args.band, TWO_PI / args.alpha, False, seed
+            args.family_size, args.m_dim, args.band, False, seed
         )
         return families.verify_trace1(fam, args.alpha, args.beta, seed=seed)
     if kind == "trace2":
         fam = families.random_orthonormal_family(
-            args.family_size, args.m_dim, args.band, TWO_PI, True, seed
+            args.family_size, args.m_dim, args.band, True, seed
         )
         return families.verify_trace2(fam, args.delta, seed=seed)
     raise ValueError(f"unknown verify kind {kind!r}")

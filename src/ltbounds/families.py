@@ -1,30 +1,33 @@
 """Orthonormal families of periodic vector functions and trace inequalities.
 
-A family is stored by its Fourier coefficients in the orthonormal basis
-sqrt(alpha/2pi) exp(i k alpha x), so the Gram matrix, the L2 norms and the
-kinetic quadratic forms are all exact finite sums (Parseval).  Only the
-cubed-density integral needs quadrature.
+A family is its coefficient array: member n's coefficient of
+exp(i k theta) / sqrt(2pi) in component j, in phase coordinates
+theta in [0, 2pi).  The verifier fixes the period 2pi/alpha, and a family is
+zero-mean when every k = 0 coefficient is exactly 0.  The Gram matrix, the
+L2 norms and the kinetic quadratic forms are exact finite sums (Parseval).
+The density U(x,x) = sum_n phi_n(x) phi_n(x)^H is V = W W^H for the
+coefficient blocks W_k = sqrt(alpha/2pi) * (component x member), so the
+cubed-density integral is the potential layer's Tr V^3 quadrature.
 
 The verifiers check
 
     int Tr[U(x,x)^3] dx <= K^2 * sum_n sum_j (kinetic form of member n,j)
 
-with U(x,y) the rank-N kernel sum phi_n(x) phi_n(y)^H, K = K1(beta) for the
-(+ a^2 beta) form and K = K2(beta) for the zero-mean (- beta) form.  The
-inequalities remain valid for suborthonormal families, so the verifiers do
-not insist on an exactly orthonormal input.
+with K = K1(beta) for the (+ a^2 beta) form and K = K2(beta) for the
+zero-mean (- beta) form.  The inequalities remain valid for suborthonormal
+families, so the verifiers do not insist on an exactly orthonormal input.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import interp
-from .reports import BoundReport, _check_doubling
+from .reports import BoundReport
+from .spectral1d import MatrixPotential, _autocorrelation, _power_integral
 
 __all__ = [
     "OrthonormalFamily",
@@ -40,23 +43,30 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class OrthonormalFamily:
-    """coeffs[n, k+band, j] is member n's coefficient of mode k, component j."""
+    """coeffs[n, k+band, j] is member n's coefficient of mode k, component j;
+    shape (n_members, 2*band+1, m_dim)."""
 
-    n_members: int
-    m_dim: int
-    band: int
-    period: float
-    zero_mean: bool
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = (self.n_members, 2 * self.band + 1, self.m_dim)
-        if self.coeffs.shape != expected:
-            raise ValueError(f"coeffs shape {self.coeffs.shape} != {expected}")
+        if self.coeffs.ndim != 3 or self.coeffs.shape[1] % 2 == 0:
+            raise ValueError(f"coeffs shape {self.coeffs.shape} is not (n_members, 2b+1, m_dim)")
 
     @property
-    def alpha(self) -> float:
-        return TWO_PI / self.period
+    def n_members(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def band(self) -> int:
+        return (self.coeffs.shape[1] - 1) // 2
+
+    @property
+    def m_dim(self) -> int:
+        return self.coeffs.shape[2]
+
+    @property
+    def zero_mean(self) -> bool:
+        return not np.any(self.coeffs[:, self.band, :])
 
     def gram_matrix(self) -> np.ndarray:
         flat = self.coeffs.reshape(self.n_members, -1)
@@ -67,46 +77,11 @@ class OrthonormalFamily:
             np.max(np.abs(self.gram_matrix() - np.eye(self.n_members)))
         ) if self.n_members else 0.0
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Member values at nodes; shape (n_members, len(x), m_dim)."""
-        ks = np.arange(-self.band, self.band + 1)
-        phases = np.exp(1j * self.alpha * np.outer(np.asarray(x, float), ks))
-        basis = math.sqrt(self.alpha / TWO_PI)
-        return basis * np.einsum("xk,nkj->nxj", phases, self.coeffs)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_members": self.n_members,
-                "m_dim": self.m_dim,
-                "band": self.band,
-                "period": self.period,
-                "zero_mean": self.zero_mean,
-                "coeffs_re": self.coeffs.real.tolist(),
-                "coeffs_im": self.coeffs.imag.tolist(),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "OrthonormalFamily":
-        data = json.loads(payload)
-        coeffs = np.asarray(data["coeffs_re"]) + 1j * np.asarray(data["coeffs_im"])
-        return cls(
-            n_members=data["n_members"],
-            m_dim=data["m_dim"],
-            band=data["band"],
-            period=data["period"],
-            zero_mean=data["zero_mean"],
-            coeffs=coeffs,
-        )
-
 
 def random_orthonormal_family(
     n_members: int,
     m_dim: int,
     band: int,
-    period: float,
     zero_mean: bool,
     seed: int,
 ) -> OrthonormalFamily:
@@ -121,7 +96,7 @@ def random_orthonormal_family(
         raise ValueError(f"cannot fit {n_members} orthonormal members in dimension {capacity}")
     shape = (n_members, 2 * band + 1, m_dim)
     if n_members == 0:
-        return OrthonormalFamily(0, m_dim, band, period, zero_mean, np.zeros(shape, complex))
+        return OrthonormalFamily(np.zeros(shape, complex))
     keep = np.ones(2 * band + 1, dtype=bool)
     if zero_mean:
         keep[band] = False
@@ -134,7 +109,7 @@ def random_orthonormal_family(
         if float(np.min(np.abs(np.diag(r)))) > 1e-10:
             coeffs = np.zeros(shape, dtype=complex)
             coeffs[:, keep, :] = q.T.reshape(n_members, int(keep.sum()), m_dim)
-            fam = OrthonormalFamily(n_members, m_dim, band, period, zero_mean, coeffs)
+            fam = OrthonormalFamily(coeffs)
             defect = fam.gram_defect()
             if defect > 1e-12:
                 raise AssertionError(f"Gram defect {defect:.3e} exceeds 1e-12")
@@ -151,57 +126,45 @@ def _mode_weights(band: int, alpha: float, beta: float, mode: str) -> np.ndarray
     raise ValueError(f"mode must be 'add' or 'subtract', got {mode!r}")
 
 
-def _check_mode_preconditions(fam: OrthonormalFamily, beta: float, mode: str) -> None:
+def _check_mode_preconditions(fam: OrthonormalFamily, beta: float, mode: str, alpha: float) -> None:
     if mode == "subtract":
         if not fam.zero_mean:
             raise ValueError("subtract mode requires a zero-mean family")
         if not 0.0 <= beta < 1.0:
             raise ValueError("subtract mode requires beta in [0, 1)")
-        if abs(fam.period - TWO_PI) > 1e-9 * TWO_PI:
-            raise ValueError("subtract mode lives on period 2*pi")
+        if alpha != 1.0:
+            raise ValueError("subtract mode lives on period 2*pi, alpha = 1")
     elif mode == "add":
         if beta <= 0:
             raise ValueError("add mode requires beta > 0")
+        if alpha <= 0:
+            raise ValueError("add mode requires alpha > 0")
     else:
         raise ValueError(f"mode must be 'add' or 'subtract', got {mode!r}")
 
 
 def density_and_kinetic(
-    fam: OrthonormalFamily,
-    beta: float,
-    mode: str,
-    grid: int | None = None,
+    fam: OrthonormalFamily, beta: float, mode: str, alpha: float = 1.0
 ) -> tuple[float, float]:
-    """(integral of Tr[U(x,x)^3], kinetic quadratic form) for the family.
+    """(integral of Tr[U(x,x)^3] over the period 2pi/alpha, kinetic form).
 
-    The kinetic sum is exact by Parseval; the cubed-density integral uses a
-    uniform grid with a doubling convergence check (the integrand is a trig
-    polynomial of total degree 6*band, so the default grid is alias-free and
-    the check is belt and braces).
+    The kinetic sum is exact by Parseval.  The density is the band-2b
+    potential W W^H, and its cube is integrated by the potential layer's
+    quadrature on 8 nodes per density mode, refined by doubling.
     """
-    _check_mode_preconditions(fam, beta, mode)
-    n = grid if grid is not None else 8 * (2 * fam.band + 1)
-    if n < 4 * (2 * fam.band + 1):
-        raise ValueError("quadrature grid below minimum")
-
-    def rho_cubed(nodes: int) -> float:
-        x = np.arange(nodes) * (fam.period / nodes)
-        vals = fam.evaluate(x)
-        u = np.einsum("nxa,nxb->xab", vals, vals.conj())
-        tr3 = np.einsum("xab,xbc,xca->x", u, u, u).real
-        return float(fam.period / nodes * np.sum(tr3))
-
-    value = rho_cubed(n)
-    refined = rho_cubed(2 * n)
-    _check_doubling(value, refined, "cubed-density integral")
-    weights = _mode_weights(fam.band, fam.alpha, beta, mode)
+    _check_mode_preconditions(fam, beta, mode, alpha)
+    w = math.sqrt(alpha / TWO_PI) * np.moveaxis(fam.coeffs, 0, -1)
+    density = MatrixPotential(_autocorrelation(w))
+    lhs = _power_integral(density, 3, TWO_PI / alpha, (8 * (2 * fam.band + 1),))
+    weights = _mode_weights(fam.band, alpha, beta, mode)
     kinetic = float(np.einsum("k,nkj->", weights, np.abs(fam.coeffs) ** 2).real)
-    return refined, kinetic
+    return lhs, kinetic
 
 
 def _verify_trace(fam, beta, mode, solve_k, params, seed) -> BoundReport:
-    # Shared body of the trace verifiers; solve_k is K1 or K2.
-    lhs, kinetic = density_and_kinetic(fam, beta, mode)
+    # Shared body of the trace verifiers; solve_k is K1 or K2, and params
+    # (alpha for the add form) reach the density and the metadata.
+    lhs, kinetic = density_and_kinetic(fam, beta, mode, **params)
     k_const = solve_k(beta).value
     rhs = k_const**2 * kinetic
     meta = {
@@ -218,14 +181,13 @@ def _verify_trace(fam, beta, mode, solve_k, params, seed) -> BoundReport:
 
 
 def verify_trace1(fam: OrthonormalFamily, alpha: float, beta: float, seed: int | None = None) -> BoundReport:
-    """Cubed-density trace bound with the mass-added kinetic form and K1^2."""
-    if abs(fam.period - TWO_PI / alpha) > 1e-9 * fam.period:
-        raise ValueError("family period does not match 2*pi/alpha")
+    """Cubed-density trace bound with the mass-added kinetic form and K1^2,
+    on the period 2pi/alpha."""
     return _verify_trace(fam, beta, "add", interp.k1, {"alpha": alpha}, seed)
 
 
 def verify_trace2(fam: OrthonormalFamily, beta: float, seed: int | None = None) -> BoundReport:
-    """Zero-mean mirror of :func:`verify_trace1`, with K2(beta)^2."""
+    """Zero-mean mirror of :func:`verify_trace1` on period 2pi, with K2(beta)^2."""
     return _verify_trace(fam, beta, "subtract", interp.k2, {}, seed)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "k2",
     "beta_star",
     "beta_star_star",
-    "series_bound_check",
     "export_curve",
 ]
 
@@ -207,47 +206,6 @@ def beta_star_star(tol: float = 1e-6) -> float:
     K2 is monotone non-decreasing; bracket [0, 1 - 1e-6].
     """
     return _bisect("beta_star_star", lambda b: 1.0 - k2(b).interior_max, 0.0, 1.0 - 1e-6, tol)
-
-
-def _tail_integral(c: float, x: float) -> float:
-    # int_x^inf dt / (t^2 + c); c may be negative provided x > sqrt(-c).
-    if c > 0:
-        rc = math.sqrt(c)
-        return (0.5 * math.pi - math.atan(x / rc)) / rc
-    if c == 0:
-        return 1.0 / x
-    a = math.sqrt(-c)
-    if x <= a:
-        raise ValueError("tail integral diverges for x <= sqrt(-c)")
-    return 0.5 / a * math.log((x + a) / (x - a))
-
-
-def series_bound_check(
-    beta: float, lam: float, which: str, terms: int = 100_000
-) -> tuple[float, float]:
-    """Direct lattice-sum side of the defining inequality of K1/K2.
-
-    Returns (series value with integral tail correction, K * pi / sqrt(lam)).
-    The first must not exceed the second; callers assert it.  The tail
-    sum_{|k|>K} 1/(k^2+c) is sandwiched between integrals from K and K+1,
-    and their mean is used as the correction.
-    """
-    if lam <= 0:
-        raise ValueError("series_bound_check requires lambda > 0")
-    k = np.arange(1, terms + 1, dtype=float)
-    # the solver checks beta's range first; its memo makes the call free
-    if which == "k1":
-        const = k1(beta).value
-        c = beta + lam
-        partial = 1.0 / c + 2.0 * float(np.sum(1.0 / (k * k + c)))
-    elif which == "k2":
-        const = k2(beta).value
-        c = lam - beta
-        partial = 2.0 * float(np.sum(1.0 / (k * k + c)))
-    else:
-        raise ValueError(f"which must be 'k1' or 'k2', got {which!r}")
-    tail = 2.0 * 0.5 * (_tail_integral(c, terms) + _tail_integral(c, terms + 1))
-    return partial + tail, const * math.pi / math.sqrt(lam)
 
 
 @dataclass(frozen=True)

@@ -115,34 +115,45 @@ def constant_potential(value: float, m_dim: int = 1) -> MatrixPotential:
 
 
 def _psd_coeffs(d: int, m_dim: int, band: int, scale: float, seed: int) -> np.ndarray:
-    """Coefficients of V = W W^H on the d-dimensional lattice.
-
-    W has band `band` per axis and i.i.d. complex Gaussian (m_dim, m_dim)
-    coefficient blocks of standard deviation `scale`; squaring doubles the
-    band.  V_m = sum_k W_k W_{k-m}^H is formed on the lexicographically
-    non-negative half of the offsets and mirrored exactly onto the other.
-    """
+    """Coefficients of a random V = W W^H on the d-dimensional lattice: W has
+    band `band` per axis and i.i.d. complex Gaussian (m_dim, m_dim) coefficient
+    blocks of standard deviation `scale`."""
     if d < 1 or m_dim < 1 or band < 0 or scale <= 0:
         raise ValueError("invalid potential parameters")
     rng = np.random.default_rng(seed)
     shape = (2 * band + 1,) * d + (m_dim, m_dim)
     w = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    out_band = 2 * band
-    coeffs = np.zeros((2 * out_band + 1,) * d + (m_dim, m_dim), dtype=complex)
+    return _autocorrelation(w)
+
+
+def _autocorrelation(w: np.ndarray) -> np.ndarray:
+    """Coefficients V_m = sum_k W_k W_{k-m}^H of V = W W^H.
+
+    w has shape (2*b_1+1, ..., 2*b_d+1, m, r) with r >= 0; V has bands 2*b_j
+    and (m, m) blocks.  V_m is formed on the lexicographically non-negative
+    half of the offsets and mirrored exactly onto the other, with a
+    symmetrised head, so V passes MatrixPotential's pairing check.
+    """
+    *widths, m_dim, rank = w.shape
+    d = len(widths)
+    out_bands = [n - 1 for n in widths]  # 2 * b_j
+    coeffs = np.zeros(tuple(2 * b + 1 for b in out_bands) + (m_dim, m_dim), dtype=complex)
     for idx in np.ndindex(*coeffs.shape[:d]):
-        m = tuple(i - out_band for i in idx)
+        m = tuple(i - b for i, b in zip(idx, out_bands))
         if m < (0,) * d:
             continue  # mirrored from -m
         # k runs over the overlap of W's box with its shift by m
-        src = tuple(slice(max(0, mj), 2 * band + 1 + min(0, mj)) for mj in m)
-        dst = tuple(slice(max(0, -mj), 2 * band + 1 + min(0, -mj)) for mj in m)
-        a, b = (w[s].reshape(-1, m_dim, m_dim) for s in (src, dst))
+        src = tuple(slice(max(0, mj), n + min(0, mj)) for mj, n in zip(m, widths))
+        dst = tuple(slice(max(0, -mj), n + min(0, -mj)) for mj, n in zip(m, widths))
+        # an explicit row count, since reshape cannot infer -1 when rank is 0
+        count = math.prod(sl.stop - sl.start for sl in src)
+        a, b = (w[s].reshape(count, m_dim, rank) for s in (src, dst))
         acc = np.einsum("nij,nkj->ik", a, b.conj())
         if not any(m):
             coeffs[idx] = 0.5 * (acc + acc.conj().T)  # exact Hermitian head
         else:
             coeffs[idx] = acc
-            coeffs[tuple(2 * out_band - i for i in idx)] = acc.conj().T
+            coeffs[tuple(2 * b - i for i, b in zip(idx, out_bands))] = acc.conj().T
     return coeffs
 
 
@@ -163,7 +174,8 @@ def _power_integral(potential: MatrixPotential, p: float, volume: float, nodes) 
 
     def quad(grid: tuple) -> float:
         evs = np.clip(np.linalg.eigvalsh(potential.values_on_grid(grid)), 0.0, None)
-        return float(volume / math.prod(grid) * np.sum(evs**p))
+        with np.errstate(over="ignore"):  # an overflow is rejected as a non-finite side
+            return float(volume / math.prod(grid) * np.sum(evs**p))
 
     value = quad(nodes)
     refined = quad(tuple(2 * n for n in nodes))
@@ -179,13 +191,18 @@ def random_psd_potential(m_dim: int, band: int, scale: float, seed: int) -> Matr
     return pot
 
 
+def _quad_grid_1d(potential: MatrixPotential) -> int:
+    # Fractional powers kink where an eigenvalue branch grazes zero; 32 nodes
+    # per mode keep the random PSD ensemble's doubling drift well under 1e-8.
+    return 32 * (2 * potential.bands[0] + 1)
+
+
 def trace_power_integral(
     potential: MatrixPotential, p: float, period: float, grid: int | None = None
 ) -> float:
-    """Integral of Tr V_+^p over one period of a 1D potential.  Fractional
-    powers kink where an eigenvalue branch grazes zero; the default 32 nodes
-    per mode keep the random PSD ensemble's doubling drift well under 1e-8."""
-    n = grid if grid is not None else 32 * (2 * potential.bands[0] + 1)
+    """Integral of Tr V_+^p over one period of a 1D potential, on `grid`
+    nodes (default 32 per mode) refined by doubling."""
+    n = grid if grid is not None else _quad_grid_1d(potential)
     return _power_integral(potential, p, period, (n,))
 
 
@@ -270,15 +287,16 @@ def riesz_mean(report: EigenReport, gamma: float) -> float:
         raise ValueError("gamma must be >= 1")
     if not report.negatives:
         return 0.0
-    return float(np.sum(np.asarray(report.negatives) ** gamma))
+    with np.errstate(over="ignore"):  # an overflow is rejected as a non-finite side
+        return float(np.sum(np.asarray(report.negatives) ** gamma))
 
 
-def _verify_1d(potential, period, rep, k_value, gamma, grid, seed, **params) -> BoundReport:
+def _verify_1d(potential, period, rep, k_value, gamma, seed, **params) -> BoundReport:
     # Shared tail of the h1/h2 verifiers: Riesz mean of rep against the
     # (pi/sqrt3) K L_cl trace bound, K = k_value; params join the metadata.
     lhs = riesz_mean(rep, gamma)
     const = math.pi / math.sqrt(3.0) * k_value * special.semiclassical_constant(gamma, 1)
-    quad_grid = grid if grid is not None else 32 * (2 * potential.bands[0] + 1)
+    quad_grid = _quad_grid_1d(potential)
     rhs = const * trace_power_integral(potential, gamma + 0.5, period, quad_grid)
     meta = {
         "gamma": gamma,
@@ -300,7 +318,6 @@ def verify_bound_h1(
     beta: float,
     gamma: float,
     n_max: int | None = None,
-    grid: int | None = None,
     seed: int | None = None,
 ) -> BoundReport:
     """Check the Riesz-mean bound for the mass-added operator.
@@ -313,7 +330,7 @@ def verify_bound_h1(
     a = assemble_h1(potential, alpha, beta, n)
     rep = negative_spectrum(a)
     return _verify_1d(
-        potential, 2.0 * math.pi / alpha, rep, interp.k1(beta).value, gamma, grid, seed,
+        potential, 2.0 * math.pi / alpha, rep, interp.k1(beta).value, gamma, seed,
         operator="h1", alpha=alpha, beta=beta, truncation=n,
     )
 
@@ -323,7 +340,6 @@ def verify_bound_h2(
     delta: float,
     gamma: float,
     n_max: int | None = None,
-    grid: int | None = None,
     seed: int | None = None,
 ) -> BoundReport:
     """Mass-subtracted mirror of :func:`verify_bound_h1`, with K2(delta)."""
@@ -331,6 +347,6 @@ def verify_bound_h2(
     a = assemble_h2(potential, delta, n)
     rep = negative_spectrum(a)
     return _verify_1d(
-        potential, 2.0 * math.pi, rep, interp.k2(delta).value, gamma, grid, seed,
+        potential, 2.0 * math.pi, rep, interp.k2(delta).value, gamma, seed,
         operator="h2", delta=delta, truncation=n,
     )

@@ -149,7 +149,12 @@ class ScalarPotentialD(MatrixPotential):
         return pot
 
 
-def _mode_list(geom: TorusGeometry, n_modes, include_q_block: bool) -> np.ndarray:
+def _check_dimension(potential: ScalarPotentialD, geom: TorusGeometry) -> None:
+    if potential.d != geom.d:
+        raise ValueError(f"a {potential.d}-dimensional potential on a {geom.d}-torus")
+
+
+def _mode_list(n_modes, include_q_block: bool) -> np.ndarray:
     ranges = [np.arange(-n, n + 1) for n in n_modes]
     mesh = np.meshgrid(*ranges, indexing="ij")
     modes = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -173,6 +178,7 @@ def assemble_torus_operator(
     lexicographic (meshgrid "ij") order of the (2n+1)^d box, so the k_d = 0
     modes are interleaved with the others, not appended after them.
     """
+    _check_dimension(potential, geom)
     n_modes = tuple(int(n) for n in n_modes)
     if len(n_modes) != geom.d:
         raise ValueError("one truncation per axis required")
@@ -183,16 +189,14 @@ def assemble_torus_operator(
     # counted before _mode_list builds the whole (2n+1)^d box
     last_axis = 2 * n_modes[-1] + (1 if include_q_block else 0)
     _check_rows(math.prod(2 * n + 1 for n in n_modes[:-1]) * last_axis)
-    modes = _mode_list(geom, n_modes, include_q_block)
+    modes = _mode_list(n_modes, include_q_block)
     alphas = np.asarray(geom.alphas)
     kinetic = np.sum((alphas * modes) ** 2, axis=1)
     return _assemble_lattice(modes, kinetic, potential.coeffs, modes[:, -1] != 0)
 
 
-def _quad_nodes(potential: ScalarPotentialD, grid) -> tuple:
-    if grid is None:  # 8 nodes per potential mode along each axis
-        return tuple(8 * (2 * b + 1) for b in potential.bands)
-    return tuple(map(int, grid))
+def _quad_nodes(potential: ScalarPotentialD) -> tuple:
+    return tuple(8 * (2 * b + 1) for b in potential.bands)  # 8 nodes per mode per axis
 
 
 def potential_power_integral(
@@ -200,7 +204,9 @@ def potential_power_integral(
 ) -> float:
     """Integral of V_+^p over the torus: the tensor rectangle rule on the
     stated grid (default 8 nodes per mode per axis), refined by doubling."""
-    return _power_integral(potential, p, geom.volume, _quad_nodes(potential, grid))
+    _check_dimension(potential, geom)
+    nodes = grid if grid is not None else _quad_nodes(potential)
+    return _power_integral(potential, p, geom.volume, nodes)
 
 
 def verify_bound_torus(
@@ -208,7 +214,6 @@ def verify_bound_torus(
     geom: TorusGeometry,
     gamma: float,
     n_modes=None,
-    grid=None,
     seed: int | None = None,
 ) -> BoundReport:
     """Check the eigenvalue-moment bound on the projected torus operator.
@@ -223,7 +228,7 @@ def verify_bound_torus(
     a = assemble_torus_operator(potential, geom, n_modes)
     rep = negative_spectrum(a)
     lhs = riesz_mean(rep, gamma)
-    quad_nodes = _quad_nodes(potential, grid)
+    quad_nodes = _quad_nodes(potential)
     rhs = const * potential_power_integral(potential, geom, gamma + 0.5 * geom.d, quad_nodes)
     meta = {
         "operator": "torus",

@@ -146,6 +146,27 @@ def psd_coeffs_torus_loop(d: int, band: int, scale: float, seed: int) -> np.ndar
     return coeffs
 
 
+def family_values(coeffs, alpha: float, x) -> np.ndarray:
+    """Orthonormal-family member values at physical nodes x in the basis
+    sqrt(alpha/2pi) exp(i k alpha x); shape (n_members, len(x), m_dim)."""
+    band = (coeffs.shape[1] - 1) // 2
+    ks = np.arange(-band, band + 1)
+    phases = np.exp(1j * alpha * np.outer(np.asarray(x, float), ks))
+    basis = math.sqrt(alpha / (2.0 * math.pi))
+    return basis * np.einsum("xk,nkj->nxj", phases, coeffs)
+
+
+def rho_cubed_loop(coeffs, alpha: float, nodes: int) -> float:
+    """Rectangle rule for the integral of Tr[U(x,x)^3] over the period
+    2pi/alpha, with U(x,x) built member by member from family_values."""
+    period = 2.0 * math.pi / alpha
+    x = np.arange(nodes) * (period / nodes)
+    vals = family_values(coeffs, alpha, x)
+    u = np.einsum("nxa,nxb->xab", vals, vals.conj())
+    tr3 = np.einsum("xab,xbc,xca->x", u, u, u).real
+    return float(period / nodes * np.sum(tr3))
+
+
 def riesz_mean_of(eigs, gamma: float) -> float:
     neg = np.asarray(eigs, dtype=float)
     neg = -neg[neg < 0]

@@ -17,8 +17,6 @@ from ltbounds.cli import main as cli_main
 
 from oracles import f_series, g_series
 
-TWO_PI = 2.0 * math.pi
-
 
 def _report(n: int, text: str) -> None:
     print(f"[acceptance] criterion {n:02d} PASS: {text}")
@@ -169,7 +167,7 @@ def test_c08_trace_inequalities():
     coeffs[0, 2, 0] = coeffs[0, 0, 0] = r
     coeffs[1, 2, 0] = -1j * r
     coeffs[1, 0, 0] = 1j * r
-    fam = families.OrthonormalFamily(2, 1, 1, TWO_PI, True, coeffs)
+    fam = families.OrthonormalFamily(coeffs)
     rep = families.verify_trace2(fam, 0.0)
     assert abs(rep.lhs - 2.0 / math.pi**2) <= 1e-10
     assert rep.rhs == pytest.approx(2.0, rel=1e-12)
@@ -178,9 +176,9 @@ def test_c08_trace_inequalities():
         n = 1 + seed % 4
         m = 1 + seed % 3
         band = 1 + seed % 4
-        fam1 = families.random_orthonormal_family(n, m, band, TWO_PI, False, seed)
+        fam1 = families.random_orthonormal_family(n, m, band, False, seed)
         assert families.verify_trace1(fam1, 1.0, 0.05 + 0.2 * (seed % 5), seed=seed).passed
-        fam2 = families.random_orthonormal_family(n, m, band, TWO_PI, True, 500 + seed)
+        fam2 = families.random_orthonormal_family(n, m, band, True, 500 + seed)
         assert families.verify_trace2(fam2, 0.1 * (seed % 9), seed=seed).passed
     _report(8, "closed-form trace example exact; 100 random families pass both bounds")
 

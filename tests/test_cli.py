@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -199,6 +203,24 @@ class TestVerify:
         assert code == 2
         assert err.startswith(prefix)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["verify --kind h2 --gamma 400 --scale 3 --seeds 1",
+         "verify --kind torus --gamma 300 --scale 3 --seeds 1"],
+    )
+    def test_overflow_prints_one_stderr_line(self, argv):
+        # A fresh interpreter with warnings shown, as in a shell: pytest
+        # captures the RuntimeWarnings an overflowing power would print.
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ltbounds", *argv.split()],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("error: bound sides must be finite")
 
     def test_seeds_run_in_order_on_the_main_thread(self, capsys, monkeypatch):
         # BLAS threads are the only parallelism: a seed pool on top of them

@@ -1,10 +1,11 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
 from ltbounds import families, interp
+
+from oracles import family_values, rho_cubed_loop
 
 TWO_PI = 2.0 * math.pi
 
@@ -17,44 +18,35 @@ def cos_sin_family():
     coeffs[0, 0, 0] = r
     coeffs[1, 2, 0] = -1j * r  # sin: (chi_1 - chi_-1)/(i sqrt(2))
     coeffs[1, 0, 0] = 1j * r
-    return families.OrthonormalFamily(
-        n_members=2, m_dim=1, band=1, period=TWO_PI, zero_mean=True, coeffs=coeffs
-    )
+    return families.OrthonormalFamily(coeffs)
 
 
 class TestRandomFamily:
     def test_gram_identity(self):
         for seed in range(5):
-            fam = families.random_orthonormal_family(3, 2, 3, TWO_PI, False, seed)
+            fam = families.random_orthonormal_family(3, 2, 3, False, seed)
             assert fam.gram_defect() <= 1e-12
 
     def test_zero_mean_coefficients_vanish(self):
-        fam = families.random_orthonormal_family(4, 3, 4, TWO_PI, True, 8)
+        fam = families.random_orthonormal_family(4, 3, 4, True, 8)
         assert np.all(fam.coeffs[:, fam.band, :] == 0.0)
         assert fam.gram_defect() <= 1e-12
 
     def test_deterministic(self):
-        a = families.random_orthonormal_family(2, 1, 1, TWO_PI, True, 3)
-        b = families.random_orthonormal_family(2, 1, 1, TWO_PI, True, 3)
+        a = families.random_orthonormal_family(2, 1, 1, True, 3)
+        b = families.random_orthonormal_family(2, 1, 1, True, 3)
         assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_tight_dimension(self):
         # N = 2 members in the 2-dimensional zero-mean space of band 1, M=1.
-        fam = families.random_orthonormal_family(2, 1, 1, TWO_PI, True, 12)
+        fam = families.random_orthonormal_family(2, 1, 1, True, 12)
         assert fam.gram_defect() <= 1e-12
 
     def test_capacity_enforced(self):
         with pytest.raises(ValueError):
-            families.random_orthonormal_family(4, 1, 1, TWO_PI, False, 0)
+            families.random_orthonormal_family(4, 1, 1, False, 0)
         with pytest.raises(ValueError):
-            families.random_orthonormal_family(3, 1, 1, TWO_PI, True, 0)
-
-    def test_json_round_trip(self):
-        fam = families.random_orthonormal_family(2, 2, 2, TWO_PI, True, 5)
-        clone = families.OrthonormalFamily.from_json(fam.to_json())
-        assert np.allclose(clone.coeffs, fam.coeffs)
-        assert clone.zero_mean == fam.zero_mean
-        json.loads(fam.to_json())  # valid JSON
+            families.random_orthonormal_family(3, 1, 1, True, 0)
 
 
 class TestDensityAndKinetic:
@@ -67,32 +59,47 @@ class TestDensityAndKinetic:
     def test_constant_modulus_member(self):
         coeffs = np.zeros((1, 5, 1), dtype=complex)
         coeffs[0, 4, 0] = 1.0  # single mode k = 2
-        fam = families.OrthonormalFamily(1, 1, 2, TWO_PI, True, coeffs)
+        fam = families.OrthonormalFamily(coeffs)
         rho3, _ = families.density_and_kinetic(fam, 0.0, "subtract")
         assert rho3 == pytest.approx(1.0 / (4.0 * math.pi**2), rel=1e-12)
 
     def test_trace_of_u_integrates_to_n(self):
-        fam = families.random_orthonormal_family(4, 2, 3, TWO_PI, False, 21)
+        fam = families.random_orthonormal_family(4, 2, 3, False, 21)
         n = 8 * (2 * fam.band + 1)
-        x = np.arange(n) * (fam.period / n)
-        vals = fam.evaluate(x)
+        x = np.arange(n) * (TWO_PI / n)
+        vals = family_values(fam.coeffs, 1.0, x)
         u = np.einsum("nxa,nxb->xab", vals, vals.conj())
         tr = np.einsum("xaa->x", u).real
-        assert fam.period / n * np.sum(tr) == pytest.approx(fam.n_members, rel=1e-12)
+        assert TWO_PI / n * np.sum(tr) == pytest.approx(fam.n_members, rel=1e-12)
 
     def test_scalar_specialization_matches_density_cube(self):
         # For M = 1 the matrix trace collapses to the scalar density cubed.
-        fam = families.random_orthonormal_family(3, 1, 3, TWO_PI, True, 33)
+        fam = families.random_orthonormal_family(3, 1, 3, True, 33)
         rho3, _ = families.density_and_kinetic(fam, 0.25, "subtract")
         n = 16 * (2 * fam.band + 1)
-        x = np.arange(n) * (fam.period / n)
-        vals = fam.evaluate(x)[:, :, 0]
+        x = np.arange(n) * (TWO_PI / n)
+        vals = family_values(fam.coeffs, 1.0, x)[:, :, 0]
         rho = np.sum(np.abs(vals) ** 2, axis=0)
-        direct = fam.period / n * float(np.sum(rho**3))
+        direct = TWO_PI / n * float(np.sum(rho**3))
         assert rho3 == pytest.approx(direct, abs=1e-10)
 
+    def test_matches_the_member_loop_oracle(self):
+        # 40 random families against the member-by-member density cube on
+        # the same doubled grid of 16 nodes per family mode.
+        rng = np.random.default_rng(2024)
+        for i in range(40):
+            m_dim, band = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+            mode = ("add", "subtract")[i % 2]
+            capacity = m_dim * (2 * band if mode == "subtract" else 2 * band + 1)
+            n = min(int(rng.integers(0, 4)), capacity)
+            alpha = 1.0 if mode == "subtract" else (1.0, 0.25)[(i // 2) % 2]
+            fam = families.random_orthonormal_family(n, m_dim, band, mode == "subtract", i)
+            rho3, _ = families.density_and_kinetic(fam, 0.5, mode, alpha)
+            want = rho_cubed_loop(fam.coeffs, alpha, 16 * (2 * band + 1))
+            assert abs(rho3 - want) <= 1e-12 * abs(want), (i, n, m_dim, band, mode, alpha)
+
     def test_mode_preconditions(self):
-        fam = families.random_orthonormal_family(2, 1, 2, TWO_PI, False, 2)
+        fam = families.random_orthonormal_family(2, 1, 2, False, 2)
         with pytest.raises(ValueError):
             families.density_and_kinetic(fam, 0.5, "subtract")  # not zero-mean
         with pytest.raises(ValueError):
@@ -100,28 +107,28 @@ class TestDensityAndKinetic:
         with pytest.raises(ValueError):
             families.density_and_kinetic(fam, 0.5, "frobnicate")
 
+    def test_subtract_mode_needs_alpha_one(self):
+        fam = cos_sin_family()
+        with pytest.raises(ValueError, match="alpha = 1"):
+            families.density_and_kinetic(fam, 0.5, "subtract", alpha=0.5)
+
 
 class TestVerifyTrace1:
     def test_random_family(self):
-        fam = families.random_orthonormal_family(3, 2, 3, TWO_PI, False, 1)
+        fam = families.random_orthonormal_family(3, 2, 3, False, 1)
         report = families.verify_trace1(fam, 1.0, 0.5)
         assert report.passed
         assert report.constant_used == pytest.approx(1.0)  # K1(0.5) = 1
 
     def test_elongated_period(self):
         alpha = 0.25
-        fam = families.random_orthonormal_family(3, 2, 3, TWO_PI / alpha, False, 2)
+        fam = families.random_orthonormal_family(3, 2, 3, False, 2)
         report = families.verify_trace1(fam, alpha, 0.5)
         assert report.passed
 
     def test_single_member(self):
-        fam = families.random_orthonormal_family(1, 1, 2, TWO_PI, False, 3)
+        fam = families.random_orthonormal_family(1, 1, 2, False, 3)
         assert families.verify_trace1(fam, 1.0, 1.0).passed
-
-    def test_period_mismatch(self):
-        fam = families.random_orthonormal_family(2, 1, 2, TWO_PI, False, 4)
-        with pytest.raises(ValueError):
-            families.verify_trace1(fam, 0.5, 0.5)
 
 
 class TestVerifyTrace2:
@@ -139,23 +146,34 @@ class TestVerifyTrace2:
         assert report.rhs == pytest.approx(2.0 * (1.0 - 0.839), rel=1e-10)
         assert report.passed
 
+    def test_zero_mean_is_read_from_the_coefficients(self):
+        coeffs = np.zeros((1, 3, 1), dtype=complex)
+        coeffs[0, 1, 0] = 1.0  # the constant member, whose mean is not zero
+        constant = families.OrthonormalFamily(coeffs)
+        assert not constant.zero_mean
+        with pytest.raises(ValueError, match="zero-mean"):
+            families.verify_trace2(constant, 0.0)
+        fam = cos_sin_family()
+        assert fam.zero_mean
+        assert families.verify_trace2(fam, 0.0).passed
+
     def test_randomized_suite(self):
         for seed in range(20):
             beta = (0.0, 0.5, 0.839)[seed % 3]
-            fam = families.random_orthonormal_family(4, 3, 4, TWO_PI, True, seed)
+            fam = families.random_orthonormal_family(4, 3, 4, True, seed)
             report = families.verify_trace2(fam, beta, seed=seed)
             assert report.passed, report.to_json()
             assert report.ratio <= 1.0
 
     def test_degenerate_empty_family(self):
-        fam = families.random_orthonormal_family(0, 2, 2, TWO_PI, True, 0)
+        fam = families.random_orthonormal_family(0, 2, 2, True, 0)
         report = families.verify_trace2(fam, 0.5)
         assert report.lhs == 0.0 and report.rhs == 0.0 and report.passed
 
     def test_suborthonormal_stability(self):
         # Member-wise projection onto a random coefficient subspace keeps the
         # bound valid (suborthonormal families do not increase constants).
-        fam = families.random_orthonormal_family(4, 2, 3, TWO_PI, True, 77)
+        fam = families.random_orthonormal_family(4, 2, 3, True, 77)
         rng = np.random.default_rng(5)
         flat = fam.coeffs.reshape(fam.n_members, -1)
         dim = flat.shape[1]
@@ -163,9 +181,7 @@ class TestVerifyTrace2:
         projector = q @ q.conj().T
         projected = (flat @ projector).reshape(fam.coeffs.shape)
         projected[:, fam.band, :] = 0.0  # keep the zero-mean constraint exact
-        sub = families.OrthonormalFamily(
-            fam.n_members, fam.m_dim, fam.band, fam.period, True, projected
-        )
+        sub = families.OrthonormalFamily(projected)
         for beta in (0.0, 0.5, 0.839):
             assert families.verify_trace2(sub, beta).passed
 
@@ -240,11 +256,11 @@ class TestRandomizedTraceSuite:
             n = 1 + seed % 4
             m = 1 + seed % 3
             band = 2 + seed % 3
-            fam = families.random_orthonormal_family(n, m, band, TWO_PI, False, 100 + seed)
+            fam = families.random_orthonormal_family(n, m, band, False, 100 + seed)
             r1 = families.verify_trace1(fam, 1.0, 0.3 + 0.1 * (seed % 5))
             assert r1.passed
             ratios.append(r1.ratio)
-            fam2 = families.random_orthonormal_family(n, m, band, TWO_PI, True, 200 + seed)
+            fam2 = families.random_orthonormal_family(n, m, band, True, 200 + seed)
             r2 = families.verify_trace2(fam2, 0.1 * (seed % 9))
             assert r2.passed
             ratios.append(r2.ratio)

@@ -232,25 +232,29 @@ class TestMonotonicity:
 
 
 class TestSeriesBoundCheck:
+    # The lattice-sum side of the defining inequalities of K1/K2 against
+    # K * pi / sqrt(lam): sum_k 1/(k^2 + beta + lam) for K1, and the
+    # zero-mean sum_{k != 0} 1/(k^2 + lam - beta) for K2.
     def test_k1_case(self):
-        lhs, rhs = interp.series_bound_check(0.5, 1.0, "k1")
+        lhs = lattice_sum(0.5 + 1.0, 100_000, include_zero=True)
+        rhs = interp.k1(0.5).value * math.pi / math.sqrt(1.0)
         assert lhs < rhs
 
     def test_k2_closed_form(self):
-        lhs, rhs = interp.series_bound_check(0.0, 1.0, "k2")
+        lhs = lattice_sum(1.0 - 0.0, 100_000, include_zero=False)
+        rhs = interp.k2(0.0).value * math.pi / math.sqrt(1.0)
         assert lhs == pytest.approx(math.pi / math.tanh(math.pi) - 1.0, abs=1e-10)
         assert rhs == pytest.approx(math.pi, rel=1e-12)
         assert lhs <= rhs
 
     def test_k2_near_threshold(self):
-        lhs, rhs = interp.series_bound_check(0.839, 0.5, "k2")
+        lhs = lattice_sum(0.5 - 0.839, 100_000, include_zero=False)
+        rhs = interp.k2(0.839).value * math.pi / math.sqrt(0.5)
         assert lhs <= rhs
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            interp.series_bound_check(0.5, 1.0, "k3")
-        with pytest.raises(ValueError):
-            interp.series_bound_check(-1.0, 1.0, "k1")
+            interp.k1(-1.0)
 
 
 class TestCurveExport:

@@ -236,6 +236,26 @@ class TestAssembly:
         assert np.allclose(neg_p, neg_full, atol=1e-11)
 
 
+class TestDimensionMismatch:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: torus.verify_bound_torus(
+                torus.ScalarPotentialD.random(3, 1, 1.0, 0), torus.TorusGeometry((1.0, 1.0)),
+                1.0, n_modes=(4, 4)),
+            lambda: torus.potential_power_integral(
+                torus.ScalarPotentialD.random(3, 1, 1.0, 0), torus.TorusGeometry((1.0, 1.0)), 2.0),
+            lambda: torus.verify_bound_torus(
+                torus.ScalarPotentialD.random(2, 1, 1.0, 0), torus.TorusGeometry((1.0, 1.0, 1.0)),
+                1.0, n_modes=(3, 3, 3)),
+        ],
+        ids=["3d_potential_2_torus_verify", "3d_potential_2_torus_integral", "2d_potential_3_torus_verify"],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(ValueError, match="dimensional potential on a"):
+            call()
+
+
 class TestVerifyBound:
     def test_constant_enumeration_case(self):
         pot = torus.ScalarPotentialD.constant(2, 2.0)
