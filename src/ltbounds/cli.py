@@ -74,7 +74,7 @@ def cmd_k_curve(args) -> int:
             "num": args.num,
             "seed": None,
         }
-        _emit(_document("k-curve", config, json.loads(table.to_json())), args.out)
+        _emit(_document("k-curve", config, table.to_dict()), args.out)
     return 0
 
 

@@ -17,7 +17,6 @@ thresholds are located by bisection on the interior maximum.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -222,14 +221,9 @@ class CurveTable:
             lines.append(f"{beta!r},{value!r},{sentinel}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        payload = {
-            "which": self.which,
-            "rows": [
-                {"beta": b, "K": v, "argmax_lambda": a} for b, v, a in self.rows
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
+    def to_dict(self) -> dict:
+        rows = [{"beta": b, "K": v, "argmax_lambda": a} for b, v, a in self.rows]
+        return {"which": self.which, "rows": rows}
 
 
 def export_curve(which: str, beta_min: float, beta_max: float, n: int) -> CurveTable:

@@ -1,11 +1,14 @@
-"""Fourier-Galerkin spectra of 1D periodic operators with matrix potentials.
+"""Fourier-Galerkin spectra of periodic operators with matrix potentials.
 
-Two operator families are discretized in the orthonormal exponential basis
-on one period:
+One lattice operator, -sum_j alpha_j^2 d_j^2 + mass - V on the modes
+|k_j| <= n_j, optionally projected onto the modes with k_d != 0, covers
+every verifier:
 
-  * mass-added:      -d^2/dx^2 + a^2 b - V(x)         on L2(0, 2pi/a),
-  * mass-subtracted: -d^2/dx^2 - delta - P V P        on the zero-mean
-    subspace of L2(0, 2pi), P removing the mean.
+  * mass-added h1:       -d^2/dx^2 + a^2 b - V(x)   on L2(0, 2pi/a),
+  * mass-subtracted h2:  -d^2/dx^2 - delta - P V P  on the zero-mean
+    subspace of L2(0, 2pi), P removing the mean,
+  * the torus operator:  -Laplacian - P V P, P removing the mean along the
+    shortest coordinate (see the torus module).
 
 V is a band-limited Hermitian, pointwise-PSD matrix function.  Because the
 basis restriction is a Rayleigh-Ritz projection, every computed Riesz mean
@@ -82,6 +85,9 @@ class MatrixPotential:
 
     def values_on_grid(self, nodes) -> np.ndarray:
         """V on the uniform phase grid with nodes[j] points on axis j; shape (*nodes, m, m)."""
+        # no grid holds more entries than the largest dense Galerkin matrix
+        if math.prod(nodes) * self.m_dim**2 > ROW_BUDGET**2:
+            raise ValueError(f"a phase grid of {math.prod(nodes)} nodes exceeds the dense budget")
         out = self.coeffs
         for axis, (b, n) in enumerate(zip(self.bands, nodes)):
             theta = 2.0 * math.pi * np.arange(n) / n
@@ -206,39 +212,57 @@ def trace_power_integral(
     return _power_integral(potential, p, period, (n,))
 
 
-def _check_rows(rows: int) -> None:
-    if rows > ROW_BUDGET:
-        raise ValueError(f"Galerkin size {rows} exceeds the dense budget {ROW_BUDGET} rows")
-
-
-def _assemble_lattice(
-    modes: np.ndarray, kinetic: np.ndarray, coeffs: np.ndarray, coupled: np.ndarray
-) -> np.ndarray:
+def _assemble_lattice(modes: np.ndarray, kinetic: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Galerkin matrix diag(kinetic) - V on an integer mode lattice.
 
     modes is (n, d) and coeffs has shape (2b_1+1, ..., 2b_d+1, m, m), so each
     mode carries an (m, m) block.  Modes i and j couple through
-    coeffs[k_i - k_j] when both are flagged in `coupled` and the difference
-    lies inside the coefficient box.  The scatter runs once per box offset,
-    so besides the matrix it only allocates arrays of length n.
+    coeffs[k_i - k_j] when the difference lies inside the coefficient box.
+    The scatter runs once per box offset, so besides the matrix it only
+    allocates arrays of length n.
     """
     n, d = modes.shape
     m = coeffs.shape[-1]
-    _check_rows(n * m)
     widths = np.array(coeffs.shape[:d])
     a = np.diag(np.repeat(kinetic, m).astype(complex))
     blocks = a.reshape(n, m, n, m)  # view: blocks[i, :, j, :] couples mode i to mode j
-    # row of each coupled mode in a table over the modes' bounding box, padded
-    # by the band so that every partner k_i - dk indexes inside it; -1 elsewhere
-    rows = np.flatnonzero(coupled)
+    # row of each mode in a table over the modes' bounding box, padded by the
+    # band so that every partner k_i - dk indexes inside it; -1 elsewhere
     bands = (widths - 1) // 2
     low = modes.min(axis=0, initial=0) - bands
     row_of = np.full(tuple(modes.max(axis=0, initial=0) - low + bands + 1), -1, np.intp)
-    row_of[tuple((modes[rows] - low).T)] = rows
+    row_of[tuple((modes - low).T)] = np.arange(n)
     for offset in np.ndindex(*widths):
-        j = row_of[tuple((modes[rows] - low - (np.array(offset) - bands)).T)]
-        blocks[rows[j >= 0], :, j[j >= 0], :] -= coeffs[offset]
+        j = row_of[tuple((modes - low - (np.array(offset) - bands)).T)]
+        blocks[j >= 0, :, j[j >= 0], :] -= coeffs[offset]
     return a
+
+
+def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, projected) -> np.ndarray:
+    """Galerkin matrix of -sum_j alpha_j^2 d_j^2 + mass - V on the modes |k_j| <= n_j.
+
+    The modes keep the lexicographic (meshgrid "ij") order of the box.  When
+    `projected`, the k_d = 0 modes are dropped: P removes the mean along the
+    last (shortest) coordinate, and P V P coincides with V on that span.
+    """
+    n_modes = tuple(int(n) for n in n_modes)
+    if len(n_modes) != potential.d:
+        raise ValueError("one truncation per axis required")
+    if any(n < b for n, b in zip(n_modes, potential.bands)):
+        raise ValueError("truncation must cover the potential band")
+    if projected and n_modes[-1] < 1:
+        raise ValueError("need at least one mode pair along the projected axis")
+    # counted before the (2n+1)^d box is built
+    last = 2 * n_modes[-1] + (0 if projected else 1)
+    rows = math.prod(2 * n + 1 for n in n_modes[:-1]) * last * potential.m_dim
+    if rows > ROW_BUDGET:
+        raise ValueError(f"Galerkin size {rows} exceeds the dense budget {ROW_BUDGET} rows")
+    mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in n_modes], indexing="ij")
+    modes = np.stack([g.ravel() for g in mesh], axis=-1)
+    if projected:
+        modes = modes[modes[:, -1] != 0]
+    kinetic = np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
+    return _assemble_lattice(modes, kinetic, potential.coeffs)
 
 
 def assemble_h1(potential: MatrixPotential, alpha: float, beta: float, n_max: int) -> np.ndarray:
@@ -247,28 +271,16 @@ def assemble_h1(potential: MatrixPotential, alpha: float, beta: float, n_max: in
         raise ValueError("alpha and beta must be positive")
     if potential.d != 1:
         raise ValueError("the mass-added operator needs a 1D potential")
-    if n_max < potential.bands[0]:
-        raise ValueError("truncation must cover the potential band")
-    ks = np.arange(-n_max, n_max + 1)
-    kinetic = alpha * alpha * (ks.astype(float) ** 2 + beta)
-    return _assemble_lattice(ks[:, None], kinetic, potential.coeffs, np.ones(len(ks), bool))
+    return _lattice_operator(potential, (alpha,), alpha * alpha * beta, (n_max,), projected=False)
 
 
 def assemble_h2(potential: MatrixPotential, delta: float, n_max: int) -> np.ndarray:
-    """Galerkin matrix of the mass-subtracted operator on zero-mean modes.
-
-    The projected potential P V P coincides with V on the k != 0 span, so
-    the basis simply omits k = 0.
-    """
+    """Galerkin matrix of the mass-subtracted operator on zero-mean modes |k| <= n_max."""
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
     if potential.d != 1:
         raise ValueError("the mass-subtracted operator needs a 1D potential")
-    if n_max < 1:
-        raise ValueError("need at least one mode pair")
-    ks = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
-    kinetic = ks.astype(float) ** 2 - delta
-    return _assemble_lattice(ks[:, None], kinetic, potential.coeffs, np.ones(len(ks), bool))
+    return _lattice_operator(potential, (1.0,), -delta, (n_max,), projected=True)
 
 
 def negative_spectrum(matrix: np.ndarray) -> EigenReport:
@@ -291,25 +303,27 @@ def riesz_mean(report: EigenReport, gamma: float) -> float:
         return float(np.sum(np.asarray(report.negatives) ** gamma))
 
 
-def _verify_1d(potential, period, rep, k_value, gamma, seed, **params) -> BoundReport:
-    # Shared tail of the h1/h2 verifiers: Riesz mean of rep against the
-    # (pi/sqrt3) K L_cl trace bound, K = k_value; params join the metadata.
+def _lt_constant(gamma: float, k_factor: float, d: int) -> float:
+    # (pi/sqrt3)^d * K * L_cl(gamma, d): the constant of every lattice bound
+    return (math.pi / math.sqrt(3.0)) ** d * k_factor * special.semiclassical_constant(gamma, d)
+
+
+def _lattice_bound(potential, rep, gamma, k_factor, integral, quadrature, seed, **params):
+    # Shared tail of the h1, h2 and torus verifiers: the Riesz mean of rep
+    # against the constant times `integral`, the integral of
+    # Tr V_+^(gamma + d/2) on the `quadrature` grid; params join the metadata.
     lhs = riesz_mean(rep, gamma)
-    const = math.pi / math.sqrt(3.0) * k_value * special.semiclassical_constant(gamma, 1)
-    quad_grid = _quad_grid_1d(potential)
-    rhs = const * trace_power_integral(potential, gamma + 0.5, period, quad_grid)
+    const = _lt_constant(gamma, k_factor, potential.d)
     meta = {
         "gamma": gamma,
         **params,
-        "quadrature": quad_grid,
-        "m_dim": potential.m_dim,
-        "band": potential.bands[0],
+        "quadrature": quadrature,
         "negative_count": len(rep.negatives),
         "lhs_is_lower_bound": True,
     }
     if seed is not None:
         meta["seed"] = seed
-    return BoundReport.build(lhs, rhs, constant_used=const, **meta)
+    return BoundReport.build(lhs, const * integral, constant_used=const, **meta)
 
 
 def verify_bound_h1(
@@ -327,11 +341,13 @@ def verify_bound_h1(
     trace integral of V^(gamma+1/2).
     """
     n = n_max if n_max is not None else potential.bands[0] + 32
-    a = assemble_h1(potential, alpha, beta, n)
-    rep = negative_spectrum(a)
-    return _verify_1d(
-        potential, 2.0 * math.pi / alpha, rep, interp.k1(beta).value, gamma, seed,
+    rep = negative_spectrum(assemble_h1(potential, alpha, beta, n))
+    grid = _quad_grid_1d(potential)
+    integral = trace_power_integral(potential, gamma + 0.5, 2.0 * math.pi / alpha, grid)
+    return _lattice_bound(
+        potential, rep, gamma, interp.k1(beta).value, integral, grid, seed,
         operator="h1", alpha=alpha, beta=beta, truncation=n,
+        m_dim=potential.m_dim, band=potential.bands[0],
     )
 
 
@@ -344,9 +360,11 @@ def verify_bound_h2(
 ) -> BoundReport:
     """Mass-subtracted mirror of :func:`verify_bound_h1`, with K2(delta)."""
     n = n_max if n_max is not None else potential.bands[0] + 32
-    a = assemble_h2(potential, delta, n)
-    rep = negative_spectrum(a)
-    return _verify_1d(
-        potential, 2.0 * math.pi, rep, interp.k2(delta).value, gamma, seed,
+    rep = negative_spectrum(assemble_h2(potential, delta, n))
+    grid = _quad_grid_1d(potential)
+    integral = trace_power_integral(potential, gamma + 0.5, 2.0 * math.pi, grid)
+    return _lattice_bound(
+        potential, rep, gamma, interp.k2(delta).value, integral, grid, seed,
         operator="h2", delta=delta, truncation=n,
+        m_dim=potential.m_dim, band=potential.bands[0],
     )

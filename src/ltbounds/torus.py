@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import interp, special
+from . import interp
 from .reports import BoundReport
-from .spectral1d import MatrixPotential, _assemble_lattice, _check_rows, _power_integral
-from .spectral1d import _psd_coeffs, negative_spectrum, riesz_mean
+from .spectral1d import MatrixPotential, _lattice_bound, _lattice_operator, _lt_constant
+from .spectral1d import _power_integral, _psd_coeffs, negative_spectrum
 
 __all__ = [
     "TorusGeometry",
@@ -119,11 +119,7 @@ def lt_constant_bound(gamma: float, sel: BetaSelection, d: int) -> float:
     """(pi/sqrt3)^d * K-factor * semiclassical constant in dimension d."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    return (
-        (math.pi / math.sqrt(3.0)) ** d
-        * sel.constant_factor
-        * special.semiclassical_constant(gamma, d)
-    )
+    return _lt_constant(gamma, sel.constant_factor, d)
 
 
 class ScalarPotentialD(MatrixPotential):
@@ -154,56 +150,27 @@ def _check_dimension(potential: ScalarPotentialD, geom: TorusGeometry) -> None:
         raise ValueError(f"a {potential.d}-dimensional potential on a {geom.d}-torus")
 
 
-def _mode_list(n_modes, include_q_block: bool) -> np.ndarray:
-    ranges = [np.arange(-n, n + 1) for n in n_modes]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    modes = np.stack([m.ravel() for m in mesh], axis=-1)
-    if not include_q_block:
-        modes = modes[modes[:, -1] != 0]
-    return modes
-
-
-def assemble_torus_operator(
-    potential: ScalarPotentialD,
-    geom: TorusGeometry,
-    n_modes,
-    include_q_block: bool = False,
-) -> np.ndarray:
+def assemble_torus_operator(potential: ScalarPotentialD, geom: TorusGeometry, n_modes) -> np.ndarray:
     """Galerkin matrix of -Laplacian - P V P on tensor Fourier modes.
 
-    The basis is the range of the mean-removing projection (modes with
-    k_d != 0); include_q_block=True adds the complementary k_d = 0 modes,
-    on which the operator acts as the bare Laplacian (the projection kills
-    the potential coupling there).  Either way the modes keep the
-    lexicographic (meshgrid "ij") order of the (2n+1)^d box, so the k_d = 0
-    modes are interleaved with the others, not appended after them.
+    The basis is the range of the mean-removing projection: the modes of
+    the box |k_j| <= n_j with k_d != 0, in lexicographic (meshgrid "ij")
+    order.
     """
     _check_dimension(potential, geom)
-    n_modes = tuple(int(n) for n in n_modes)
-    if len(n_modes) != geom.d:
-        raise ValueError("one truncation per axis required")
-    if any(n < b for n, b in zip(n_modes, potential.bands)):
-        raise ValueError("truncation must cover the potential band")
-    if n_modes[-1] < 1:
-        raise ValueError("need at least one mode pair along the projected axis")
-    # counted before _mode_list builds the whole (2n+1)^d box
-    last_axis = 2 * n_modes[-1] + (1 if include_q_block else 0)
-    _check_rows(math.prod(2 * n + 1 for n in n_modes[:-1]) * last_axis)
-    modes = _mode_list(n_modes, include_q_block)
-    alphas = np.asarray(geom.alphas)
-    kinetic = np.sum((alphas * modes) ** 2, axis=1)
-    return _assemble_lattice(modes, kinetic, potential.coeffs, modes[:, -1] != 0)
+    return _lattice_operator(potential, geom.alphas, 0.0, n_modes, projected=True)
 
 
 def _quad_nodes(potential: ScalarPotentialD) -> tuple:
-    return tuple(8 * (2 * b + 1) for b in potential.bands)  # 8 nodes per mode per axis
+    # V^p kinks where V = 0: at gamma = 1.1, 8 nodes per mode drifted 1.6e-8
+    return tuple(16 * (2 * b + 1) for b in potential.bands)
 
 
 def potential_power_integral(
     potential: ScalarPotentialD, geom: TorusGeometry, p: float, grid=None
 ) -> float:
     """Integral of V_+^p over the torus: the tensor rectangle rule on the
-    stated grid (default 8 nodes per mode per axis), refined by doubling."""
+    stated grid (default 16 nodes per mode per axis), refined by doubling."""
     _check_dimension(potential, geom)
     nodes = grid if grid is not None else _quad_nodes(potential)
     return _power_integral(potential, p, geom.volume, nodes)
@@ -224,25 +191,11 @@ def verify_bound_torus(
     if n_modes is None:
         n_modes = tuple(b + 12 for b in potential.bands)
     sel = choose_betas(geom)
-    const = lt_constant_bound(gamma, sel, geom.d)
-    a = assemble_torus_operator(potential, geom, n_modes)
-    rep = negative_spectrum(a)
-    lhs = riesz_mean(rep, gamma)
-    quad_nodes = _quad_nodes(potential)
-    rhs = const * potential_power_integral(potential, geom, gamma + 0.5 * geom.d, quad_nodes)
-    meta = {
-        "operator": "torus",
-        "gamma": gamma,
-        "d": geom.d,
-        "alphas": list(geom.alphas),
-        "betas": list(sel.betas),
-        "delta": sel.delta,
-        "unit_regime": sel.in_unit_regime,
-        "truncation": list(n_modes),
-        "quadrature": list(quad_nodes),
-        "negative_count": len(rep.negatives),
-        "lhs_is_lower_bound": True,
-    }
-    if seed is not None:
-        meta["seed"] = seed
-    return BoundReport.build(lhs, rhs, constant_used=const, **meta)
+    rep = negative_spectrum(assemble_torus_operator(potential, geom, n_modes))
+    nodes = _quad_nodes(potential)
+    integral = potential_power_integral(potential, geom, gamma + 0.5 * geom.d, nodes)
+    return _lattice_bound(
+        potential, rep, gamma, sel.constant_factor, integral, list(nodes), seed,
+        operator="torus", d=geom.d, alphas=list(geom.alphas), betas=list(sel.betas),
+        delta=sel.delta, unit_regime=sel.in_unit_regime, truncation=list(n_modes),
+    )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltbounds import __version__, cli, interp
+from ltbounds import __version__, cli, interp, spectral1d, torus
 from ltbounds.cli import main
 
 
@@ -127,8 +127,6 @@ BAD_ARGV = [
     "verify --kind h1 --alpha 0",
     "verify --kind trace1 --alpha 0",
     "verify --kind torus --alpha 0",
-    # seed 45's integral of V^2.1 moves 1.6e-8 (relative) under grid doubling
-    "verify --kind torus --band 1 --gamma 1.1 --seed-base 45 --seeds 1",
     # 15,000 rows: over the dense budget, rejected before any allocation
     "verify --kind torus --d 3 --band 0 --seeds 1",
     # the Riesz mean |lambda|^gamma overflows to inf: no verdict is possible
@@ -221,6 +219,31 @@ class TestVerify:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith("error: bound sides must be finite")
+
+    def test_torus_quadrature_converges_just_above_gamma_one(self, capsys):
+        # at 8 nodes per mode seed 45's integral of V^2.1 moved 1.6e-8
+        # (relative) under grid doubling
+        argv = "verify --kind torus --band 1 --gamma 1.1 --seed-base 45 --seeds 1"
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert json.loads(out)["reports"][0]["quadrature"] == [80, 80]
+
+    def test_quadrature_drift_exits_2(self, capsys, monkeypatch):
+        # the 4-nodes-per-mode minimum is too coarse for V^2.1
+        monkeypatch.setattr(
+            torus, "_quad_nodes", lambda pot: tuple(4 * (2 * b + 1) for b in pot.bands)
+        )
+        code, _, err = run(capsys, *"verify --kind torus --band 1 --gamma 1.1 --seeds 1".split())
+        assert code == 2
+        assert err == "error: power integral moved 9.723e-04 under grid doubling\n"
+
+    def test_grid_over_the_dense_budget_exits_2(self, capsys, monkeypatch):
+        # the 5-torus sampler's 4^5 nodes exceed a budget of 31^2 entries
+        monkeypatch.setattr(spectral1d, "ROW_BUDGET", 31)
+        code, _, err = run(capsys, *"verify --kind torus --d 5 --band 0 --seeds 1".split())
+        assert code == 2
+        assert err.startswith("error:") and "budget" in err
+        assert err.splitlines() == [err.strip()]
 
     def test_seeds_run_in_order_on_the_main_thread(self, capsys, monkeypatch):
         # BLAS threads are the only parallelism: a seed pool on top of them

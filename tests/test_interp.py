@@ -288,7 +288,7 @@ class TestCurveExport:
 
     def test_json_round_trip(self):
         table = interp.export_curve("k2", 0.0, 0.9, 4)
-        payload = json.loads(table.to_json())
+        payload = json.loads(json.dumps(table.to_dict()))
         assert payload["which"] == "k2"
         assert len(payload["rows"]) == 4
         assert payload["rows"][0]["K"] == table.rows[0][1]

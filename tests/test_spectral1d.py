@@ -318,6 +318,28 @@ class TestVerifyH2:
             assert report.passed, report.to_json()
 
 
+class TestSemiclassicalLimit:
+    """For V = lam * W the ratio tends to (sqrt3/pi) / K as lam grows (Weyl
+    asymptotics); beta = delta = 0.5 lie in the unit regime, K = 1."""
+
+    LAMBDAS = ((1e2, 64), (1e3, 201), (1e4, 400))  # coupling, truncation
+
+    @pytest.mark.parametrize("operator, tol", [("h1", 5e-4), ("h2", 2e-2)])
+    def test_ratio_approaches_the_weyl_limit(self, operator, tol):
+        for seed in (0, 1):
+            w = sp1.random_psd_potential(1, 1, 1.0, seed)
+            ratios = []
+            for lam, n in self.LAMBDAS:
+                pot = sp1.MatrixPotential(lam * w.coeffs)
+                if operator == "h1":
+                    report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.5, n_max=n)
+                else:
+                    report = sp1.verify_bound_h2(pot, 0.5, 1.5, n_max=n)
+                ratios.append(report.ratio)
+            assert ratios == sorted(ratios), (seed, ratios)
+            assert abs(ratios[-1] / (math.sqrt(3.0) / math.pi) - 1.0) <= tol, (seed, ratios)
+
+
 class TestStructuralInvariants:
     def test_rayleigh_ritz_monotonicity(self):
         pot = sp1.random_psd_potential(2, 2, 1.5, 23)

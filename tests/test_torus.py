@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ltbounds import interp, torus
+from ltbounds import interp, special, spectral1d, torus
 from ltbounds.reports import ConvergenceError
 from ltbounds.spectral1d import negative_spectrum, riesz_mean
 
@@ -83,7 +83,7 @@ class TestConstantBound:
         for d in (2, 5, 12, 19):
             sel = torus.choose_betas(torus.TorusGeometry((1.0,) * d))
             expected = (math.pi / math.sqrt(3.0)) ** d * (
-                torus.special.semiclassical_constant(1.5, d)
+                special.semiclassical_constant(1.5, d)
             )
             assert torus.lt_constant_bound(1.5, sel, d) == pytest.approx(expected, rel=1e-12)
 
@@ -124,6 +124,14 @@ class TestScalarPotential:
         with pytest.raises(ValueError, match="PSD"):
             pot.validate()
 
+    def test_sample_grid_bounded_by_the_dense_budget(self, monkeypatch):
+        # validate() samples 4^5 = 1,024 nodes of the band-0 5-torus potential
+        monkeypatch.setattr(spectral1d, "ROW_BUDGET", 32)
+        torus.ScalarPotentialD.random(5, 0, 1.0, 0)
+        monkeypatch.setattr(spectral1d, "ROW_BUDGET", 31)
+        with pytest.raises(ValueError, match="budget"):
+            torus.ScalarPotentialD.random(5, 0, 1.0, 0)
+
     def test_random_deterministic(self):
         a = torus.ScalarPotentialD.random(2, 1, 1.0, 3)
         b = torus.ScalarPotentialD.random(2, 1, 1.0, 3)
@@ -149,9 +157,10 @@ class TestScalarPotential:
             vals = np.clip(pot.values_on_grid((n, n))[..., 0, 0].real, 0.0, None)
             return geom.volume / n**2 * float(np.sum(vals**2.5))
 
-        got = torus.potential_power_integral(pot, geom, 2.5)  # 40 nodes per axis
-        assert got == pytest.approx(rectangle(80), rel=1e-13)
-        assert abs(got - rectangle(40)) > 1e-10 * got
+        got = torus.potential_power_integral(pot, geom, 2.5)  # 80 nodes per axis
+        assert got == pytest.approx(rectangle(160), rel=1e-13)
+        # the 80-node value sits 4e-12 away: ten times the tolerance above
+        assert abs(got - rectangle(80)) > 1e-12 * got
 
     def test_power_integral_rejects_grid_below_minimum(self):
         # 4 nodes per mode: 20 per axis for the band-2 potential
@@ -195,17 +204,20 @@ class TestAssembly:
         "alphas, n_modes",
         [((1.0, 1.0), (4, 4)), ((0.5, 1.0), (4, 4)), ((0.5, 0.75, 1.0), (2, 2, 2))],
     )
-    @pytest.mark.parametrize("include_q_block", [False, True])
-    def test_matches_loop_oracle(self, alphas, n_modes, include_q_block):
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_matches_loop_oracle(self, alphas, n_modes, projected):
+        # projected: the paper's operator; unprojected: every box mode couples to V
         pot = torus.ScalarPotentialD.random(len(alphas), 1, 1.0, 6)
         mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in n_modes], indexing="ij")
         modes = np.stack([g.ravel() for g in mesh], axis=-1)
-        if not include_q_block:
+        if projected:
             modes = modes[modes[:, -1] != 0]
         kinetic = np.sum((np.asarray(alphas) * modes) ** 2, axis=1)
-        want = galerkin_loop(modes, kinetic, pot.coeffs, modes[:, -1] != 0)
-        geom = torus.TorusGeometry(alphas)
-        a = torus.assemble_torus_operator(pot, geom, n_modes, include_q_block=include_q_block)
+        want = galerkin_loop(modes, kinetic, pot.coeffs, np.ones(len(modes), bool))
+        if projected:
+            a = torus.assemble_torus_operator(pot, torus.TorusGeometry(alphas), n_modes)
+        else:
+            a = spectral1d._lattice_operator(pot, alphas, 0.0, n_modes, projected=False)
         assert np.array_equal(a, want)
 
     def test_mode_budget_guard(self):
@@ -214,22 +226,25 @@ class TestAssembly:
         with pytest.raises(ValueError):
             torus.assemble_torus_operator(pot, geom, (100, 100))
 
-    def test_budget_checked_before_the_mode_box_is_built(self, monkeypatch):
-        def no_modes(*args):
-            raise AssertionError("the mode box was built")
-
-        monkeypatch.setattr(torus, "_mode_list", no_modes)
+    def test_budget_checked_before_the_mode_box_is_built(self):
         pot = torus.ScalarPotentialD.constant(3, 1.0)
         geom = torus.TorusGeometry((1.0, 1.0, 1.0))
         # 25 * 25 * 24 = 15,000 rows
         with pytest.raises(ValueError, match="budget"):
             torus.assemble_torus_operator(pot, geom, (12, 12, 12))
+        # numpy would reject a box this size with "array is too big", not "budget"
+        with pytest.raises(ValueError, match="budget"):
+            torus.assemble_torus_operator(pot, geom, (10**6,) * 3)
 
     def test_q_block_does_not_change_negative_spectrum(self):
         pot = torus.ScalarPotentialD.random(2, 1, 1.2, 15)
         geom = torus.TorusGeometry((0.5, 1.0))
         a_p = torus.assemble_torus_operator(pot, geom, (6, 6))
-        a_full = torus.assemble_torus_operator(pot, geom, (6, 6), include_q_block=True)
+        # the full box with the k_d = 0 modes uncoupled from V: the bare Laplacian there
+        mesh = np.meshgrid(np.arange(-6, 7), np.arange(-6, 7), indexing="ij")
+        box = np.stack([g.ravel() for g in mesh], axis=-1)
+        kinetic = np.sum((np.asarray(geom.alphas) * box) ** 2, axis=1)
+        a_full = galerkin_loop(box, kinetic, pot.coeffs, box[:, -1] != 0)
         neg_p = negative_spectrum(a_p).negatives
         neg_full = negative_spectrum(a_full).negatives
         assert len(neg_p) == len(neg_full)
