@@ -22,8 +22,8 @@ import numpy as np
 
 from . import interp
 from .reports import BoundReport
-from .spectral1d import MatrixPotential, _lattice_bound, _lattice_operator, _lt_constant
-from .spectral1d import _power_integral, _psd_coeffs, negative_spectrum
+from .spectral1d import MatrixPotential, _check_gamma, _lattice_bound, _lattice_operator
+from .spectral1d import _lt_constant, _power_integral, _psd_coeffs, negative_spectrum
 
 __all__ = [
     "TorusGeometry",
@@ -117,8 +117,7 @@ def choose_betas(geom: TorusGeometry) -> BetaSelection:
 
 def lt_constant_bound(gamma: float, sel: BetaSelection, d: int) -> float:
     """(pi/sqrt3)^d * K-factor * semiclassical constant in dimension d."""
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
+    _check_gamma(gamma)
     return _lt_constant(gamma, sel.constant_factor, d)
 
 
@@ -151,11 +150,13 @@ def _check_dimension(potential: ScalarPotentialD, geom: TorusGeometry) -> None:
 
 
 def assemble_torus_operator(potential: ScalarPotentialD, geom: TorusGeometry, n_modes) -> np.ndarray:
-    """Galerkin matrix of -Laplacian - P V P on tensor Fourier modes.
+    """Real symmetric Galerkin matrix of -Laplacian - P V P.
 
-    The basis is the range of the mean-removing projection: the modes of
-    the box |k_j| <= n_j with k_d != 0, in lexicographic (meshgrid "ij")
-    order.
+    The basis spans the range of the mean-removing projection: the modes of
+    the box |k_j| <= n_j with k_d != 0.  Each k of the lexicographically
+    negative half, in meshgrid "ij" order, is paired with -k: row i is the
+    cosine mode (e_k + e_-k)/sqrt2 and row n/2 + i the sine mode
+    -i(e_k - e_-k)/sqrt2 (see spectral1d._real_form).
     """
     _check_dimension(potential, geom)
     return _lattice_operator(potential, geom.alphas, 0.0, n_modes, projected=True)
@@ -188,6 +189,7 @@ def verify_bound_torus(
     lhs: gamma-moment of the Galerkin negative spectrum (lower bound);
     rhs: unit-regime-aware constant times int V^(gamma + d/2).
     """
+    _check_gamma(gamma)
     if n_modes is None:
         n_modes = tuple(b + 12 for b in potential.bands)
     sel = choose_betas(geom)

@@ -204,6 +204,16 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "argv",
+        ["verify --kind h1 --gamma 0.2 --seeds 1",
+         "verify --kind h2 --gamma 0.5 --seeds 1",
+         # the 15,000-row 3-torus is over the budget, but gamma is checked first
+         "verify --kind torus --d 3 --band 0 --gamma 0.5 --seeds 1"],
+    )
+    def test_gamma_below_one_exits_2(self, capsys, argv):
+        assert run(capsys, *argv.split()) == (2, "", "error: gamma must be >= 1\n")
+
+    @pytest.mark.parametrize(
+        "argv",
         ["verify --kind h2 --gamma 400 --scale 3 --seeds 1",
          "verify --kind torus --gamma 300 --scale 3 --seeds 1"],
     )

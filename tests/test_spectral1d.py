@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ltbounds import spectral1d as sp1
+from ltbounds import torus
 from ltbounds.reports import ConvergenceError
 
 from oracles import (
@@ -172,14 +173,18 @@ class TestAssembly:
         ks = np.arange(-6, 7)
         kinetic = alpha * alpha * (ks.astype(float) ** 2 + 0.3)
         want = galerkin_loop(ks[:, None], kinetic, pot.coeffs, np.ones(len(ks), bool))
-        assert np.array_equal(sp1.assemble_h1(pot, alpha, 0.3, 6), want)
+        a = sp1.assemble_h1(pot, alpha, 0.3, 6)
+        assert a.dtype == complex  # unprojected: the k = 0 mode has no partner
+        assert np.array_equal(a, want)
 
     def test_h2_matches_loop_oracle(self):
         pot = sp1.random_psd_potential(2, 1, 1.0, 12)
         ks = np.concatenate([np.arange(-6, 0), np.arange(1, 7)])
         kinetic = ks.astype(float) ** 2 - 0.4
         want = galerkin_loop(ks[:, None], kinetic, pot.coeffs, np.ones(len(ks), bool))
-        assert np.array_equal(sp1.assemble_h2(pot, 0.4, 6), want)
+        a = sp1.assemble_h2(pot, 0.4, 6)
+        assert a.dtype == complex  # a matrix potential keeps the exponentials
+        assert np.array_equal(a, want)
 
     def test_h2_constant_scalar_diagonal(self):
         pot = sp1.constant_potential(2.3)
@@ -204,6 +209,55 @@ class TestAssembly:
         pot = sp1.constant_potential(1.0, m_dim=2)
         a = sp1.assemble_h2(pot, 0.1, 7)
         assert a.shape == (2 * 2 * 7, 2 * 2 * 7)
+
+
+class TestRealForm:
+    # scalar projected operators: (potential d, band, seed, alphas, mass, truncation)
+    CASES = {
+        "torus_alpha_1": (2, 1, 3, (1.0, 1.0), 0.0, (5, 5)),
+        "torus_alpha_half": (2, 1, 4, (0.5, 1.0), 0.0, (6, 4)),
+        "torus_3d": (3, 1, 5, (0.5, 0.75, 1.0), 0.0, (2, 3, 2)),
+        "h2": (1, 2, 6, (1.0,), -0.4, (9,)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_spectrum_matches_complex_oracle(self, case):
+        d, band, seed, alphas, mass, n_modes = self.CASES[case]
+        pot = sp1.MatrixPotential(sp1._psd_coeffs(d, 1, band, 1.0, seed))
+        mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in n_modes], indexing="ij")
+        modes = np.stack([g.ravel() for g in mesh], axis=-1)
+        modes = modes[modes[:, -1] != 0]
+        kinetic = np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
+        want = galerkin_loop(modes, kinetic, pot.coeffs, np.ones(len(modes), bool))
+        r = sp1._lattice_operator(pot, alphas, mass, n_modes, projected=True)
+        assert r.dtype == np.float64
+        assert np.array_equal(r, r.T)
+        drift = np.max(np.abs(np.linalg.eigvalsh(r) - np.linalg.eigvalsh(want)))
+        assert drift <= 1e-12 * np.max(np.abs(want))
+
+
+class TestGammaCheckedFirst:
+    @pytest.fixture(autouse=True)
+    def no_eigensolve(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("eigensolve ran before gamma was checked")
+
+        monkeypatch.setattr(sp1, "negative_spectrum", refuse)
+        monkeypatch.setattr(torus, "negative_spectrum", refuse)
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.999])
+    def test_verifiers_reject_gamma_below_one(self, gamma):
+        pot = sp1.random_psd_potential(2, 1, 1.0, 0)
+        calls = [
+            lambda: sp1.verify_bound_h1(pot, 1.0, 0.5, gamma),
+            lambda: sp1.verify_bound_h2(pot, 0.5, gamma),
+            lambda: torus.verify_bound_torus(
+                torus.ScalarPotentialD.random(2, 1, 1.0, 0), torus.TorusGeometry((1.0, 1.0)), gamma
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="gamma must be >= 1"):
+                call()
 
 
 class TestPairingAndBudget:
