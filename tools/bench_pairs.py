@@ -2,15 +2,17 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
         --pairs torus-weak=10 --pairs torus-strong=5 --pairs line1d=5 \
-        [--traced torus-weak=1] [--seconds 30] [--seed-base 100]
+        [--traced torus-weak=1]
 
-Pair i of a workload runs `python3 bench/run.py --workload W --seed S
---seconds T --trace 0` once in each checkout, parent first when i is even
-and change first when i is odd, both with seed S = seed-base + i.  The file
-keeps each run's exit code and the `env` and result records that run.py
-prints last, and per metric the median and quartiles of each side and the
-number of pairs the change won (ties count for neither).  `--traced` adds
-pairs run with --trace 1, whose per-layer metrics are kept the same way.
+Both checkouts' `src` and `bench` are byte-compiled first, so neither side's
+`setup_s` includes compiling them.  Pair i of a workload then runs
+`python3 bench/run.py --workload W --seed S --seconds 30 --trace 0` once in
+each checkout, parent first when i is even and change first when i is odd,
+both with seed S = 200 + i.  The file keeps each run's exit code and the
+`env` and result records that run.py prints last, and per metric the median
+and quartiles of each side and the number of pairs the change won (ties
+count for neither).  `--traced` adds pairs run with --trace 1, whose
+per-layer metrics are kept the same way.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SECONDS = 30
+SEED_BASE = 200
 
 
-def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(root: Path, workload: str, seed: int, trace: int) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", repr(seconds), "--trace", str(trace)]
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     records = [json.loads(line) for line in lines[-2:] if line.startswith("{")]
@@ -71,12 +75,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=N")
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD=N")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed-base", type=int, default=100)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    doc = {"command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g}"
+    for root in roots.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
+                       cwd=root, check=True)
+    doc = {"command": f"python3 bench/run.py --workload W --seed S --seconds {SECONDS}"
                       " --trace 0|1, alternating parent and change"}
     for trace, counts, kind in ((0, args.pairs, "end_to_end"), (1, args.traced, "per_layer")):
         better = {m["name"]: m["better"] for m in spec[kind]}
@@ -85,8 +90,7 @@ def main(argv=None) -> int:
             for i in range(count):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    runs[side].append(run(roots[side], workload, args.seed_base + i,
-                                          args.seconds, trace))
+                    runs[side].append(run(roots[side], workload, SEED_BASE + i, trace))
             key = workload if trace == 0 else f"{workload} traced"
             doc[key] = {"runs": runs, "summary": summary(runs, better)}
             args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
