@@ -73,6 +73,8 @@ class MatrixPotential:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("potential coefficients must be finite")
         # a non-square (m, m) block fails the pairing check below
         if self.d < 1 or any(w % 2 == 0 for w in self.coeffs.shape[:-2]):
             raise ValueError(f"coeffs shape {self.coeffs.shape} is not (2b_1+1, ..., 2b_d+1, m, m)")
@@ -101,7 +103,8 @@ class MatrixPotential:
         for axis, (b, n) in enumerate(zip(self.bands, nodes)):
             theta = 2.0 * math.pi * np.arange(n) / n
             phases = np.exp(1j * np.outer(theta, np.arange(-b, b + 1)))
-            out = np.moveaxis(np.tensordot(phases, out, axes=([1], [axis])), 0, axis)
+            with np.errstate(over="ignore", invalid="ignore"):  # rejected as a non-finite side
+                out = np.moveaxis(np.tensordot(phases, out, axes=([1], [axis])), 0, axis)
         return out
 
     def validate(self) -> None:
@@ -109,7 +112,7 @@ class MatrixPotential:
         max(ceil(512^(1/d)), 4 nodes per mode) points per axis."""
         per_axis = math.ceil(_PSD_SAMPLES ** (1.0 / self.d))
         nodes = [max(per_axis, 4 * (2 * b + 1)) for b in self.bands]
-        evs = np.linalg.eigvalsh(self.values_on_grid(nodes))
+        evs = _block_eigvalsh(self.values_on_grid(nodes))
         scale = max(1.0, float(np.max(np.abs(evs))))
         if float(np.min(evs)) < -_PSD_TOL * scale:
             raise ValueError("potential is not pointwise PSD on the sample grid")
@@ -153,32 +156,57 @@ def _autocorrelation(w: np.ndarray) -> np.ndarray:
     d = len(widths)
     out_bands = [n - 1 for n in widths]  # 2 * b_j
     coeffs = np.zeros(tuple(2 * b + 1 for b in out_bands) + (m_dim, m_dim), dtype=complex)
-    for idx in np.ndindex(*coeffs.shape[:d]):
-        m = tuple(i - b for i, b in zip(idx, out_bands))
-        if m < (0,) * d:
-            continue  # mirrored from -m
-        # k runs over the overlap of W's box with its shift by m
-        src = tuple(slice(max(0, mj), n + min(0, mj)) for mj, n in zip(m, widths))
-        dst = tuple(slice(max(0, -mj), n + min(0, -mj)) for mj, n in zip(m, widths))
-        # an explicit row count, since reshape cannot infer -1 when rank is 0
-        count = math.prod(sl.stop - sl.start for sl in src)
-        a, b = (w[s].reshape(count, m_dim, rank) for s in (src, dst))
-        acc = np.einsum("nij,nkj->ik", a, b.conj())
-        if not any(m):
-            coeffs[idx] = 0.5 * (acc + acc.conj().T)  # exact Hermitian head
-        else:
-            coeffs[idx] = acc
-            coeffs[tuple(2 * b - i for i, b in zip(idx, out_bands))] = acc.conj().T
+    # W W^H can overflow at a huge scale; MatrixPotential rejects the non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in np.ndindex(*coeffs.shape[:d]):
+            m = tuple(i - b for i, b in zip(idx, out_bands))
+            if m < (0,) * d:
+                continue  # mirrored from -m
+            # k runs over the overlap of W's box with its shift by m
+            src = tuple(slice(max(0, mj), n + min(0, mj)) for mj, n in zip(m, widths))
+            dst = tuple(slice(max(0, -mj), n + min(0, -mj)) for mj, n in zip(m, widths))
+            # an explicit row count, since reshape cannot infer -1 when rank is 0
+            count = math.prod(sl.stop - sl.start for sl in src)
+            a, b = (w[s].reshape(count, m_dim, rank) for s in (src, dst))
+            acc = np.einsum("nij,nkj->ik", a, b.conj())
+            if not any(m):
+                coeffs[idx] = 0.5 * (acc + acc.conj().T)  # exact Hermitian head
+            else:
+                coeffs[idx] = acc
+                coeffs[tuple(2 * b - i for i, b in zip(idx, out_bands))] = acc.conj().T
     return coeffs
+
+
+def _block_eigvalsh(values: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a grid of Hermitian (m, m) blocks, shape (..., m).
+
+    Like np.linalg.eigvalsh, it reads the lower triangle and ignores the
+    diagonal's imaginary parts, but 1x1 and 2x2 blocks take a closed form
+    instead of one LAPACK call per block: a 1x1 block is its real diagonal
+    (what eigvalsh returns), and [[a, conj(b)], [b, d]] has the eigenvalues
+    (a + d)/2 -+ hypot((a - d)/2, |b|).  The diagonal is halved before it
+    is summed and the radius goes through hypot, so a block overflows no
+    sooner than under eigvalsh.
+    """
+    m = values.shape[-1]
+    if m == 1:
+        return values[..., 0, :].real
+    if m > 2:
+        return np.linalg.eigvalsh(values)
+    a, d = values[..., 0, 0].real * 0.5, values[..., 1, 1].real * 0.5
+    mean, radius = a + d, np.hypot(a - d, np.abs(values[..., 1, 0]))
+    return np.stack((mean - radius, mean + radius), axis=-1)
 
 
 def _power_integral(potential: MatrixPotential, p: float, volume: float, nodes) -> float:
     """Rectangle rule for the integral of Tr V_+^p over a cell of `volume`.
 
-    Negative eigenvalues of V are clipped to zero.  Tr V_+^p is not
-    band-limited for fractional p, so the grid (at least 4 nodes per mode on
-    every axis) is doubled: a relative drift above 1e-8 raises
-    ConvergenceError, and otherwise the refined value is returned.
+    The pointwise spectra come from :func:`_block_eigvalsh`, so the 1x1 and
+    2x2 blocks of the torus and of the default 1D and family potentials cost
+    no LAPACK call.  Negative eigenvalues of V are clipped to zero.
+    Tr V_+^p is not band-limited for fractional p, so the grid (at least 4
+    nodes per mode on every axis) is doubled: a relative drift above 1e-8
+    raises ConvergenceError, and otherwise the refined value is returned.
     """
     if p < 1:
         raise ValueError("power p must be >= 1")
@@ -188,7 +216,7 @@ def _power_integral(potential: MatrixPotential, p: float, volume: float, nodes) 
         raise ValueError(f"grid {nodes} below minimum {minimum}")
 
     def quad(grid: tuple) -> float:
-        evs = np.clip(np.linalg.eigvalsh(potential.values_on_grid(grid)), 0.0, None)
+        evs = np.clip(_block_eigvalsh(potential.values_on_grid(grid)), 0.0, None)
         with np.errstate(over="ignore"):  # an overflow is rejected as a non-finite side
             return float(volume / math.prod(grid) * np.sum(evs**p))
 

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -215,7 +216,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv",
         ["verify --kind h2 --gamma 400 --scale 3 --seeds 1",
-         "verify --kind torus --gamma 300 --scale 3 --seeds 1"],
+         "verify --kind torus --gamma 300 --scale 3 --seeds 1",
+         # finite coefficients whose values on the phase grid overflow
+         "verify --kind torus --scale 1e153 --seeds 1"],
     )
     def test_overflow_prints_one_stderr_line(self, argv):
         # A fresh interpreter with warnings shown, as in a shell: pytest
@@ -229,6 +232,20 @@ class TestVerify:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith("error: bound sides must be finite")
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["verify --kind h1 --scale 1e160 --seeds 1",
+         "verify --kind h2 --scale 1e200 --seeds 1",
+         "verify --kind torus --scale 1e200 --seeds 1"],
+        ids=lambda argv: argv.replace(" ", "_"),
+    )
+    def test_overflowing_coefficients_exit_2(self, capsys, argv):
+        # W W^H overflows.  pytest captures the RuntimeWarning a shell would
+        # show, so warnings are made errors here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, *argv.split()) == (2, "", "error: potential coefficients must be finite\n")
 
     def test_torus_quadrature_converges_just_above_gamma_one(self, capsys):
         # at 8 nodes per mode seed 45's integral of V^2.1 moved 1.6e-8

@@ -72,6 +72,33 @@ class TestRandomPotential:
         with pytest.raises(ValueError, match="PSD"):
             pot.validate()
 
+    @pytest.mark.parametrize("m_dim", [2, 3])
+    def test_validate_rejects_a_small_negative_dip_in_a_block(self, m_dim):
+        # A rotated diag(2, ..., 1 + cos(theta) -+ eps): the smallest pointwise
+        # eigenvalue dips to -eps = -1e-8 of the largest at theta = pi, or
+        # stays at +eps.  The rotation mixes every entry, so the 2x2 closed
+        # form must resolve the dip through a cancellation, not read it off
+        # the diagonal.
+        eps = 2e-8
+        rng = np.random.default_rng(m_dim)
+        unitary, _ = np.linalg.qr(rng.standard_normal((m_dim, m_dim))
+                                  + 1j * rng.standard_normal((m_dim, m_dim)))
+        for sign, rejected in ((-1.0, True), (1.0, False)):
+            coeffs = np.zeros((3, m_dim, m_dim), dtype=complex)
+            coeffs[1] = np.diag([2.0] * (m_dim - 1) + [1.0 + sign * eps])
+            coeffs[0, -1, -1] = coeffs[2, -1, -1] = 0.5
+            pot = _hermitized_conjugation(sp1.MatrixPotential(coeffs), unitary)
+            if rejected:
+                with pytest.raises(ValueError, match="PSD"):
+                    pot.validate()
+            else:
+                pot.validate()
+
+    def test_non_finite_coefficients_rejected_first(self):
+        coeffs = np.array([np.nan, 1.0, 0.9], dtype=complex).reshape(3, 1, 1)  # also unpaired
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            sp1.MatrixPotential(coeffs)
+
     def test_validation_rejects_bad_params(self):
         with pytest.raises(ValueError):
             sp1.random_psd_potential(0, 1, 1.0, 0)
@@ -85,6 +112,67 @@ def _assert_parity(got, want):
     assert float(np.max(np.abs(got - want))) <= 1e-14 * float(np.max(np.abs(want)))
     lattice = tuple(range(got.ndim - 2))
     assert np.array_equal(np.flip(got, lattice), got.conj().swapaxes(-1, -2))
+
+
+def _random_hermitian(rng, count, m_dim, scale=1.0):
+    x = rng.standard_normal((count, m_dim, m_dim)) + 1j * rng.standard_normal((count, m_dim, m_dim))
+    return scale * (x + x.conj().swapaxes(-1, -2))
+
+
+class TestBlockEigvalsh:
+    """The closed forms for 1x1 and 2x2 blocks against np.linalg.eigvalsh."""
+
+    @pytest.mark.parametrize("m_dim", [1, 2, 3])
+    def test_matches_eigvalsh_on_random_grids(self, m_dim):
+        values = _random_hermitian(np.random.default_rng(m_dim), 2000, m_dim).reshape(40, 50, m_dim, m_dim)
+        got, want = sp1._block_eigvalsh(values), np.linalg.eigvalsh(values)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.all(np.diff(got, axis=-1) >= 0.0)
+        if m_dim == 2:
+            norm = np.max(np.abs(want), axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-14 * norm)
+        else:
+            assert np.array_equal(got, want)
+
+    def test_double_eigenvalue(self):
+        values = np.array([[[0.7, 0.0], [0.0, 0.7]], [[-3.0, 0.0], [0.0, -3.0]]], dtype=complex)
+        assert np.array_equal(sp1._block_eigvalsh(values), [[0.7, 0.7], [-3.0, -3.0]])
+
+    def test_rank_one_psd_blocks(self):
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((5000, 2)) + 1j * rng.standard_normal((5000, 2))
+        v *= np.exp(rng.uniform(-30.0, 30.0, (5000, 1)))  # magnitudes across 26 decades
+        evs = sp1._block_eigvalsh(v[:, :, None] * v[:, None, :].conj())
+        assert np.all(evs[:, 0] >= -1e-15 * evs[:, 1])
+        assert np.all(evs[:, 0] <= 1e-15 * evs[:, 1])
+
+    def test_zero_blocks(self):
+        for m_dim in (1, 2):
+            out = sp1._block_eigvalsh(np.zeros((4, m_dim, m_dim), dtype=complex))
+            assert np.array_equal(out, np.zeros((4, m_dim)))
+
+    def test_rounding_level_imaginary_diagonal_is_ignored(self):
+        values = _random_hermitian(np.random.default_rng(3), 500, 2)
+        noisy = values.copy()
+        noisy[:, [0, 1], [0, 1]] += 1e-16j * np.abs(values[:, [0, 1], [0, 1]])
+        assert np.array_equal(sp1._block_eigvalsh(noisy), sp1._block_eigvalsh(values))
+        assert np.array_equal(np.linalg.eigvalsh(noisy), np.linalg.eigvalsh(values))
+
+    def test_lower_triangle_is_read(self):
+        values = np.array([[[1.0, 5.0], [2.0, 1.0]]], dtype=complex)
+        assert np.array_equal(sp1._block_eigvalsh(values), np.linalg.eigvalsh(values))
+        assert np.array_equal(sp1._block_eigvalsh(values), [[-1.0, 3.0]])
+
+    def test_huge_entries_stay_finite(self):
+        values = _random_hermitian(np.random.default_rng(5), 500, 2, scale=1e300)
+        # equal diagonals at 1.7e308, whose plain sum a + d would overflow
+        values[:5] = np.diag([1.7e308, 1.7e308])
+        values[5:10, 1, 0] = values[5:10, 0, 1] = 1e308
+        got, want = sp1._block_eigvalsh(values), np.linalg.eigvalsh(values)
+        finite = np.isfinite(want)
+        assert finite.all() and np.isfinite(got).all()
+        norm = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-14 * norm)
 
 
 class TestGeneratorParity:

@@ -87,6 +87,15 @@ class TestConstantBound:
             )
             assert torus.lt_constant_bound(1.5, sel, d) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("aspect", [1.0, 0.5, 0.1, 0.01])
+    def test_orthonormal_constant_is_pi_over_6_at_every_aspect(self, aspect):
+        # c_p of the attractor estimates: the constant chain at gamma = 1 on the
+        # 2-torus stays in the unit regime, so it does not depend on the aspect
+        sel = torus.choose_betas(torus.TorusGeometry((aspect, 1.0)))
+        assert sel.in_unit_regime
+        c_p = special.lt_to_orthonormal_constant(torus.lt_constant_bound(1, sel, 2), 2)
+        assert c_p == pytest.approx(math.pi / 6.0, rel=1e-13)
+
     def test_gamma_validation(self):
         sel = torus.choose_betas(torus.TorusGeometry((1.0, 1.0)))
         with pytest.raises(ValueError):
