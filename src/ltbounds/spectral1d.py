@@ -25,6 +25,7 @@ eigensolve about four times faster than the complex Hermitian one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +52,9 @@ __all__ = [
 _PSD_TOL = 1e-10
 _PSD_SAMPLES = 512
 _EIG_CUT_REL = 1e-12
+# (band, nodes) phase tables kept per process: a verification uses two or
+# three, and each is at most a few hundred kB at CLI defaults
+_PHASE_MEMO_SIZE = 32
 # Largest dense Galerkin matrix (rows = modes * m_dim) any assembler builds:
 # 10,000 complex rows are 1.6 GB, and the eigensolver roughly doubles that.
 # A real cos/sin row costs half, but the complex scatter it is folded from
@@ -101,21 +105,35 @@ class MatrixPotential:
             raise ValueError(f"a phase grid of {math.prod(nodes)} nodes exceeds the dense budget")
         out = self.coeffs
         for axis, (b, n) in enumerate(zip(self.bands, nodes)):
-            theta = 2.0 * math.pi * np.arange(n) / n
-            phases = np.exp(1j * np.outer(theta, np.arange(-b, b + 1)))
+            phases = _phase_table(b, n)
             with np.errstate(over="ignore", invalid="ignore"):  # rejected as a non-finite side
                 out = np.moveaxis(np.tensordot(phases, out, axes=([1], [axis])), 0, axis)
         return out
 
     def validate(self) -> None:
-        """Assert pointwise positive semidefiniteness on a phase grid of
-        max(ceil(512^(1/d)), 4 nodes per mode) points per axis."""
+        """Assert finite, pointwise positive semidefinite values on a phase
+        grid of max(ceil(512^(1/d)), 4 nodes per mode) points per axis."""
         per_axis = math.ceil(_PSD_SAMPLES ** (1.0 / self.d))
         nodes = [max(per_axis, 4 * (2 * b + 1)) for b in self.bands]
-        evs = _block_eigvalsh(self.values_on_grid(nodes))
+        values = self.values_on_grid(nodes)
+        # An overflowed grid holds inf and NaN, which pass every comparison
+        # below.  Every bound side integrates V, so this is the error the CLI
+        # reports for any input that overflows.
+        if not np.all(np.isfinite(values)):
+            raise ValueError("bound sides must be finite: the potential overflows on its sample grid")
+        evs = _block_eigvalsh(values)
         scale = max(1.0, float(np.max(np.abs(evs))))
         if float(np.min(evs)) < -_PSD_TOL * scale:
             raise ValueError("potential is not pointwise PSD on the sample grid")
+
+
+@functools.lru_cache(maxsize=_PHASE_MEMO_SIZE)
+def _phase_table(b: int, n: int) -> np.ndarray:
+    """Read-only (n, 2b+1) table exp(i k theta_j), theta_j = 2 pi j / n, |k| <= b."""
+    theta = 2.0 * math.pi * np.arange(n) / n
+    phases = np.exp(1j * np.outer(theta, np.arange(-b, b + 1)))
+    phases.flags.writeable = False
+    return phases
 
 
 @dataclass(frozen=True)
@@ -207,6 +225,9 @@ def _power_integral(potential: MatrixPotential, p: float, volume: float, nodes) 
     Tr V_+^p is not band-limited for fractional p, so the grid (at least 4
     nodes per mode on every axis) is doubled: a relative drift above 1e-8
     raises ConvergenceError, and otherwise the refined value is returned.
+    V is evaluated once, on the doubled grid: node j of an n-node axis,
+    2 pi j / n, equals node 2j of the 2n-node axis bitwise, so the coarse
+    rule sums every second node of the refined pass.
     """
     if p < 1:
         raise ValueError("power p must be >= 1")
@@ -215,13 +236,13 @@ def _power_integral(potential: MatrixPotential, p: float, volume: float, nodes) 
     if len(nodes) != len(minimum) or any(n < lo for n, lo in zip(nodes, minimum)):
         raise ValueError(f"grid {nodes} below minimum {minimum}")
 
-    def quad(grid: tuple) -> float:
-        evs = np.clip(_block_eigvalsh(potential.values_on_grid(grid)), 0.0, None)
-        with np.errstate(over="ignore"):  # an overflow is rejected as a non-finite side
-            return float(volume / math.prod(grid) * np.sum(evs**p))
-
-    value = quad(nodes)
-    refined = quad(tuple(2 * n for n in nodes))
+    fine = tuple(2 * n for n in nodes)
+    evs = np.clip(_block_eigvalsh(potential.values_on_grid(fine)), 0.0, None)
+    with np.errstate(over="ignore"):  # an overflow is rejected as a non-finite side
+        powers = evs**p
+        coarse = powers[(slice(None, None, 2),) * len(nodes)]  # every second node per axis
+        value = float(volume / math.prod(nodes) * np.sum(coarse))
+        refined = float(volume / math.prod(fine) * np.sum(powers))
     _check_doubling(value, refined, "power integral")
     return refined
 
@@ -354,10 +375,12 @@ def assemble_h2(potential: MatrixPotential, delta: float, n_max: int) -> np.ndar
 
 def negative_spectrum(matrix: np.ndarray) -> EigenReport:
     """Magnitudes of eigenvalues below -cut, cut = 1e-12 * max|A|, descending."""
-    if not np.all(np.isfinite(matrix)):
+    # one pass over the matrix: max|A| is inf or NaN exactly when an entry is
+    scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
+    if not math.isfinite(scale):
         raise ValueError("matrix contains non-finite entries")
     evs = np.linalg.eigvalsh(matrix)
-    cut = _EIG_CUT_REL * float(np.max(np.abs(matrix))) if matrix.size else 0.0
+    cut = _EIG_CUT_REL * scale
     neg = np.sort(-evs[evs < -cut])[::-1]
     return EigenReport(negatives=tuple(float(v) for v in neg))
 

@@ -94,6 +94,13 @@ class TestRandomPotential:
             else:
                 pot.validate()
 
+    def test_validate_rejects_values_that_overflow_on_the_grid(self):
+        # V = 1e308 (1 + 2 cos theta): finite coefficients whose grid values
+        # overflow to inf and NaN, which no PSD comparison catches
+        pot = sp1.MatrixPotential(np.full((3, 1, 1), 1e308, dtype=complex))
+        with pytest.raises(ValueError, match="overflows on its sample grid"):
+            pot.validate()
+
     def test_non_finite_coefficients_rejected_first(self):
         coeffs = np.array([np.nan, 1.0, 0.9], dtype=complex).reshape(3, 1, 1)  # also unpaired
         with pytest.raises(ValueError, match="coefficients must be finite"):
@@ -219,6 +226,35 @@ class TestTracePowerIntegral:
             sp1.trace_power_integral(pot, 1.5, TWO_PI, grid=8 * (2 * pot.bands[0] + 1))
         sp1.trace_power_integral(pot, 1.5, TWO_PI)  # default grid is fine
 
+    @pytest.mark.parametrize("d, m_dim", [(1, 1), (1, 2), (1, 3), (2, 1)])
+    def test_one_grid_evaluation_per_call(self, monkeypatch, d, m_dim):
+        pot = sp1.MatrixPotential(sp1._psd_coeffs(d, m_dim, 1, 1.0, 4))
+        grids, pairs = [], []
+        evaluate = sp1.MatrixPotential.values_on_grid
+
+        def counted(self, nodes):
+            grids.append(tuple(nodes))
+            return evaluate(self, nodes)
+
+        monkeypatch.setattr(sp1.MatrixPotential, "values_on_grid", counted)
+        monkeypatch.setattr(sp1, "_check_doubling", lambda a, b, _: pairs.append((a, b)))
+        nodes = (4 * (2 * pot.bands[0] + 1),) * d
+        p = 1.5
+        refined = sp1._power_integral(pot, p, 3.0, nodes)
+        assert grids == [tuple(2 * n for n in nodes)]
+        (coarse, passed), = pairs
+        assert passed == refined
+        # the coarse rule read off the refined pass is the rule on its own grid
+        evs = np.clip(sp1._block_eigvalsh(evaluate(pot, nodes)), 0.0, None)
+        separate = 3.0 / math.prod(nodes) * float(np.sum(evs**p))
+        assert coarse == pytest.approx(separate, rel=1e-15, abs=0.0)
+
+    def test_coarse_nodes_are_the_even_fine_nodes(self):
+        for n in (8, 36, 288, 640):
+            coarse = 2.0 * math.pi * np.arange(n) / n
+            fine = 2.0 * math.pi * np.arange(2 * n) / (2 * n)
+            assert np.array_equal(coarse, fine[::2])
+
     def test_grid_minimum_enforced(self):
         pot = sp1.random_psd_potential(1, 2, 1.0, 1)
         with pytest.raises(ValueError):
@@ -228,6 +264,26 @@ class TestTracePowerIntegral:
         pot = sp1.constant_potential(1.0)
         with pytest.raises(ValueError):
             sp1.trace_power_integral(pot, 0.5, TWO_PI)
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("b, n", [(0, 4), (2, 80), (4, 576), (8, 512)])
+    def test_read_only_and_bitwise_the_fresh_table(self, b, n):
+        theta = 2.0 * math.pi * np.arange(n) / n
+        fresh = np.exp(1j * np.outer(theta, np.arange(-b, b + 1)))
+        table = sp1._phase_table(b, n)
+        assert np.array_equal(table, fresh)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        assert sp1._phase_table(b, n) is table
+
+    def test_memo_is_bounded(self):
+        size = sp1._PHASE_MEMO_SIZE
+        assert sp1._phase_table.cache_info().maxsize == size
+        for n in range(4, 4 + 2 * size):
+            sp1._phase_table(0, n)
+        assert sp1._phase_table.cache_info().currsize == size
 
 
 class TestAssembly:
@@ -397,6 +453,15 @@ class TestNegativeSpectrum:
         bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             sp1.negative_spectrum(bad)
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_every_non_finite_entry_rejected(self, entry):
+        bad = np.array([[1.0, 0.0], [entry, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            sp1.negative_spectrum(bad)
+
+    def test_empty_matrix(self):
+        assert sp1.negative_spectrum(np.zeros((0, 0))).negatives == ()
 
 
 class TestRieszMean:

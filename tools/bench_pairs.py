@@ -61,9 +61,12 @@ def summary(runs: dict, better: dict) -> dict:
 
 
 def workload_counts(specs: list) -> dict:
+    """{workload: pair count} from WORKLOAD=N strings; a later spec of a workload wins."""
     counts = {}
     for spec in specs:
         name, _, count = spec.partition("=")
+        if not (name and count.isdigit()):
+            raise ValueError(f"expected WORKLOAD=N, got {spec!r}")
         counts[name] = int(count)
     return counts
 
@@ -76,6 +79,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=N")
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD=N")
     args = parser.parse_args(argv)
+    try:
+        plans = ((0, workload_counts(args.pairs), "end_to_end"),
+                 (1, workload_counts(args.traced), "per_layer"))
+    except ValueError as exc:
+        parser.error(str(exc))
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for root in roots.values():
@@ -83,9 +91,9 @@ def main(argv=None) -> int:
                        cwd=root, check=True)
     doc = {"command": f"python3 bench/run.py --workload W --seed S --seconds {SECONDS}"
                       " --trace 0|1, alternating parent and change"}
-    for trace, counts, kind in ((0, args.pairs, "end_to_end"), (1, args.traced, "per_layer")):
+    for trace, counts, kind in plans:
         better = {m["name"]: m["better"] for m in spec[kind]}
-        for workload, count in workload_counts(counts).items():
+        for workload, count in counts.items():
             runs = {side: [] for side in SIDES}
             for i in range(count):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
