@@ -1,11 +1,11 @@
 """Closed-form attractor-dimension bounds for damped-driven 2D flows.
 
 Pure arithmetic on the flow parameters; the only state is a validity guard
-on the elongated-torus estimate.  The density-bound constants enter as
-parameters so sharper values can be plugged in later:
-
-  * square torus:    c_lt (default 3/2),
-  * elongated torus: c_p (default pi/6) and c_q (default 6).
+on the elongated-torus estimate.  The density-bound constants c_lt (square
+torus, default 3/2) and c_q (elongated torus, default 6) are parameters, so
+sharper values can be plugged in later.  C_P = pi/6, the elongated estimate's
+orthonormal-family constant, ends the constant chain at gamma = 1 on the
+2-torus, which stays in the unit regime at every period ratio.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ __all__ = [
     "dim_bound_square",
     "dim_bound_elongated",
     "kolmogorov_number",
+    "C_P",
 ]
+
+C_P = math.pi / 6.0
 
 
 class ValidityError(ValueError):
@@ -65,23 +68,21 @@ def dim_bound_square(params: FlowParams, c_lt: float = 1.5) -> float:
     return min(first, second)
 
 
-def dim_bound_elongated(
-    params: FlowParams, c_p: float = math.pi / 6.0, c_q: float = 6.0
-) -> float:
-    """(c_p/2 + sqrt(c_p c_q)) * ||grad g||^2 / (nu mu^3), aspect-uniform.
+def dim_bound_elongated(params: FlowParams, c_q: float = 6.0) -> float:
+    """(C_P/2 + sqrt(C_P c_q)) * ||grad g||^2 / (nu mu^3), aspect-uniform.
 
-    Defaults give the coefficient pi/12 + sqrt(pi).  Only valid for
+    The default c_q gives the coefficient pi/12 + sqrt(pi).  Only valid for
     nu <= 8 mu L^2 (the hypothesis of the underlying trace estimate); outside
     that region no bound is claimed and ValidityError is raised.
     """
-    if c_p <= 0 or c_q <= 0:
-        raise ValueError("constants must be positive")
+    if c_q <= 0:
+        raise ValueError("c_q must be positive")
     if params.nu > 8.0 * params.mu * params.length**2:
         raise ValidityError(
             f"nu={params.nu} exceeds 8*mu*L^2={8.0 * params.mu * params.length**2}; "
             "the elongated-torus estimate does not apply"
         )
-    coeff = 0.5 * c_p + math.sqrt(c_p * c_q)
+    coeff = 0.5 * C_P + math.sqrt(C_P * c_q)
     return coeff * params.grad_g_norm**2 / (params.nu * params.mu**3)
 
 

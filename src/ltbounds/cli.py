@@ -49,7 +49,7 @@ def _fail_usage(message: str) -> int:
 
 def cmd_constants(args) -> int:
     lcl = special.semiclassical_constant(args.gamma, args.d)
-    scaled = (math.pi / math.sqrt(3.0)) ** args.d * lcl
+    scaled = spectral1d._lt_constant(args.gamma, 1.0, args.d)
     body = {
         "semiclassical_constant": lcl,
         "torus_bound_constant": scaled,
@@ -118,8 +118,6 @@ def cmd_verify(args) -> int:
         return _fail_usage("--seeds must be >= 1")
     if args.rhs_scale <= 0:
         return _fail_usage("--rhs-scale must be > 0")
-    if args.kind in ("h1", "trace1", "torus") and not args.alpha > 0:
-        return _fail_usage("this kind requires --alpha > 0")
 
     # Seeds run in order on this thread; the dense eigensolves' BLAS threads
     # are the only parallelism, since a seed pool on top oversubscribes cores.
@@ -161,8 +159,8 @@ def cmd_attractor(args) -> int:
         value = attractor.dim_bound_square(params, c_lt=args.c_lt)
         constants = {"c_lt": args.c_lt}
     elif args.formula == "elongated":
-        value = attractor.dim_bound_elongated(params, c_p=args.c_p, c_q=args.c_q)
-        constants = {"c_p": args.c_p, "c_q": args.c_q}
+        value = attractor.dim_bound_elongated(params, c_q=args.c_q)
+        constants = {"c_p": attractor.C_P, "c_q": args.c_q}
     else:
         value = attractor.kolmogorov_number(params)
         constants = {}
@@ -233,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-g", type=finite_float, default=1.0)
     p.add_argument("--aspect", type=finite_float, default=1.0)
     p.add_argument("--c-lt", type=finite_float, default=1.5)
-    p.add_argument("--c-p", type=finite_float, default=math.pi / 6.0)
     p.add_argument("--c-q", type=finite_float, default=6.0)
     p.set_defaults(func=cmd_attractor)
 

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import interp
 from .reports import BoundReport
-from .spectral1d import MatrixPotential, _autocorrelation, _power_integral
+from .spectral1d import MatrixPotential, _autocorrelation, _form, _power_integral
 
 __all__ = [
     "OrthonormalFamily",
@@ -88,8 +87,8 @@ def random_orthonormal_family(
     """Gaussian coefficients orthonormalized by QR in coefficient space.
 
     With zero_mean the k = 0 coefficients are excluded from the working
-    space, so they come out exactly zero.  Retries up to 3 fresh draws on
-    (numerically impossible but cheap to guard) rank deficiency.
+    space, so they come out exactly zero.  A rank-deficient draw (numerically
+    impossible, but cheap to guard) raises RuntimeError.
     """
     capacity = m_dim * (2 * band if zero_mean else 2 * band + 1)
     if n_members < 0 or n_members > capacity:
@@ -101,46 +100,17 @@ def random_orthonormal_family(
     if zero_mean:
         keep[band] = False
     rng = np.random.default_rng(seed)
-    for _ in range(3):
-        x = rng.standard_normal((capacity, n_members)) + 1j * rng.standard_normal(
-            (capacity, n_members)
-        )
-        q, r = np.linalg.qr(x)
-        if float(np.min(np.abs(np.diag(r)))) > 1e-10:
-            coeffs = np.zeros(shape, dtype=complex)
-            coeffs[:, keep, :] = q.T.reshape(n_members, int(keep.sum()), m_dim)
-            fam = OrthonormalFamily(coeffs)
-            defect = fam.gram_defect()
-            if defect > 1e-12:
-                raise AssertionError(f"Gram defect {defect:.3e} exceeds 1e-12")
-            return fam
-    raise RuntimeError("rank-deficient draws three times in a row")
-
-
-def _mode_weights(band: int, alpha: float, beta: float, mode: str) -> np.ndarray:
-    ks = np.arange(-band, band + 1, dtype=float)
-    if mode == "add":
-        return (alpha * ks) ** 2 + alpha**2 * beta
-    if mode == "subtract":
-        return ks**2 - beta
-    raise ValueError(f"mode must be 'add' or 'subtract', got {mode!r}")
-
-
-def _check_mode_preconditions(fam: OrthonormalFamily, beta: float, mode: str, alpha: float) -> None:
-    if mode == "subtract":
-        if not fam.zero_mean:
-            raise ValueError("subtract mode requires a zero-mean family")
-        if not 0.0 <= beta < 1.0:
-            raise ValueError("subtract mode requires beta in [0, 1)")
-        if alpha != 1.0:
-            raise ValueError("subtract mode lives on period 2*pi, alpha = 1")
-    elif mode == "add":
-        if beta <= 0:
-            raise ValueError("add mode requires beta > 0")
-        if alpha <= 0:
-            raise ValueError("add mode requires alpha > 0")
-    else:
-        raise ValueError(f"mode must be 'add' or 'subtract', got {mode!r}")
+    x = rng.standard_normal((capacity, n_members)) + 1j * rng.standard_normal((capacity, n_members))
+    q, r = np.linalg.qr(x)
+    if not float(np.min(np.abs(np.diag(r)))) > 1e-10:
+        raise RuntimeError("rank-deficient draw")
+    coeffs = np.zeros(shape, dtype=complex)
+    coeffs[:, keep, :] = q.T.reshape(n_members, int(keep.sum()), m_dim)
+    fam = OrthonormalFamily(coeffs)
+    defect = fam.gram_defect()
+    if defect > 1e-12:
+        raise AssertionError(f"Gram defect {defect:.3e} exceeds 1e-12")
+    return fam
 
 
 def density_and_kinetic(
@@ -152,20 +122,21 @@ def density_and_kinetic(
     potential W W^H, and its cube is integrated by the potential layer's
     quadrature on 8 nodes per density mode, refined by doubling.
     """
-    _check_mode_preconditions(fam, beta, mode, alpha)
+    form = _form(mode, beta, alpha)
+    if form.projected and not fam.zero_mean:
+        raise ValueError("the mass-subtracted form needs a zero-mean family")
     w = math.sqrt(alpha / TWO_PI) * np.moveaxis(fam.coeffs, 0, -1)
     density = MatrixPotential(_autocorrelation(w))
     lhs = _power_integral(density, 3, TWO_PI / alpha, (8 * (2 * fam.band + 1),))
-    weights = _mode_weights(fam.band, alpha, beta, mode)
-    kinetic = float(np.einsum("k,nkj->", weights, np.abs(fam.coeffs) ** 2).real)
+    kinetic = float(np.einsum("k,nkj->", form.weights(fam.band), np.abs(fam.coeffs) ** 2).real)
     return lhs, kinetic
 
 
-def _verify_trace(fam, beta, mode, solve_k, params, seed) -> BoundReport:
-    # Shared body of the trace verifiers; solve_k is K1 or K2, and params
-    # (alpha for the add form) reach the density and the metadata.
+def _verify_trace(fam, beta, mode, params, seed) -> BoundReport:
+    # Shared body of the trace verifiers; params (alpha for the add form)
+    # reach the form, the density and the metadata.
     lhs, kinetic = density_and_kinetic(fam, beta, mode, **params)
-    k_const = solve_k(beta).value
+    k_const = _form(mode, beta, **params).solve_k().value
     rhs = k_const**2 * kinetic
     meta = {
         "kind": f"trace_{mode}",
@@ -183,12 +154,12 @@ def _verify_trace(fam, beta, mode, solve_k, params, seed) -> BoundReport:
 def verify_trace1(fam: OrthonormalFamily, alpha: float, beta: float, seed: int | None = None) -> BoundReport:
     """Cubed-density trace bound with the mass-added kinetic form and K1^2,
     on the period 2pi/alpha."""
-    return _verify_trace(fam, beta, "add", interp.k1, {"alpha": alpha}, seed)
+    return _verify_trace(fam, beta, "add", {"alpha": alpha}, seed)
 
 
 def verify_trace2(fam: OrthonormalFamily, beta: float, seed: int | None = None) -> BoundReport:
     """Zero-mean mirror of :func:`verify_trace1` on period 2pi, with K2(beta)^2."""
-    return _verify_trace(fam, beta, "subtract", interp.k2, {}, seed)
+    return _verify_trace(fam, beta, "subtract", {}, seed)
 
 
 def verify_interpolation(
@@ -210,18 +181,11 @@ def verify_interpolation(
     if c.ndim != 1 or len(c) % 2 == 0:
         raise ValueError("coeffs must be a 1D array of odd length")
     band = (len(c) - 1) // 2
+    form = _form(which, beta, alpha)
+    if form.projected and abs(c[band]) > 1e-12 * max(1.0, float(np.linalg.norm(c))):
+        raise ValueError("the mass-subtracted form needs a zero-mean function")
+    k_const = form.solve_k().value
     ks = np.arange(-band, band + 1, dtype=float)
-    if which == "subtract":
-        if abs(alpha - 1.0) > 1e-12:
-            raise ValueError("subtract mode lives on the period-2*pi circle")
-        if abs(c[band]) > 1e-12 * max(1.0, float(np.linalg.norm(c))):
-            raise ValueError("subtract mode requires a zero-mean function")
-        k_const = interp.k2(beta).value
-    elif which == "add":
-        k_const = interp.k1(beta).value
-    else:
-        raise ValueError(f"which must be 'add' or 'subtract', got {which!r}")
-    weights = _mode_weights(band, alpha, beta, which)
 
     period = TWO_PI / alpha
     n = 16 * (2 * band + 1)
@@ -246,7 +210,7 @@ def verify_interpolation(
             sup2 = max(sup2, float(np.abs(ur) ** 2))
 
     norm2 = float(np.sum(np.abs(c) ** 2))
-    quad_form = float(np.sum(weights * np.abs(c) ** 2))
+    quad_form = float(np.sum(form.weights(band) * np.abs(c) ** 2))
     rhs = k_const * math.sqrt(max(quad_form, 0.0)) * math.sqrt(norm2)
     return BoundReport.build(
         sup2,

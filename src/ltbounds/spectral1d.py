@@ -100,9 +100,11 @@ class MatrixPotential:
 
     def values_on_grid(self, nodes) -> np.ndarray:
         """V on the uniform phase grid with nodes[j] points on axis j; shape (*nodes, m, m)."""
-        # no grid holds more entries than the largest dense Galerkin matrix
-        if math.prod(nodes) * self.m_dim**2 > ROW_BUDGET**2:
-            raise ValueError(f"a phase grid of {math.prod(nodes)} nodes exceeds the dense budget")
+        # neither the grid nor an axis's memoised (nodes, 2b+1) phase table holds
+        # more entries than the largest dense Galerkin matrix
+        tables = [n * (2 * b + 1) for b, n in zip(self.bands, nodes)]
+        if max([math.prod(nodes) * self.m_dim**2, *tables]) > ROW_BUDGET**2:
+            raise ValueError(f"a grid of {math.prod(nodes)} nodes or its phase tables exceed the dense budget")
         out = self.coeffs
         for axis, (b, n) in enumerate(zip(self.bands, nodes)):
             phases = _phase_table(b, n)
@@ -156,6 +158,9 @@ def _psd_coeffs(d: int, m_dim: int, band: int, scale: float, seed: int) -> np.nd
     blocks of standard deviation `scale`."""
     if d < 1 or m_dim < 1 or band < 0 or scale <= 0:
         raise ValueError("invalid potential parameters")
+    # V has band 2*band, which every truncation must cover: the smallest such
+    # Galerkin matrix must fit before the autocorrelation loops over V's offsets
+    _check_rows((2 * band,) * d, m_dim, projected=band > 0)
     rng = np.random.default_rng(seed)
     shape = (2 * band + 1,) * d + (m_dim, m_dim)
     w = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
@@ -209,7 +214,7 @@ def _block_eigvalsh(values: np.ndarray) -> np.ndarray:
     m = values.shape[-1]
     if m == 1:
         return values[..., 0, :].real
-    if m > 2:
+    if m != 2:  # empty blocks included
         return np.linalg.eigvalsh(values)
     a, d = values[..., 0, 0].real * 0.5, values[..., 1, 1].real * 0.5
     mean, radius = a + d, np.hypot(a - d, np.abs(values[..., 1, 0]))
@@ -261,13 +266,10 @@ def _quad_grid_1d(potential: MatrixPotential) -> int:
     return 32 * (2 * potential.bands[0] + 1)
 
 
-def trace_power_integral(
-    potential: MatrixPotential, p: float, period: float, grid: int | None = None
-) -> float:
-    """Integral of Tr V_+^p over one period of a 1D potential, on `grid`
-    nodes (default 32 per mode) refined by doubling."""
-    n = grid if grid is not None else _quad_grid_1d(potential)
-    return _power_integral(potential, p, period, (n,))
+def trace_power_integral(potential: MatrixPotential, p: float, period: float) -> float:
+    """Integral of Tr V_+^p over one period of a 1D potential, on 32 nodes
+    per mode refined by doubling."""
+    return _power_integral(potential, p, period, (_quad_grid_1d(potential),))
 
 
 def _assemble_lattice(modes: np.ndarray, kinetic: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -322,6 +324,19 @@ def _real_form(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _check_rows(n_modes, m_dim: int, projected: bool) -> None:
+    """Reject a Galerkin matrix on |k_j| <= n_j (k_d != 0 if projected) over ROW_BUDGET rows."""
+    last = 2 * n_modes[-1] + (0 if projected else 1)
+    rows = math.prod(2 * n + 1 for n in n_modes[:-1]) * last * m_dim
+    if rows > ROW_BUDGET:
+        raise ValueError(f"Galerkin size {rows} exceeds the dense budget {ROW_BUDGET} rows")
+
+
+def _kinetic(alphas, modes: np.ndarray, mass: float) -> np.ndarray:
+    """The kinetic diagonal sum_j (alpha_j k_j)^2 + mass of each mode row k."""
+    return np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
+
+
 def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, projected) -> np.ndarray:
     """Galerkin matrix of -sum_j alpha_j^2 d_j^2 + mass - V on the modes |k_j| <= n_j.
 
@@ -339,38 +354,63 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
         raise ValueError("truncation must cover the potential band")
     if projected and n_modes[-1] < 1:
         raise ValueError("need at least one mode pair along the projected axis")
-    # counted before the (2n+1)^d box is built
-    last = 2 * n_modes[-1] + (0 if projected else 1)
-    rows = math.prod(2 * n + 1 for n in n_modes[:-1]) * last * potential.m_dim
-    if rows > ROW_BUDGET:
-        raise ValueError(f"Galerkin size {rows} exceeds the dense budget {ROW_BUDGET} rows")
+    _check_rows(n_modes, potential.m_dim, projected)  # before the (2n+1)^d box is built
     mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in n_modes], indexing="ij")
     modes = np.stack([g.ravel() for g in mesh], axis=-1)
     if projected:
         modes = modes[modes[:, -1] != 0]
-    kinetic = np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
-    a = _assemble_lattice(modes, kinetic, potential.coeffs)
+    a = _assemble_lattice(modes, _kinetic(alphas, modes, mass), potential.coeffs)
     # MatrixPotential's exact adjoint pairing makes a 1x1-block V real
     return _real_form(a) if projected and potential.m_dim == 1 else a
 
 
+@dataclass(frozen=True)
+class _Form:
+    """A 1D quadratic form of h1/h2, trace1/trace2 and the interpolation check:
+    alpha^2 k^2 + mass on the modes exp(i k alpha x) of the period 2pi/alpha,
+    only k != 0 when `projected`; solve_k() gives its sharp constant."""
+
+    alpha: float
+    mass: float
+    projected: bool
+    solve_k: functools.partial
+
+    def weights(self, band: int) -> np.ndarray:
+        """The kinetic diagonal on the modes |k| <= band, k = 0 included."""
+        return _kinetic((self.alpha,), np.arange(-band, band + 1)[:, None], self.mass)
+
+    def operator(self, potential: MatrixPotential, n_max: int) -> np.ndarray:
+        """Galerkin matrix of the form minus V on the modes |k| <= n_max."""
+        if potential.d != 1:
+            raise ValueError("the 1D forms need a 1D potential")
+        return _lattice_operator(potential, (self.alpha,), self.mass, (n_max,), self.projected)
+
+
+def _form(which: str, beta: float, alpha: float = 1.0) -> _Form:
+    """The checked mass-added form ("add": + alpha^2 beta, K1(beta)) or the
+    zero-mean mass-subtracted one ("subtract": - beta on period 2pi, K2(beta))."""
+    if which == "add":
+        if not (alpha > 0 and beta > 0):
+            raise ValueError("the mass-added form needs alpha > 0 and beta > 0")
+        return _Form(alpha, alpha * alpha * beta, False, functools.partial(interp.k1, beta))
+    if which == "subtract":
+        if not 0.0 <= beta < 1.0:
+            raise ValueError("the mass-subtracted form needs beta in [0, 1)")
+        if alpha != 1.0:
+            raise ValueError("the mass-subtracted form lives on period 2*pi, alpha = 1")
+        return _Form(alpha, -beta, True, functools.partial(interp.k2, beta))
+    raise ValueError(f"expected form 'add' or 'subtract', got {which!r}")
+
+
 def assemble_h1(potential: MatrixPotential, alpha: float, beta: float, n_max: int) -> np.ndarray:
     """Galerkin matrix of the mass-added operator on modes |k| <= n_max."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    if potential.d != 1:
-        raise ValueError("the mass-added operator needs a 1D potential")
-    return _lattice_operator(potential, (alpha,), alpha * alpha * beta, (n_max,), projected=False)
+    return _form("add", beta, alpha).operator(potential, n_max)
 
 
 def assemble_h2(potential: MatrixPotential, delta: float, n_max: int) -> np.ndarray:
     """Galerkin matrix of the mass-subtracted operator on zero-mean modes |k| <= n_max,
     real symmetric in the cos/sin basis when the potential is scalar."""
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
-    if potential.d != 1:
-        raise ValueError("the mass-subtracted operator needs a 1D potential")
-    return _lattice_operator(potential, (1.0,), -delta, (n_max,), projected=True)
+    return _form("subtract", delta).operator(potential, n_max)
 
 
 def negative_spectrum(matrix: np.ndarray) -> EigenReport:
@@ -381,8 +421,8 @@ def negative_spectrum(matrix: np.ndarray) -> EigenReport:
         raise ValueError("matrix contains non-finite entries")
     evs = np.linalg.eigvalsh(matrix)
     cut = _EIG_CUT_REL * scale
-    neg = np.sort(-evs[evs < -cut])[::-1]
-    return EigenReport(negatives=tuple(float(v) for v in neg))
+    # eigvalsh is ascending, so the magnitudes come out descending
+    return EigenReport(negatives=tuple(float(v) for v in -evs[evs < -cut]))
 
 
 def _check_gamma(gamma: float) -> None:
@@ -439,11 +479,10 @@ def verify_bound_h1(
     _check_gamma(gamma)
     n = n_max if n_max is not None else potential.bands[0] + 32
     rep = negative_spectrum(assemble_h1(potential, alpha, beta, n))
-    grid = _quad_grid_1d(potential)
-    integral = trace_power_integral(potential, gamma + 0.5, 2.0 * math.pi / alpha, grid)
+    integral = trace_power_integral(potential, gamma + 0.5, 2.0 * math.pi / alpha)
     return _lattice_bound(
-        potential, rep, gamma, interp.k1(beta).value, integral, grid, seed,
-        operator="h1", alpha=alpha, beta=beta, truncation=n,
+        potential, rep, gamma, _form("add", beta, alpha).solve_k().value, integral,
+        _quad_grid_1d(potential), seed, operator="h1", alpha=alpha, beta=beta, truncation=n,
         m_dim=potential.m_dim, band=potential.bands[0],
     )
 
@@ -459,10 +498,9 @@ def verify_bound_h2(
     _check_gamma(gamma)
     n = n_max if n_max is not None else potential.bands[0] + 32
     rep = negative_spectrum(assemble_h2(potential, delta, n))
-    grid = _quad_grid_1d(potential)
-    integral = trace_power_integral(potential, gamma + 0.5, 2.0 * math.pi, grid)
+    integral = trace_power_integral(potential, gamma + 0.5, 2.0 * math.pi)
     return _lattice_bound(
-        potential, rep, gamma, interp.k2(delta).value, integral, grid, seed,
-        operator="h2", delta=delta, truncation=n,
+        potential, rep, gamma, _form("subtract", delta).solve_k().value, integral,
+        _quad_grid_1d(potential), seed, operator="h2", delta=delta, truncation=n,
         m_dim=potential.m_dim, band=potential.bands[0],
     )

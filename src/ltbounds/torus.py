@@ -167,14 +167,11 @@ def _quad_nodes(potential: ScalarPotentialD) -> tuple:
     return tuple(16 * (2 * b + 1) for b in potential.bands)
 
 
-def potential_power_integral(
-    potential: ScalarPotentialD, geom: TorusGeometry, p: float, grid=None
-) -> float:
-    """Integral of V_+^p over the torus: the tensor rectangle rule on the
-    stated grid (default 16 nodes per mode per axis), refined by doubling."""
+def potential_power_integral(potential: ScalarPotentialD, geom: TorusGeometry, p: float) -> float:
+    """Integral of V_+^p over the torus: the tensor rectangle rule on 16
+    nodes per mode per axis, refined by doubling."""
     _check_dimension(potential, geom)
-    nodes = grid if grid is not None else _quad_nodes(potential)
-    return _power_integral(potential, p, geom.volume, nodes)
+    return _power_integral(potential, p, geom.volume, _quad_nodes(potential))
 
 
 def verify_bound_torus(
@@ -194,10 +191,9 @@ def verify_bound_torus(
         n_modes = tuple(b + 12 for b in potential.bands)
     sel = choose_betas(geom)
     rep = negative_spectrum(assemble_torus_operator(potential, geom, n_modes))
-    nodes = _quad_nodes(potential)
-    integral = potential_power_integral(potential, geom, gamma + 0.5 * geom.d, nodes)
+    integral = potential_power_integral(potential, geom, gamma + 0.5 * geom.d)
     return _lattice_bound(
-        potential, rep, gamma, sel.constant_factor, integral, list(nodes), seed,
+        potential, rep, gamma, sel.constant_factor, integral, list(_quad_nodes(potential)), seed,
         operator="torus", d=geom.d, alphas=list(geom.alphas), betas=list(sel.betas),
         delta=sel.delta, unit_regime=sel.in_unit_regime, truncation=list(n_modes),
     )

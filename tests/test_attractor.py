@@ -72,8 +72,9 @@ class TestElongatedBound:
         assert val == pytest.approx(math.pi / 12.0 + math.sqrt(math.pi), rel=1e-12)
 
     def test_coefficient_identity(self):
-        # c_p/2 + sqrt(c_p c_q) with the default constants is pi/12 + sqrt(pi)
-        c_p, c_q = math.pi / 6.0, 6.0
+        # C_P/2 + sqrt(C_P c_q) with C_P = pi/6 and the default c_q is pi/12 + sqrt(pi)
+        c_p, c_q = attractor.C_P, 6.0
+        assert c_p == math.pi / 6.0
         assert 0.5 * c_p + math.sqrt(c_p * c_q) == pytest.approx(
             math.pi / 12.0 + math.sqrt(math.pi), rel=1e-14
         )

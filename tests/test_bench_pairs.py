@@ -57,6 +57,27 @@ class TestSummary:
         assert bench_pairs.summary(runs, BETTER) == {}
 
 
+class TestSignTest:
+    @pytest.mark.parametrize("wins, losses, p", [(9, 1, 0.0215), (10, 0, 0.00195), (5, 0, 0.0625)])
+    def test_pinned_values(self, wins, losses, p):
+        assert bench_pairs.sign_p(wins, losses) == pytest.approx(p, abs=5e-5)
+        assert bench_pairs.sign_p(losses, wins) == bench_pairs.sign_p(wins, losses)
+
+    def test_exact_values_and_bounds(self):
+        assert bench_pairs.sign_p(9, 1) == 22 / 1024
+        assert bench_pairs.sign_p(10, 0) == 2 / 1024
+        assert bench_pairs.sign_p(0, 0) == 1.0
+        assert bench_pairs.sign_p(5, 5) == 1.0
+
+    def test_summary_drops_ties(self):
+        # nine wins, one tie: p over the nine untied pairs, 2 / 2^9
+        runs = _runs([(1, 10)] * 10, [(2, 10)] * 9 + [(1, 10)])
+        out = bench_pairs.summary(runs, BETTER)
+        assert out["items_per_s"]["change_wins"] == 9
+        assert out["items_per_s"]["sign_p"] == 2 / 512
+        assert out["batch_s_p50"]["sign_p"] == 1.0  # every pair tied
+
+
 class TestWorkloadCounts:
     def test_counts(self):
         got = bench_pairs.workload_counts(["line1d=10", "torus-weak=5", "line1d=3"])

@@ -272,6 +272,20 @@ class TestVerify:
         assert err.startswith("error:") and "budget" in err
         assert err.splitlines() == [err.strip()]
 
+    def test_torus_band_no_budget_can_cover_exits_before_the_autocorrelation(self, capsys, monkeypatch):
+        # V's band 4 on the 7-torus: its smallest covering Galerkin matrix has
+        # 9^6 * 8 rows, so the (9^7)/2-offset autocorrelation must not start
+        def refuse(w):
+            raise AssertionError("autocorrelation ran for an uncoverable band")
+
+        monkeypatch.setattr(spectral1d, "_autocorrelation", refuse)
+        code, _, err = run(capsys, *"verify --kind torus --d 7 --seeds 1".split())
+        assert (code, err) == (2, "error: Galerkin size 4251528 exceeds the dense budget 10000 rows\n")
+        monkeypatch.undo()
+        # a coverable band over the budget at the default truncation keeps the late message
+        code, _, err = run(capsys, *"verify --kind torus --d 3 --band 0 --seeds 1".split())
+        assert (code, err) == (2, "error: Galerkin size 15000 exceeds the dense budget 10000 rows\n")
+
     def test_seeds_run_in_order_on_the_main_thread(self, capsys, monkeypatch):
         # BLAS threads are the only parallelism: a seed pool on top of them
         # oversubscribes the cores.
@@ -317,7 +331,7 @@ FLOATS = st.sampled_from(
 )
 FLOAT_FLAGS = {
     "--gamma", "--min", "--max", "--tol", "--beta", "--delta", "--alpha", "--scale",
-    "--rhs-scale", "--nu", "--mu", "--length", "--grad-g", "--aspect", "--c-lt", "--c-p", "--c-q",
+    "--rhs-scale", "--nu", "--mu", "--length", "--grad-g", "--aspect", "--c-lt", "--c-q",
 }
 
 
@@ -348,7 +362,7 @@ ARGV = st.one_of(
     _options("attractor", {
         "--formula": st.sampled_from(("square", "elongated", "kolmogorov")), "--nu": FLOATS,
         "--mu": FLOATS, "--length": FLOATS, "--grad-g": FLOATS, "--aspect": FLOATS,
-        "--c-lt": FLOATS, "--c-p": FLOATS, "--c-q": FLOATS,
+        "--c-lt": FLOATS, "--c-q": FLOATS,
     }),
 )
 
@@ -392,6 +406,13 @@ class TestAttractor:
     def test_invalid_params(self, capsys):
         code, _, _ = run(capsys, "attractor", "--nu", "0")
         assert code == 2
+
+    def test_c_p_is_fixed(self, capsys):
+        code, out, _ = run(capsys, "attractor", "--formula", "elongated")
+        assert json.loads(out)["constants"]["c_p"] == math.pi / 6.0
+        code, out, err = run(capsys, "attractor", "--formula", "elongated", "--c-p", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and "--c-p" in err
 
 
 class TestConfigFile:

@@ -98,6 +98,12 @@ class TestDensityAndKinetic:
             want = rho_cubed_loop(fam.coeffs, alpha, 16 * (2 * band + 1))
             assert abs(rho3 - want) <= 1e-12 * abs(want), (i, n, m_dim, band, mode, alpha)
 
+    @pytest.mark.parametrize("band", [0, 1])
+    def test_empty_components(self, band):
+        # zero-width (0, 0) density blocks: an empty spectrum, not an IndexError
+        fam = families.random_orthonormal_family(0, 0, band, False, 0)
+        assert families.density_and_kinetic(fam, 0.5, "add") == (0.0, 0.0)
+
     def test_mode_preconditions(self):
         fam = families.random_orthonormal_family(2, 1, 2, False, 2)
         with pytest.raises(ValueError):

@@ -201,7 +201,7 @@ class TestGeneratorParity:
 class TestTracePowerIntegral:
     def test_constant_scalar(self):
         pot = sp1.constant_potential(2.0)
-        val = sp1.trace_power_integral(pot, 1.5, TWO_PI, grid=8)
+        val = sp1._power_integral(pot, 1.5, TWO_PI, (8,))
         assert val == pytest.approx(TWO_PI * 2.0**1.5, rel=1e-14)
 
     def test_constant_diagonal(self):
@@ -209,13 +209,13 @@ class TestTracePowerIntegral:
         coeffs[0] = np.diag([0.5, 3.0])
         pot = sp1.MatrixPotential(coeffs)
         for p in (1.0, 1.5, 2.5):
-            val = sp1.trace_power_integral(pot, p, TWO_PI, grid=8)
+            val = sp1._power_integral(pot, p, TWO_PI, (8,))
             assert val == pytest.approx(TWO_PI * (0.5**p + 3.0**p), rel=1e-13)
 
     def test_grid_doubling_stable(self):
         pot = sp1.random_psd_potential(2, 3, 1.0, 3)
         a = sp1.trace_power_integral(pot, 1.5, TWO_PI)
-        b = sp1.trace_power_integral(pot, 1.5, TWO_PI, grid=64 * (2 * pot.bands[0] + 1))
+        b = sp1._power_integral(pot, 1.5, TWO_PI, (64 * (2 * pot.bands[0] + 1),))
         assert a == pytest.approx(b, rel=1e-8)
 
     def test_convergence_flag_fires_on_coarse_grid(self):
@@ -223,7 +223,7 @@ class TestTracePowerIntegral:
         # the fractional-power kink still moves the integral above the flag.
         pot = sp1.random_psd_potential(2, 2, 1.0, 0)
         with pytest.raises(ConvergenceError):
-            sp1.trace_power_integral(pot, 1.5, TWO_PI, grid=8 * (2 * pot.bands[0] + 1))
+            sp1._power_integral(pot, 1.5, TWO_PI, (8 * (2 * pot.bands[0] + 1),))
         sp1.trace_power_integral(pot, 1.5, TWO_PI)  # default grid is fine
 
     @pytest.mark.parametrize("d, m_dim", [(1, 1), (1, 2), (1, 3), (2, 1)])
@@ -258,7 +258,7 @@ class TestTracePowerIntegral:
     def test_grid_minimum_enforced(self):
         pot = sp1.random_psd_potential(1, 2, 1.0, 1)
         with pytest.raises(ValueError):
-            sp1.trace_power_integral(pot, 1.5, TWO_PI, grid=4)
+            sp1._power_integral(pot, 1.5, TWO_PI, (4,))
 
     def test_power_validation(self):
         pot = sp1.constant_potential(1.0)
@@ -425,6 +425,52 @@ class TestPairingAndBudget:
             sp1.assemble_h2(pot, 0.1, 8)
         with pytest.raises(ValueError, match="budget"):
             sp1.assemble_h1(pot, 1.0, 0.5, 7)
+
+
+    def test_phase_tables_count_against_the_budget(self, monkeypatch):
+        # a band-2 scalar potential: n grid entries but an n x 5 phase table
+        pot = sp1.MatrixPotential(sp1._psd_coeffs(1, 1, 1, 1.0, 0))
+        monkeypatch.setattr(sp1, "ROW_BUDGET", 40)
+        assert pot.values_on_grid((320,)).shape == (320, 1, 1)  # 1,600 table entries
+        sp1._phase_table.cache_clear()
+        with pytest.raises(ValueError, match="phase tables exceed the dense budget"):
+            pot.values_on_grid((321,))
+        assert sp1._phase_table.cache_info().currsize == 0  # rejected before it was built
+
+    def test_uncoverable_band_rejected_before_the_autocorrelation(self, monkeypatch):
+        def refuse(w):
+            raise AssertionError("autocorrelation ran")
+
+        monkeypatch.setattr(sp1, "_autocorrelation", refuse)
+        # V's band 2b needs at least 2 * 2b projected rows per component in 1D
+        monkeypatch.setattr(sp1, "ROW_BUDGET", 2 * 2 * 3 * 2 - 1)
+        with pytest.raises(ValueError, match="Galerkin size 24 exceeds"):
+            sp1.random_psd_potential(2, 3, 1.0, 0)
+
+
+class TestForms:
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (0.25, 0.3), (0.3, 0.7)])
+    def test_add_weights_are_the_h1_diagonal(self, alpha, beta):
+        pot = sp1.constant_potential(0.0)
+        for band in range(6):
+            want = np.diag(sp1.assemble_h1(pot, alpha, beta, band)).real
+            assert np.array_equal(sp1._form("add", beta, alpha).weights(band), want)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.7])
+    def test_subtract_weights(self, beta):
+        for band in range(6):
+            ks = np.arange(-band, band + 1, dtype=float)
+            assert np.array_equal(sp1._form("subtract", beta).weights(band), ks**2 - beta)
+
+    @pytest.mark.parametrize(
+        "which, beta, alpha, message",
+        [("add", 0.0, 1.0, "beta > 0"), ("add", 0.5, 0.0, "alpha > 0"),
+         ("subtract", 1.0, 1.0, r"beta in \[0, 1\)"), ("subtract", 0.5, 0.5, "alpha = 1"),
+         ("both", 0.5, 1.0, "'add' or 'subtract'")],
+    )
+    def test_parameter_checks(self, which, beta, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            sp1._form(which, beta, alpha)
 
 
 class TestNegativeSpectrum:

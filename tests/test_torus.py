@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ltbounds import interp, special, spectral1d, torus
+from ltbounds import attractor, interp, special, spectral1d, torus
 from ltbounds.reports import ConvergenceError
 from ltbounds.spectral1d import negative_spectrum, riesz_mean
 
@@ -89,12 +89,12 @@ class TestConstantBound:
 
     @pytest.mark.parametrize("aspect", [1.0, 0.5, 0.1, 0.01])
     def test_orthonormal_constant_is_pi_over_6_at_every_aspect(self, aspect):
-        # c_p of the attractor estimates: the constant chain at gamma = 1 on the
-        # 2-torus stays in the unit regime, so it does not depend on the aspect
+        # attractor.C_P: the constant chain at gamma = 1 on the 2-torus stays
+        # in the unit regime, so it does not depend on the aspect
         sel = torus.choose_betas(torus.TorusGeometry((aspect, 1.0)))
         assert sel.in_unit_regime
         c_p = special.lt_to_orthonormal_constant(torus.lt_constant_bound(1, sel, 2), 2)
-        assert c_p == pytest.approx(math.pi / 6.0, rel=1e-13)
+        assert c_p == pytest.approx(attractor.C_P, rel=1e-13)
 
     def test_gamma_validation(self):
         sel = torus.choose_betas(torus.TorusGeometry((1.0, 1.0)))
@@ -149,7 +149,7 @@ class TestScalarPotential:
     def test_power_integral_constant(self):
         pot = torus.ScalarPotentialD.constant(2, 2.0)
         geom = torus.TorusGeometry((1.0, 1.0))
-        val = torus.potential_power_integral(pot, geom, 2.0, grid=(4, 4))
+        val = spectral1d._power_integral(pot, 2.0, geom.volume, (4, 4))
         assert val == pytest.approx(4.0 * math.pi**2 * 4.0, rel=1e-13)
 
     def test_power_integral_scales_with_volume(self):
@@ -176,7 +176,7 @@ class TestScalarPotential:
         pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
         geom = torus.TorusGeometry((1.0, 1.0))
         with pytest.raises(ValueError, match="below minimum"):
-            torus.potential_power_integral(pot, geom, 2.5, grid=(10, 10))
+            spectral1d._power_integral(pot, 2.5, geom.volume, (10, 10))
 
     def test_power_integral_flags_coarse_grid(self):
         # V^2.5 is not a trig polynomial; at 20 nodes per axis, the minimum
@@ -185,7 +185,7 @@ class TestScalarPotential:
         pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
         geom = torus.TorusGeometry((1.0, 1.0))
         with pytest.raises(ConvergenceError):
-            torus.potential_power_integral(pot, geom, 2.5, grid=(20, 20))
+            spectral1d._power_integral(pot, 2.5, geom.volume, (20, 20))
         torus.potential_power_integral(pot, geom, 2.5)  # default grid is fine
 
 

@@ -10,8 +10,9 @@ Both checkouts' `src` and `bench` are byte-compiled first, so neither side's
 each checkout, parent first when i is even and change first when i is odd,
 both with seed S = 200 + i.  The file keeps each run's exit code and the
 `env` and result records that run.py prints last, and per metric the median
-and quartiles of each side and the number of pairs the change won (ties
-count for neither).  `--traced` adds pairs run with --trace 1, whose
+and quartiles of each side, the number of pairs the change won (ties
+count for neither) and the exact two-sided sign-test p-value over the
+pairs that are not tied.  `--traced` adds pairs run with --trace 1, whose
 per-layer metrics are kept the same way.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -42,8 +44,16 @@ def run(root: Path, workload: str, seed: int, trace: int) -> dict:
     return result
 
 
+def sign_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of wins against losses (ties dropped)."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2**n)
+
+
 def summary(runs: dict, better: dict) -> dict:
-    """Median, quartiles and change wins per metric, over pairs with both sides correct."""
+    """Median, quartiles, change wins and sign-test p per metric, over pairs
+    with both sides correct."""
     pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"])
              if p.get("correct") and c.get("correct")]
     out = {}
@@ -51,8 +61,10 @@ def summary(runs: dict, better: dict) -> dict:
         values = {side: [r["metrics"][name]["value"] for r in col]
                   for side, col in zip(SIDES, zip(*pairs))}
         sign = 1.0 if better.get(name) == "higher" else -1.0
+        gains = [sign * (c - p) for p, c in zip(*values.values())]
+        wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
         row = {"better": better.get(name), "pairs": len(pairs),
-               "change_wins": sum(sign * (c - p) > 0 for p, c in zip(*values.values()))}
+               "change_wins": wins, "sign_p": sign_p(wins, losses)}
         for side, vals in values.items():
             q1, _, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else (vals[0],) * 3
             row[side] = {"median": statistics.median(vals), "q1": q1, "q3": q3}
