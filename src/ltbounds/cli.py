@@ -10,6 +10,7 @@ quadrature that fails its grid-doubling check included).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -98,6 +99,13 @@ def _verify_one(kind: str, args, seed: int):
         return spectral1d.verify_bound_h2(pot, args.delta, args.gamma, seed=seed)
     if kind == "torus":
         geom = torus.TorusGeometry((args.alpha,) * (args.d - 1) + (1.0,))
+        # The default truncation follows from the band alone, so its size is
+        # checked before the potential is built.  The checks that reject these
+        # flags first (the potential's parameters and band cover, then gamma)
+        # keep their order.
+        spectral1d._check_psd_params(args.d, 1, args.band, args.scale)
+        spectral1d._check_gamma(args.gamma)
+        spectral1d._check_rows(torus._default_modes((2 * args.band,) * args.d), 1, projected=True)
         pot = torus.ScalarPotentialD.random(args.d, args.band, args.scale, seed)
         return torus.verify_bound_torus(pot, geom, args.gamma, seed=seed)
     if kind == "trace1":
@@ -178,6 +186,7 @@ def cmd_attractor(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ltbounds",

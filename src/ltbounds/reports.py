@@ -31,7 +31,10 @@ class BoundReport:
     passed is equivalent to ratio <= 1 + PASS_SLACK.  A non-finite side, such
     as an overflowed moment, is rejected, since its ratio would be nan.
     metadata carries the discretization parameters so a failing instance
-    can be reproduced.
+    can be reproduced.  A verifier that also bounds the continuum moment from
+    above passes it as metadata["lhs_upper"] (None when it has no bound);
+    the report then carries certified, lhs_upper <= rhs * (1 + PASS_SLACK):
+    the inequality holds for the continuum operator, not only its truncation.
     """
 
     lhs: float
@@ -47,6 +50,11 @@ class BoundReport:
             raise ValueError(f"bound sides must be finite, got lhs={lhs}, rhs={rhs}")
         if lhs < 0 or rhs < 0:
             raise ValueError("bound sides must be non-negative")
+        if "lhs_upper" in metadata:
+            upper = metadata["lhs_upper"]
+            if upper is not None and not math.isfinite(upper):
+                raise ValueError(f"bound sides must be finite, got lhs_upper={upper}")
+            metadata["certified"] = upper is not None and bool(upper <= rhs * (1.0 + PASS_SLACK))
         if rhs == 0.0:
             ratio = 0.0 if lhs == 0.0 else math.inf
         else:

@@ -13,7 +13,11 @@ every verifier:
 V is a band-limited Hermitian, pointwise-PSD matrix function.  Because the
 basis restriction is a Rayleigh-Ritz projection, every computed Riesz mean
 of the negative spectrum is a lower bound on the true one, so a verified
-inequality can only fail when the continuum inequality actually fails.
+inequality can only fail when the continuum inequality actually fails.  The
+1D verifiers also bound the true Riesz mean from above, through a Schur
+complement on the modes just outside the truncation (_Form.enclosure), and
+by default take the smallest truncation of a short ladder at which the two
+bounds agree to 1e-12 relative.
 
 The basis is the exponentials exp(i k.theta), except for a scalar V on a
 projected operator (the torus and scalar h2).  Such a V is real, and the
@@ -60,6 +64,10 @@ _PHASE_MEMO_SIZE = 32
 # A real cos/sin row costs half, but the complex scatter it is folded from
 # is held alongside it: 2.4 GB at the budget.
 ROW_BUDGET = 10_000
+# The default 1D truncations climb to b + _TOP_MARGIN and stop where the two
+# sides of the enclosure agree to _GAP_REL relative (see _Form.truncations).
+_TOP_MARGIN = 32
+_GAP_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -156,15 +164,20 @@ def _psd_coeffs(d: int, m_dim: int, band: int, scale: float, seed: int) -> np.nd
     """Coefficients of a random V = W W^H on the d-dimensional lattice: W has
     band `band` per axis and i.i.d. complex Gaussian (m_dim, m_dim) coefficient
     blocks of standard deviation `scale`."""
+    _check_psd_params(d, m_dim, band, scale)
+    rng = np.random.default_rng(seed)
+    shape = (2 * band + 1,) * d + (m_dim, m_dim)
+    w = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    return _autocorrelation(w)
+
+
+def _check_psd_params(d: int, m_dim: int, band: int, scale: float) -> None:
+    """Reject the parameters of :func:`_psd_coeffs` before it does any work."""
     if d < 1 or m_dim < 1 or band < 0 or scale <= 0:
         raise ValueError("invalid potential parameters")
     # V has band 2*band, which every truncation must cover: the smallest such
     # Galerkin matrix must fit before the autocorrelation loops over V's offsets
     _check_rows((2 * band,) * d, m_dim, projected=band > 0)
-    rng = np.random.default_rng(seed)
-    shape = (2 * band + 1,) * d + (m_dim, m_dim)
-    w = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    return _autocorrelation(w)
 
 
 def _autocorrelation(w: np.ndarray) -> np.ndarray:
@@ -337,16 +350,9 @@ def _kinetic(alphas, modes: np.ndarray, mass: float) -> np.ndarray:
     return np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
 
 
-def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, projected) -> np.ndarray:
-    """Galerkin matrix of -sum_j alpha_j^2 d_j^2 + mass - V on the modes |k_j| <= n_j.
-
-    The modes keep the lexicographic (meshgrid "ij") order of the box.  When
-    `projected`, the k_d = 0 modes are dropped: P removes the mean along the
-    last (shortest) coordinate, and P V P coincides with V on that span.  A
-    projected operator with a scalar (hence real) V is returned in the real
-    cos/sin basis of :func:`_real_form`; every other one is complex
-    Hermitian on the exponentials.
-    """
+def _lattice_modes(potential: MatrixPotential, n_modes, projected) -> np.ndarray:
+    """The (rows, d) modes |k_j| <= n_j in lexicographic (meshgrid "ij")
+    order, without k_d = 0 when `projected`, after the cover and budget checks."""
     n_modes = tuple(int(n) for n in n_modes)
     if len(n_modes) != potential.d:
         raise ValueError("one truncation per axis required")
@@ -357,11 +363,36 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
     _check_rows(n_modes, potential.m_dim, projected)  # before the (2n+1)^d box is built
     mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in n_modes], indexing="ij")
     modes = np.stack([g.ravel() for g in mesh], axis=-1)
-    if projected:
-        modes = modes[modes[:, -1] != 0]
-    a = _assemble_lattice(modes, _kinetic(alphas, modes, mass), potential.coeffs)
+    return modes[modes[:, -1] != 0] if projected else modes
+
+
+def _fold(a: np.ndarray, potential: MatrixPotential, projected: bool) -> np.ndarray:
     # MatrixPotential's exact adjoint pairing makes a 1x1-block V real
     return _real_form(a) if projected and potential.m_dim == 1 else a
+
+
+def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, projected) -> np.ndarray:
+    """Galerkin matrix of -sum_j alpha_j^2 d_j^2 + mass - V on the modes |k_j| <= n_j.
+
+    The modes keep the lexicographic (meshgrid "ij") order of the box.  When
+    `projected`, the k_d = 0 modes are dropped: P removes the mean along the
+    last (shortest) coordinate, and P V P coincides with V on that span.  A
+    projected operator with a scalar (hence real) V is returned in the real
+    cos/sin basis of :func:`_real_form`; every other one is complex
+    Hermitian on the exponentials.
+    """
+    modes = _lattice_modes(potential, n_modes, projected)
+    a = _assemble_lattice(modes, _kinetic(alphas, modes, mass), potential.coeffs)
+    return _fold(a, potential, projected)
+
+
+def _sup_bound(potential: MatrixPotential) -> float:
+    """s = sum_k ||V_k||_2, an upper bound on sup_x ||V(x)||.  Each spectral
+    norm is the root of the largest eigenvalue of V_k^H V_k, which
+    :func:`_block_eigvalsh` gives without a LAPACK call for 1x1 and 2x2 blocks."""
+    gram = potential.coeffs.conj().swapaxes(-1, -2) @ potential.coeffs
+    largest = _block_eigvalsh(gram)[..., -1:]  # empty for 0x0 blocks
+    return float(np.sum(np.sqrt(np.maximum(largest, 0.0))))
 
 
 @dataclass(frozen=True)
@@ -381,9 +412,56 @@ class _Form:
 
     def operator(self, potential: MatrixPotential, n_max: int) -> np.ndarray:
         """Galerkin matrix of the form minus V on the modes |k| <= n_max."""
-        if potential.d != 1:
-            raise ValueError("the 1D forms need a 1D potential")
+        _check_1d(potential)
         return _lattice_operator(potential, (self.alpha,), self.mass, (n_max,), self.projected)
+
+    def truncations(self, potential: MatrixPotential, s: float) -> list:
+        """The default truncation ladder n0 + 12, n0 + 16, ... below b + 32,
+        then b + 32 itself, for a band-b potential with sup ||V|| <= s.  n0 is
+        the smallest n >= b whose first mode outside |k| <= n weighs more
+        than s: the first truncation with an upper bound (see enclosure)."""
+        b = potential.bands[0]
+        top = b + _TOP_MARGIN
+        above = np.flatnonzero(self.weights(top)[top + b + 1:] > s)  # k = b+1, ..., top
+        n0 = b + int(above[0]) if above.size else top
+        return [*range(n0 + 12, top, 4), top]
+
+    def enclosure(self, potential: MatrixPotential, n_max: int, s: float) -> tuple:
+        """The lower and upper matrices of the truncation |k| <= n_max.
+
+        One scatter on the box |k| <= n_max + b, b the potential's band,
+        gives H = [[A, B], [B^H, D]] on the box P and the shell S of modes
+        within the band of it; A is operator(n_max) bitwise.  The full
+        operator has no coupling from P beyond S, and on the modes Q outside P
+        it is at least D0 = diag(weights) - s, since s >= sup ||V||.  When D0
+        is positive, [[B D0^-1 B^H, B], [B^H, D0]] >= 0, so the operator is at
+        least (A - B D0^-1 B^H) + 0, and by min-max each of its negative
+        eigenvalues lies at or above the matching one of the upper matrix
+        A - B D0^-1 B^H: its Riesz mean bounds the continuum one from above.
+        The upper matrix is None when D0 is not positive, that is when the
+        first mode outside P weighs s or less.  Both matrices of a scalar
+        projected form take the real form.
+        """
+        b, m = potential.bands[0], potential.m_dim
+        rows = len(_lattice_modes(potential, (n_max,), self.projected)) * m  # operator()'s checks
+        modes = _lattice_modes(potential, (n_max + b,), self.projected)
+        kinetic = _kinetic((self.alpha,), modes, self.mass)
+        h = _assemble_lattice(modes, kinetic, potential.coeffs)
+        lo = (len(h) - rows) // 2  # P is the middle block of the enlarged box
+        box = slice(lo, lo + rows)
+        a = h[box, box]
+        upper = None
+        if self.weights(n_max + 1)[-1] > s:
+            shell = np.r_[:lo, lo + rows:len(h)]
+            coupling = h[box, shell]
+            upper = a - (coupling / (np.repeat(kinetic, m)[shell] - s)) @ coupling.conj().T
+            upper = _fold(upper, potential, self.projected)
+        return _fold(a, potential, self.projected), upper
+
+
+def _check_1d(potential: MatrixPotential) -> None:
+    if potential.d != 1:
+        raise ValueError("the 1D forms need a 1D potential")
 
 
 def _form(which: str, beta: float, alpha: float = 1.0) -> _Form:
@@ -462,6 +540,28 @@ def _lattice_bound(potential, rep, gamma, k_factor, integral, quadrature, seed, 
     return BoundReport.build(lhs, const * integral, constant_used=const, **meta)
 
 
+def _verify_1d(form, potential, gamma, n_max, period, seed, **params) -> BoundReport:
+    # Shared body of the h1 and h2 verifiers.  The rhs quadrature runs first:
+    # it holds the grid budget check, so a band too wide for it is rejected
+    # before any eigensolve.  Each truncation of the ladder (only n_max when
+    # it is given) is enclosed from both sides; the first whose sides agree
+    # to _GAP_REL relative decides, else the ladder's top rung.
+    _check_1d(potential)
+    integral = trace_power_integral(potential, gamma + 0.5, period)
+    s = _sup_bound(potential)
+    for n in form.truncations(potential, s) if n_max is None else [n_max]:
+        lower, upper = form.enclosure(potential, n, s)
+        rep = negative_spectrum(lower)
+        lhs_upper = None if upper is None else riesz_mean(negative_spectrum(upper), gamma)
+        if lhs_upper is not None and lhs_upper - riesz_mean(rep, gamma) <= _GAP_REL * lhs_upper:
+            break
+    return _lattice_bound(
+        potential, rep, gamma, form.solve_k().value, integral, _quad_grid_1d(potential), seed,
+        **params, truncation=n, lhs_upper=lhs_upper, m_dim=potential.m_dim,
+        band=potential.bands[0],
+    )
+
+
 def verify_bound_h1(
     potential: MatrixPotential,
     alpha: float,
@@ -473,17 +573,17 @@ def verify_bound_h1(
     """Check the Riesz-mean bound for the mass-added operator.
 
     lhs: gamma-moment of the Galerkin negative spectrum (a lower bound on
-    the continuum moment).  rhs: (pi/sqrt3) K1(beta) L_cl(gamma,1) times the
-    trace integral of V^(gamma+1/2).
+    the continuum moment); lhs_upper: the moment of the upper matrix of
+    _Form.enclosure (an upper bound on it, None without one).  rhs:
+    (pi/sqrt3) K1(beta) L_cl(gamma,1) times the trace integral of
+    V^(gamma+1/2).  By default the truncation is the first rung of
+    _Form.truncations whose two sides agree to 1e-12 relative, else b + 32.
     """
     _check_gamma(gamma)
-    n = n_max if n_max is not None else potential.bands[0] + 32
-    rep = negative_spectrum(assemble_h1(potential, alpha, beta, n))
-    integral = trace_power_integral(potential, gamma + 0.5, 2.0 * math.pi / alpha)
-    return _lattice_bound(
-        potential, rep, gamma, _form("add", beta, alpha).solve_k().value, integral,
-        _quad_grid_1d(potential), seed, operator="h1", alpha=alpha, beta=beta, truncation=n,
-        m_dim=potential.m_dim, band=potential.bands[0],
+    form = _form("add", beta, alpha)
+    return _verify_1d(
+        form, potential, gamma, n_max, 2.0 * math.pi / alpha, seed,
+        operator="h1", alpha=alpha, beta=beta,
     )
 
 
@@ -496,11 +596,5 @@ def verify_bound_h2(
 ) -> BoundReport:
     """Mass-subtracted mirror of :func:`verify_bound_h1`, with K2(delta)."""
     _check_gamma(gamma)
-    n = n_max if n_max is not None else potential.bands[0] + 32
-    rep = negative_spectrum(assemble_h2(potential, delta, n))
-    integral = trace_power_integral(potential, gamma + 0.5, 2.0 * math.pi)
-    return _lattice_bound(
-        potential, rep, gamma, _form("subtract", delta).solve_k().value, integral,
-        _quad_grid_1d(potential), seed, operator="h2", delta=delta, truncation=n,
-        m_dim=potential.m_dim, band=potential.bands[0],
-    )
+    form = _form("subtract", delta)
+    return _verify_1d(form, potential, gamma, n_max, 2.0 * math.pi, seed, operator="h2", delta=delta)

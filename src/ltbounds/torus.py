@@ -174,6 +174,11 @@ def potential_power_integral(potential: ScalarPotentialD, geom: TorusGeometry, p
     return _power_integral(potential, p, geom.volume, _quad_nodes(potential))
 
 
+def _default_modes(bands) -> tuple:
+    """The default truncation |k_j| <= b_j + 12 of a potential with bands b_j."""
+    return tuple(b + 12 for b in bands)
+
+
 def verify_bound_torus(
     potential: ScalarPotentialD,
     geom: TorusGeometry,
@@ -188,7 +193,7 @@ def verify_bound_torus(
     """
     _check_gamma(gamma)
     if n_modes is None:
-        n_modes = tuple(b + 12 for b in potential.bands)
+        n_modes = _default_modes(potential.bands)
     sel = choose_betas(geom)
     rep = negative_spectrum(assemble_torus_operator(potential, geom, n_modes))
     integral = potential_power_integral(potential, geom, gamma + 0.5 * geom.d)

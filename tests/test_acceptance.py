@@ -118,7 +118,7 @@ def test_c06_one_dimensional_spectral_bounds():
         rep = spectral1d.verify_bound_h1(
             pot, 1.0, betas[seed % 3], gamma, n_max=pot.bands[0] + 32, seed=seed
         )
-        assert rep.passed and rep.ratio <= 1.0, rep.to_json()
+        assert rep.passed and rep.ratio <= 1.0 and rep.metadata["certified"], rep.to_json()
         worst = max(worst, rep.ratio)
     for seed in range(50):
         m_dim = 1 + seed % 3
@@ -128,11 +128,12 @@ def test_c06_one_dimensional_spectral_bounds():
         rep = spectral1d.verify_bound_h2(
             pot, deltas[seed % 3], gamma, n_max=pot.bands[0] + 32, seed=seed
         )
-        assert rep.passed and rep.ratio <= 1.0, rep.to_json()
+        assert rep.passed and rep.ratio <= 1.0 and rep.metadata["certified"], rep.to_json()
         worst = max(worst, rep.ratio)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    _report(6, f"100 random 1D bounds pass, max ratio {worst:.3f}; enumerations exact ({elapsed:.1f}s)")
+    _report(6, f"100 random 1D bounds pass and are certified, max ratio {worst:.3f}; "
+               f"enumerations exact ({elapsed:.1f}s)")
 
 
 def test_c07_torus_bounds():

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import pytest
@@ -286,6 +287,31 @@ class TestVerify:
         code, _, err = run(capsys, *"verify --kind torus --d 3 --band 0 --seeds 1".split())
         assert (code, err) == (2, "error: Galerkin size 15000 exceeds the dense budget 10000 rows\n")
 
+    def test_torus_default_truncation_rejected_before_the_potential(self, capsys, monkeypatch):
+        # V's band 4 on the 4-torus fits a 5,832-row matrix, but the default
+        # truncation 16 per axis needs 1,149,984 rows: known from the band alone
+        def refuse(w):
+            raise AssertionError("the potential was built for an oversized default truncation")
+
+        monkeypatch.setattr(spectral1d, "_autocorrelation", refuse)
+        code, _, err = run(capsys, *"verify --kind torus --d 4 --seeds 1".split())
+        assert (code, err) == (2, "error: Galerkin size 1149984 exceeds the dense budget 10000 rows\n")
+
+    @pytest.mark.parametrize("kind", ["h1", "h2"])
+    def test_1d_quadrature_budget_rejects_before_any_eigensolve(self, capsys, monkeypatch, kind):
+        # V's band 626: the doubled quadrature grid's phase table is over the
+        # budget, and that check runs before the Galerkin truncations
+        def refuse(matrix):
+            raise AssertionError("eigensolve ran before the quadrature's budget check")
+
+        monkeypatch.setattr(spectral1d, "negative_spectrum", refuse)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", "--kind", kind, "--band", "313", "--seeds", "1")
+        elapsed = time.perf_counter() - start
+        spectral1d._phase_table.cache_clear()  # the PSD sampler's table is 100 MB
+        assert (code, err) == (2, "error: a grid of 80192 nodes or its phase tables exceed the dense budget\n")
+        assert elapsed < 1.0
+
     def test_seeds_run_in_order_on_the_main_thread(self, capsys, monkeypatch):
         # BLAS threads are the only parallelism: a seed pool on top of them
         # oversubscribes the cores.
@@ -378,6 +404,44 @@ def test_exit_code_contract(argv):
     if any(flag in FLOAT_FLAGS and value in NON_FINITE
            for flag, value in (token.split("=", 1) for token in argv[1:])):
         assert code == 2
+
+
+class TestParserCache:
+    def test_one_parser_gives_what_fresh_parsers_give(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma=2\nd=3\n")
+        argvs = [
+            ["--version"],
+            ["constants", "--gamma", "1.5"],
+            ["constants", "--config", str(cfg)],
+            ["constants", f"--config={cfg}", "--d", "4"],
+            ["verify", "--kind", "h2", "--seeds", "2"],
+            ["verify", "--kind", "h1", "--seeds", "1", "--rhs-scale", "0.01"],
+            ["thresholds", "--tol", "1e-4"],
+            [],
+            ["verify", "--kind", "nope"],
+            ["constants", "--gamma", "nan"],
+            ["constants", "--frobnicate", "1"],
+            ["attractor", "--c-p", "1"],
+            ["constants", "--config", str(tmp_path / "missing.cfg")],
+        ]
+
+        def outcome(argv):
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        cli._build_parser.cache_clear()
+        cached = [outcome(argv) for argv in argvs]
+        again = [outcome(argv) for argv in argvs]
+        assert cli._build_parser.cache_info().misses == 1
+        assert cached == fresh and again == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 1, 0, 2, 2, 2, 2, 2, 2]
+        assert fresh[0][1] == f"ltbounds {__version__}\n"
 
 
 class TestAttractor:

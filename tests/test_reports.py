@@ -49,3 +49,25 @@ class TestBoundReport:
         payload = json.loads(rep.to_json())
         assert payload["pass"] is True
         assert payload["gamma"] == 1.5
+
+    def test_certified_follows_the_upper_bound(self):
+        rep = BoundReport.build(1.0, 2.0, constant_used=0.5, lhs_upper=1.5)
+        assert rep.to_dict()["certified"] is True
+        rep = BoundReport.build(1.0, 2.0, constant_used=0.5, lhs_upper=2.0 + 1e-12)
+        assert rep.metadata["certified"] is True  # inside PASS_SLACK
+        rep = BoundReport.build(1.0, 2.0, constant_used=0.5, lhs_upper=2.1)
+        assert rep.passed and rep.metadata["certified"] is False
+        rep = BoundReport.build(1.0, 2.0, constant_used=0.5, lhs_upper=None)
+        assert rep.metadata["certified"] is False and rep.to_dict()["lhs_upper"] is None
+
+    def test_certified_is_recomputed_for_a_scaled_rhs(self):
+        rep = BoundReport.build(1.0, 2.0, constant_used=0.5, lhs_upper=1.5)
+        assert rep.with_rhs_scaled(0.8).metadata["certified"] is True
+        assert rep.with_rhs_scaled(0.7).metadata["certified"] is False
+
+    def test_no_upper_bound_no_certified_field(self):
+        assert "certified" not in BoundReport.build(1.0, 2.0, constant_used=0.5).to_dict()
+
+    def test_non_finite_upper_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            BoundReport.build(1.0, 2.0, constant_used=0.5, lhs_upper=math.inf)

@@ -571,6 +571,133 @@ class TestVerifyH2:
             assert report.passed, report.to_json()
 
 
+def _enclosed_means(form, pot, n, gamma, s=None):
+    """(lower, upper or None) Riesz means of the enclosure at truncation n."""
+    lower, upper = form.enclosure(pot, n, sp1._sup_bound(pot) if s is None else s)
+    means = [None if x is None else sp1.riesz_mean(sp1.negative_spectrum(x), gamma)
+             for x in (lower, upper)]
+    return tuple(means)
+
+
+class TestEnclosure:
+    FORMS = {"h1": ("add", 0.5, 1.0), "h1_long": ("add", 0.3, 0.5), "h2": ("subtract", 0.5, 1.0)}
+
+    @pytest.mark.parametrize("m_dim", [1, 2])
+    @pytest.mark.parametrize("value", [0.0, 0.7, 2.0, 9.5])
+    def test_constant_potential_upper_equals_lower_exactly(self, m_dim, value):
+        pot = sp1.constant_potential(value, m_dim)
+        for report in (sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0), sp1.verify_bound_h2(pot, 0.5, 1.5),
+                       sp1.verify_bound_h1(pot, 0.5, 0.2, 2.0, n_max=6)):
+            assert report.metadata["lhs_upper"] == report.lhs
+            assert report.metadata["certified"] is True
+
+    @pytest.mark.parametrize("name", list(FORMS))
+    @pytest.mark.parametrize("m_dim", [1, 2, 3])
+    def test_box_block_is_the_galerkin_matrix_bitwise(self, name, m_dim):
+        which, beta, alpha = self.FORMS[name]
+        form = sp1._form(which, beta, alpha)
+        pot = sp1.random_psd_potential(m_dim, 2, 1.0, 40 + m_dim)
+        for n in (pot.bands[0], pot.bands[0] + 5):
+            lower, upper = form.enclosure(pot, n, sp1._sup_bound(pot))
+            want = form.operator(pot, n)
+            assert lower.dtype == want.dtype and np.array_equal(lower, want)
+            assert upper is None or upper.shape == want.shape
+
+    @staticmethod
+    def _items(m_dim):
+        """Random potentials, and random ones with phase-aligned coefficients:
+        those peak at x = 0, where a scalar one reaches s = sum_k |V_k|."""
+        for seed in range(6):
+            args = (m_dim, 1 + seed % 2, 0.5 + 0.5 * (seed % 3), seed)
+            yield sp1.random_psd_potential(*args), (1.0, 1.5, 2.0)[seed % 3]
+            w = np.abs(np.random.default_rng(seed).standard_normal((2 * args[1] + 1, m_dim, m_dim)))
+            pot = sp1.MatrixPotential(sp1._autocorrelation(args[2] * w.astype(complex)))
+            pot.validate()
+            yield pot, (1.0, 1.5, 2.0)[seed % 3]
+
+    @pytest.mark.parametrize("name", list(FORMS))
+    @pytest.mark.parametrize("m_dim", [1, 2, 3])
+    def test_lower_of_a_larger_box_stays_below_the_upper_bound(self, name, m_dim):
+        # The continuum operator lies between them: min-max puts its j-th
+        # eigenvalue below that of any larger box and above that of the upper
+        # matrix padded by zeros.  So each eigenvalue, and each Riesz mean, of
+        # the box n + 8 sits between those of the upper matrix at n and 0.
+        # m_dim 1 with h2 is the real form.
+        which, beta, alpha = self.FORMS[name]
+        form = sp1._form(which, beta, alpha)
+        checked = 0
+        for pot, gamma in self._items(m_dim):
+            s = sp1._sup_bound(pot)
+            rungs = form.truncations(pot, s)
+            n0 = rungs[0] - 12 if len(rungs) > 1 else pot.bands[0]
+            for n in range(n0, n0 + 9, 2):
+                _, upper = form.enclosure(pot, n, s)
+                if upper is None:
+                    continue
+                larger = form.operator(pot, n + 8)
+                ev_upper = np.minimum(np.linalg.eigvalsh(upper), 0.0)
+                ev_larger = np.minimum(np.linalg.eigvalsh(larger), 0.0)[: len(ev_upper)]
+                assert np.all(ev_upper <= ev_larger + 1e-12 * np.max(np.abs(larger))), (n, pot.bands)
+                means = [sp1.riesz_mean(sp1.negative_spectrum(x), gamma) for x in (upper, larger)]
+                assert means[1] <= means[0] * (1 + 1e-12), (n, means)
+                checked += 1
+        assert checked >= 24
+
+    def test_no_upper_bound_below_the_analytic_truncation(self):
+        pot = sp1.random_psd_potential(2, 2, 1.0, 0)
+        s = sp1._sup_bound(pot)
+        form = sp1._form("add", 0.5, 1.0)
+        n0 = form.truncations(pot, s)[0] - 12
+        assert (n0 + 1) ** 2 + 0.5 > s >= n0**2 + 0.5
+        assert form.enclosure(pot, n0 - 1, s)[1] is None
+        assert form.enclosure(pot, n0, s)[1] is not None
+        report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0, n_max=n0 - 1)
+        assert report.metadata["lhs_upper"] is None and report.metadata["certified"] is False
+
+    def test_default_truncation_is_the_first_enclosing_rung(self):
+        for seed in range(8):
+            pot = sp1.random_psd_potential(2, 2, 1.0, seed)
+            form = sp1._form("subtract", 0.5)
+            rungs = form.truncations(pot, sp1._sup_bound(pot))
+            assert rungs[-1] == pot.bands[0] + 32 and np.all(np.diff(rungs[:-1]) == 4)
+            report = sp1.verify_bound_h2(pot, 0.5, 1.0)
+            n = report.metadata["truncation"]
+            for tried in rungs[: rungs.index(n)]:
+                lower, upper = _enclosed_means(form, pot, tried, 1.0)
+                assert upper - lower > 1e-12 * upper
+            explicit = sp1.verify_bound_h2(pot, 0.5, 1.0, n_max=n)
+            assert explicit.to_dict() == report.to_dict()
+            assert report.metadata["lhs_upper"] - report.lhs <= 1e-12 * report.metadata["lhs_upper"]
+            assert report.metadata["certified"] is True
+
+    @pytest.mark.parametrize("operator", ["h1", "h2"])
+    def test_strong_coupling_keeps_the_top_rung_lhs_bitwise(self, operator):
+        pot = sp1.random_psd_potential(2, 2, 10.0, 3)
+        n = pot.bands[0] + 32
+        if operator == "h1":
+            report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0)
+            matrix = sp1.assemble_h1(pot, 1.0, 0.5, n)
+        else:
+            report = sp1.verify_bound_h2(pot, 0.5, 1.0)
+            matrix = sp1.assemble_h2(pot, 0.5, n)
+        assert report.metadata["truncation"] == n
+        assert report.lhs == sp1.riesz_mean(sp1.negative_spectrum(matrix), 1.0)
+        upper = report.metadata["lhs_upper"]
+        want = upper is not None and upper <= report.rhs * (1 + 1e-12)
+        assert report.metadata["certified"] is want
+
+    def test_explicit_truncation_is_one_rung(self, monkeypatch):
+        pot = sp1.random_psd_potential(2, 2, 1.0, 5)
+        calls = []
+        enclosure = sp1._Form.enclosure
+        monkeypatch.setattr(sp1._Form, "enclosure",
+                            lambda self, p, n, s: calls.append(n) or enclosure(self, p, n, s))
+        report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0, n_max=9)
+        assert calls == [9] and report.metadata["truncation"] == 9
+        assert report.lhs == sp1.riesz_mean(
+            sp1.negative_spectrum(sp1.assemble_h1(pot, 1.0, 0.5, 9)), 1.0)
+
+
 class TestSemiclassicalLimit:
     """For V = lam * W the ratio tends to (sqrt3/pi) / K as lam grows (Weyl
     asymptotics); beta = delta = 0.5 lie in the unit regime, K = 1."""
