@@ -425,19 +425,13 @@ class TestParserCache:
             ["attractor", "--c-p", "1"],
             ["constants", "--config", str(tmp_path / "missing.cfg")],
         ]
-
-        def outcome(argv):
-            code = main(list(argv))
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err
-
         fresh = []
         for argv in argvs:
             cli._build_parser.cache_clear()
-            fresh.append(outcome(argv))
+            fresh.append(run(capsys, *argv))
         cli._build_parser.cache_clear()
-        cached = [outcome(argv) for argv in argvs]
-        again = [outcome(argv) for argv in argvs]
+        cached = [run(capsys, *argv) for argv in argvs]
+        again = [run(capsys, *argv) for argv in argvs]
         assert cli._build_parser.cache_info().misses == 1
         assert cached == fresh and again == fresh
         assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 1, 0, 2, 2, 2, 2, 2, 2]

@@ -427,6 +427,14 @@ class TestPairingAndBudget:
             sp1.assemble_h1(pot, 1.0, 0.5, 7)
 
 
+    def test_enclosure_box_counts_against_the_budget(self, monkeypatch):
+        # V's band 2: the 22-row box |k| <= 5 is enclosed on the 30-row box |k| <= 7
+        pot = sp1.random_psd_potential(2, 1, 1.0, 0)
+        monkeypatch.setattr(sp1, "ROW_BUDGET", 29)
+        assert sp1.assemble_h1(pot, 1.0, 0.5, 5).shape == (22, 22)
+        with pytest.raises(ValueError, match="Galerkin size 30 exceeds"):
+            sp1._form("add", 0.5).enclosure(pot, 5, sp1._sup_bound(pot))
+
     def test_phase_tables_count_against_the_budget(self, monkeypatch):
         # a band-2 scalar potential: n grid entries but an n x 5 phase table
         pot = sp1.MatrixPotential(sp1._psd_coeffs(1, 1, 1, 1.0, 0))
@@ -571,14 +579,6 @@ class TestVerifyH2:
             assert report.passed, report.to_json()
 
 
-def _enclosed_means(form, pot, n, gamma, s=None):
-    """(lower, upper or None) Riesz means of the enclosure at truncation n."""
-    lower, upper = form.enclosure(pot, n, sp1._sup_bound(pot) if s is None else s)
-    means = [None if x is None else sp1.riesz_mean(sp1.negative_spectrum(x), gamma)
-             for x in (lower, upper)]
-    return tuple(means)
-
-
 class TestEnclosure:
     FORMS = {"h1": ("add", 0.5, 1.0), "h1_long": ("add", 0.3, 0.5), "h2": ("subtract", 0.5, 1.0)}
 
@@ -663,7 +663,8 @@ class TestEnclosure:
             report = sp1.verify_bound_h2(pot, 0.5, 1.0)
             n = report.metadata["truncation"]
             for tried in rungs[: rungs.index(n)]:
-                lower, upper = _enclosed_means(form, pot, tried, 1.0)
+                matrices = form.enclosure(pot, tried, sp1._sup_bound(pot))
+                lower, upper = (sp1.riesz_mean(sp1.negative_spectrum(x), 1.0) for x in matrices)
                 assert upper - lower > 1e-12 * upper
             explicit = sp1.verify_bound_h2(pot, 0.5, 1.0, n_max=n)
             assert explicit.to_dict() == report.to_dict()
