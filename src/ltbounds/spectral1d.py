@@ -388,11 +388,15 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
 
 def _sup_bound(potential: MatrixPotential) -> float:
     """s = sum_k ||V_k||_2, an upper bound on sup_x ||V(x)||.  Each spectral
-    norm is the root of the largest eigenvalue of V_k^H V_k, which
+    norm is c times the root of the largest eigenvalue of U^H U, U = V_k / c
+    with c the largest entry of any V_k (so U^H U cannot overflow), which
     :func:`_block_eigvalsh` gives without a LAPACK call for 1x1 and 2x2 blocks."""
-    gram = potential.coeffs.conj().swapaxes(-1, -2) @ potential.coeffs
-    largest = _block_eigvalsh(gram)[..., -1:]  # empty for 0x0 blocks
-    return float(np.sum(np.sqrt(np.maximum(largest, 0.0))))
+    c = float(np.max(np.abs(potential.coeffs), initial=0.0))
+    if c == 0.0:
+        return 0.0
+    unit = potential.coeffs / c
+    largest = _block_eigvalsh(unit.conj().swapaxes(-1, -2) @ unit)[..., -1]
+    return c * float(np.sum(np.sqrt(np.maximum(largest, 0.0))))
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,15 @@ class TestVerify:
             warnings.simplefilter("error")
             assert run(capsys, *argv.split()) == (2, "", "error: potential coefficients must be finite\n")
 
+    @pytest.mark.parametrize("kind", ["h1", "h2"])
+    def test_huge_finite_coefficients_bound_s_without_a_warning(self, capsys, kind):
+        # coefficients near 1e200: s = sum_k ||V_k||_2 must not square them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "--kind", kind, "--scale", "1e100", "--seeds", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["reports"][0]["lhs_upper"] is None
+
     def test_torus_quadrature_converges_just_above_gamma_one(self, capsys):
         # at 8 nodes per mode seed 45's integral of V^2.1 moved 1.6e-8
         # (relative) under grid doubling
