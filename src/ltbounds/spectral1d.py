@@ -2,7 +2,7 @@
 
 One lattice operator, -sum_j alpha_j^2 d_j^2 + mass - V on the modes
 |k_j| <= n_j, optionally projected onto the modes with k_d != 0, covers
-every verifier:
+every verifier, and one builder (_lattice_operator) makes its matrices:
 
   * mass-added h1:       -d^2/dx^2 + a^2 b - V(x)   on L2(0, 2pi/a),
   * mass-subtracted h2:  -d^2/dx^2 - delta - P V P  on the zero-mean
@@ -14,9 +14,10 @@ V is a band-limited Hermitian, pointwise-PSD matrix function.  Because the
 basis restriction is a Rayleigh-Ritz projection, every computed Riesz mean
 of the negative spectrum is a lower bound on the true one, so a verified
 inequality can only fail when the continuum inequality actually fails.  The
-1D verifiers also bound the true Riesz mean from above, through a Schur
-complement on the modes just outside the truncation (_Form.enclosure), and
-by default take the smallest truncation of a short ladder at which the two
+builder's padded form, one scatter on the box and a ring of modes around
+it, also gives an upper matrix: a Schur complement on the ring, whose Riesz
+mean bounds the true one from above.  The 1D verifiers use both and by
+default take the smallest truncation of a short ladder at which the two
 bounds agree to 1e-12 relative.
 
 The basis is the exponentials exp(i k.theta), except for a scalar V on a
@@ -141,7 +142,11 @@ class MatrixPotential:
 def _phase_table(b: int, n: int) -> np.ndarray:
     """Read-only (n, 2b+1) table exp(i k theta_j), theta_j = 2 pi j / n, |k| <= b."""
     theta = 2.0 * math.pi * np.arange(n) / n
-    phases = np.exp(1j * np.outer(theta, np.arange(-b, b + 1)))
+    # built in place, without the table-sized temporaries of exp(1j * outer)
+    phases = np.zeros((n, 2 * b + 1), dtype=complex)
+    np.multiply.outer(theta, np.arange(-b, b + 1), out=phases.imag)
+    phases.imag += 0.0  # 1j * x has imaginary part +0.0 where x is -0.0
+    np.exp(phases, out=phases)
     phases.flags.writeable = False
     return phases
 
@@ -305,9 +310,11 @@ def _assemble_lattice(modes: np.ndarray, kinetic: np.ndarray, coeffs: np.ndarray
     low = modes.min(axis=0, initial=0) - bands
     row_of = np.full(tuple(modes.max(axis=0, initial=0) - low + bands + 1), -1, np.intp)
     row_of[tuple((modes - low).T)] = np.arange(n)
+    partner = modes - low + bands  # k_i - dk - low is partner - offset, dk = offset - bands
     for offset in np.ndindex(*widths):
-        j = row_of[tuple((modes - low - (np.array(offset) - bands)).T)]
-        blocks[j >= 0, :, j[j >= 0], :] -= coeffs[offset]
+        j = row_of[tuple((partner - offset).T)]
+        i = np.flatnonzero(j >= 0)
+        blocks[i, :, j[i], :] -= coeffs[offset]
     return a
 
 
@@ -350,29 +357,8 @@ def _kinetic(alphas, modes: np.ndarray, mass: float) -> np.ndarray:
     return np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
 
 
-def _lattice_modes(potential: MatrixPotential, n_modes, projected) -> np.ndarray:
-    """The (rows, d) modes |k_j| <= n_j in lexicographic (meshgrid "ij")
-    order, without k_d = 0 when `projected`, after the cover and budget checks."""
-    n_modes = tuple(int(n) for n in n_modes)
-    if len(n_modes) != potential.d:
-        raise ValueError("one truncation per axis required")
-    if any(n < b for n, b in zip(n_modes, potential.bands)):
-        raise ValueError("truncation must cover the potential band")
-    if projected and n_modes[-1] < 1:
-        raise ValueError("need at least one mode pair along the projected axis")
-    _check_rows(n_modes, potential.m_dim, projected)  # before the (2n+1)^d box is built
-    mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in n_modes], indexing="ij")
-    modes = np.stack([g.ravel() for g in mesh], axis=-1)
-    return modes[modes[:, -1] != 0] if projected else modes
-
-
-def _fold(a: np.ndarray, potential: MatrixPotential, projected: bool) -> np.ndarray:
-    # MatrixPotential's exact adjoint pairing makes a 1x1-block V real
-    return _real_form(a) if projected and potential.m_dim == 1 else a
-
-
-def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, projected) -> np.ndarray:
-    """Galerkin matrix of -sum_j alpha_j^2 d_j^2 + mass - V on the modes |k_j| <= n_j.
+def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, projected, s=None) -> tuple:
+    """The lower and upper matrices of -sum_j alpha_j^2 d_j^2 + mass - V on the modes |k_j| <= n_j.
 
     The modes keep the lexicographic (meshgrid "ij") order of the box.  When
     `projected`, the k_d = 0 modes are dropped: P removes the mean along the
@@ -380,10 +366,47 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
     projected operator with a scalar (hence real) V is returned in the real
     cos/sin basis of :func:`_real_form`; every other one is complex
     Hermitian on the exponentials.
+
+    The lower matrix is the Galerkin matrix.  Without s the upper one is
+    None.  Given s >= sup ||V||, one scatter on the box padded by max(b_j, 1)
+    per axis gives H = [[A, B], [B^H, D]] on the box P and the ring S around
+    it; A is the Galerkin matrix bitwise.  The full operator has no coupling
+    from P beyond S, and on the modes Q outside P it is at least
+    D0 = diag(kinetic) - s.  When D0 is positive, [[B D0^-1 B^H, B], [B^H, D0]]
+    >= 0, so the operator is at least (A - B D0^-1 B^H) + 0, and by min-max
+    each of its negative eigenvalues lies at or above the matching one of
+    the upper matrix A - B D0^-1 B^H: its Riesz mean bounds the continuum
+    one from above.  The ring holds the lightest mode of Q, so the upper
+    matrix is None exactly when that mode weighs s or less.
     """
-    modes = _lattice_modes(potential, n_modes, projected)
-    a = _assemble_lattice(modes, _kinetic(alphas, modes, mass), potential.coeffs)
-    return _fold(a, potential, projected)
+    n_modes = tuple(int(n) for n in n_modes)
+    if len(n_modes) != potential.d:
+        raise ValueError("one truncation per axis required")
+    if any(n < b for n, b in zip(n_modes, potential.bands)):
+        raise ValueError("truncation must cover the potential band")
+    if projected and n_modes[-1] < 1:
+        raise ValueError("need at least one mode pair along the projected axis")
+    padded = n_modes if s is None else tuple(n + max(b, 1) for n, b in zip(n_modes, potential.bands))
+    for box in (n_modes, padded):  # before the (2n+1)^d box is built
+        _check_rows(box, potential.m_dim, projected)
+    mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in padded], indexing="ij")
+    modes = np.stack([g.ravel() for g in mesh], axis=-1)
+    if projected:
+        modes = modes[modes[:, -1] != 0]
+    kinetic = _kinetic(alphas, modes, mass)
+    h = _assemble_lattice(modes, kinetic, potential.coeffs)
+    # MatrixPotential's exact adjoint pairing makes a 1x1-block V real
+    fold = _real_form if projected and potential.m_dim == 1 else np.asarray
+    if s is None:
+        return fold(h), None
+    inside = np.all(np.abs(modes) <= n_modes, axis=1)
+    box, ring = (np.flatnonzero(np.repeat(x, potential.m_dim)) for x in (inside, ~inside))
+    a = h[np.ix_(box, box)]
+    if not np.min(kinetic[~inside]) > s:
+        return fold(a), None
+    coupling = h[np.ix_(box, ring)]
+    upper = a - (coupling / (np.repeat(kinetic, potential.m_dim)[ring] - s)) @ coupling.conj().T
+    return fold(a), fold(upper)
 
 
 def _sup_bound(potential: MatrixPotential) -> float:
@@ -414,53 +437,22 @@ class _Form:
         """The kinetic diagonal on the modes |k| <= band, k = 0 included."""
         return _kinetic((self.alpha,), np.arange(-band, band + 1)[:, None], self.mass)
 
-    def operator(self, potential: MatrixPotential, n_max: int) -> np.ndarray:
-        """Galerkin matrix of the form minus V on the modes |k| <= n_max."""
-        _check_1d(potential)
-        return _lattice_operator(potential, (self.alpha,), self.mass, (n_max,), self.projected)
-
     def truncations(self, potential: MatrixPotential, s: float) -> list:
         """The default truncation ladder n0 + 12, n0 + 16, ... below b + 32,
         then b + 32 itself, for a band-b potential with sup ||V|| <= s.  n0 is
         the smallest n >= b whose first mode outside |k| <= n weighs more
-        than s: the first truncation with an upper bound (see enclosure)."""
+        than s: the first truncation with an upper bound (see _lattice_operator)."""
         b = potential.bands[0]
         top = b + _TOP_MARGIN
         above = np.flatnonzero(self.weights(top)[top + b + 1:] > s)  # k = b+1, ..., top
         n0 = b + int(above[0]) if above.size else top
         return [*range(n0 + 12, top, 4), top]
 
-    def enclosure(self, potential: MatrixPotential, n_max: int, s: float) -> tuple:
-        """The lower and upper matrices of the truncation |k| <= n_max.
-
-        One scatter on the box |k| <= n_max + b, b the potential's band,
-        gives H = [[A, B], [B^H, D]] on the box P and the shell S of modes
-        within the band of it; A is operator(n_max) bitwise.  The full
-        operator has no coupling from P beyond S, and on the modes Q outside P
-        it is at least D0 = diag(weights) - s, since s >= sup ||V||.  When D0
-        is positive, [[B D0^-1 B^H, B], [B^H, D0]] >= 0, so the operator is at
-        least (A - B D0^-1 B^H) + 0, and by min-max each of its negative
-        eigenvalues lies at or above the matching one of the upper matrix
-        A - B D0^-1 B^H: its Riesz mean bounds the continuum one from above.
-        The upper matrix is None when D0 is not positive, that is when the
-        first mode outside P weighs s or less.  Both matrices of a scalar
-        projected form take the real form.
-        """
-        b, m = potential.bands[0], potential.m_dim
-        rows = len(_lattice_modes(potential, (n_max,), self.projected)) * m  # operator()'s checks
-        modes = _lattice_modes(potential, (n_max + b,), self.projected)
-        kinetic = _kinetic((self.alpha,), modes, self.mass)
-        h = _assemble_lattice(modes, kinetic, potential.coeffs)
-        lo = (len(h) - rows) // 2  # P is the middle block of the enlarged box
-        box = slice(lo, lo + rows)
-        a = h[box, box]
-        upper = None
-        if self.weights(n_max + 1)[-1] > s:
-            shell = np.r_[:lo, lo + rows:len(h)]
-            coupling = h[box, shell]
-            upper = a - (coupling / (np.repeat(kinetic, m)[shell] - s)) @ coupling.conj().T
-            upper = _fold(upper, potential, self.projected)
-        return _fold(a, potential, self.projected), upper
+    def enclosure(self, potential: MatrixPotential, n_max: int, s: float | None = None) -> tuple:
+        """The Galerkin matrix of the form minus V on the modes |k| <= n_max,
+        and its upper matrix given s >= sup ||V|| (see _lattice_operator)."""
+        _check_1d(potential)
+        return _lattice_operator(potential, (self.alpha,), self.mass, (n_max,), self.projected, s)
 
 
 def _check_1d(potential: MatrixPotential) -> None:
@@ -486,13 +478,13 @@ def _form(which: str, beta: float, alpha: float = 1.0) -> _Form:
 
 def assemble_h1(potential: MatrixPotential, alpha: float, beta: float, n_max: int) -> np.ndarray:
     """Galerkin matrix of the mass-added operator on modes |k| <= n_max."""
-    return _form("add", beta, alpha).operator(potential, n_max)
+    return _form("add", beta, alpha).enclosure(potential, n_max)[0]
 
 
 def assemble_h2(potential: MatrixPotential, delta: float, n_max: int) -> np.ndarray:
     """Galerkin matrix of the mass-subtracted operator on zero-mean modes |k| <= n_max,
     real symmetric in the cos/sin basis when the potential is scalar."""
-    return _form("subtract", delta).operator(potential, n_max)
+    return _form("subtract", delta).enclosure(potential, n_max)[0]
 
 
 def negative_spectrum(matrix: np.ndarray) -> EigenReport:

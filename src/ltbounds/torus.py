@@ -159,7 +159,7 @@ def assemble_torus_operator(potential: ScalarPotentialD, geom: TorusGeometry, n_
     -i(e_k - e_-k)/sqrt2 (see spectral1d._real_form).
     """
     _check_dimension(potential, geom)
-    return _lattice_operator(potential, geom.alphas, 0.0, n_modes, projected=True)
+    return _lattice_operator(potential, geom.alphas, 0.0, n_modes, projected=True)[0]
 
 
 def _quad_nodes(potential: ScalarPotentialD) -> tuple:

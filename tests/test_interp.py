@@ -215,6 +215,66 @@ class TestThresholds:
         assert window[0] <= threshold(1e-300) <= window[1]
 
 
+def _mp_g(mp, lam, beta):
+    t = mp.sqrt(beta + lam)
+    return mp.sqrt(lam) * mp.coth(mp.pi * t) / t
+
+
+def _mp_f(mp, lam, beta):
+    x = lam - beta
+    h = mp.sqrt(x) * mp.coth(mp.pi * mp.sqrt(x)) if x > 0 else mp.sqrt(-x) * mp.cot(mp.pi * mp.sqrt(-x))
+    return mp.sqrt(lam) * (h - 1 / mp.pi) / x
+
+
+class TestThresholdCertification:
+    """The thresholds at 30 digits: choose_betas works one bisection tolerance
+    inside the K1 = 1 and K2 = 1 regions, so K1(beta_star + tol) and
+    K2(beta_star_star - tol) must be 1, and one tol outside they must not."""
+
+    TOL = 1e-6  # torus._THRESHOLD_TOL
+
+    @staticmethod
+    def _sup(mp, objective, float_objective, beta):
+        # The float grid of interp picks the bracket around its best point;
+        # golden section on log(lambda) refines it in mpmath, ends included.
+        grid = np.geomspace(interp._LAMBDA_MIN, interp._LAMBDA_MAX, interp._GRID_POINTS)
+        i = int(np.argmax(float_objective(grid, beta)))
+        a, b = (mp.log(grid[min(max(j, 0), len(grid) - 1)]) for j in (i - 1, i + 1))
+
+        def fn(t):
+            return objective(mp, mp.exp(t), mp.mpf(beta))
+
+        best = max(fn(a), fn(b))
+        invphi = (mp.sqrt(5) - 1) / 2
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        fc, fd = fn(c), fn(d)
+        while b - a > mp.mpf("1e-15"):
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = fn(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = fn(d)
+        return max(best, fc, fd)
+
+    @pytest.mark.parametrize("name", ["k1", "k2"])
+    def test_one_tol_inside_is_unit_and_one_tol_outside_is_not(self, name):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            if name == "k1":
+                beta = interp.beta_star(self.TOL)
+                inside, outside = beta + self.TOL, beta - self.TOL
+                objective, float_objective = _mp_g, interp.g_objective
+            else:
+                beta = interp.beta_star_star(self.TOL)
+                inside, outside = beta - self.TOL, beta + self.TOL
+                objective, float_objective = _mp_f, interp.f_objective
+            assert self._sup(mpmath, objective, float_objective, inside) <= 1
+            assert self._sup(mpmath, objective, float_objective, outside) > 1
+
+
 class TestMonotonicity:
     def test_k1_non_increasing(self):
         betas = np.linspace(0.005, 1.5, 100)

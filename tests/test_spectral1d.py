@@ -278,6 +278,14 @@ class TestPhaseTable:
             table[0, 0] = 0.0
         assert sp1._phase_table(b, n) is table
 
+    @pytest.mark.parametrize("b, n", [(0, 4), (1, 3), (3, 100), (50, 999)])
+    def test_built_in_place_bitwise_with_signed_zeros(self, b, n):
+        # np.array_equal takes -0.0 for +0.0, so compare the bit patterns
+        theta = 2.0 * math.pi * np.arange(n) / n
+        fresh = np.exp(1j * np.outer(theta, np.arange(-b, b + 1)))
+        sp1._phase_table.cache_clear()
+        assert np.array_equal(sp1._phase_table(b, n).view(np.int64), fresh.view(np.int64))
+
     def test_memo_is_bounded(self):
         size = sp1._PHASE_MEMO_SIZE
         assert sp1._phase_table.cache_info().maxsize == size
@@ -373,8 +381,8 @@ class TestRealForm:
         modes = modes[modes[:, -1] != 0]
         kinetic = np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
         want = galerkin_loop(modes, kinetic, pot.coeffs, np.ones(len(modes), bool))
-        r = sp1._lattice_operator(pot, alphas, mass, n_modes, projected=True)
-        assert r.dtype == np.float64
+        r, upper = sp1._lattice_operator(pot, alphas, mass, n_modes, projected=True)
+        assert upper is None and r.dtype == np.float64
         assert np.array_equal(r, r.T)
         drift = np.max(np.abs(np.linalg.eigvalsh(r) - np.linalg.eigvalsh(want)))
         assert drift <= 1e-12 * np.max(np.abs(want))
@@ -433,6 +441,14 @@ class TestPairingAndBudget:
         monkeypatch.setattr(sp1, "ROW_BUDGET", 29)
         assert sp1.assemble_h1(pot, 1.0, 0.5, 5).shape == (22, 22)
         with pytest.raises(ValueError, match="Galerkin size 30 exceeds"):
+            sp1._form("add", 0.5).enclosure(pot, 5, sp1._sup_bound(pot))
+
+    def test_band_zero_enclosure_pads_one_ring(self, monkeypatch):
+        # the 11-row box |k| <= 5 of a band-0 potential is enclosed on |k| <= 6
+        pot = sp1.constant_potential(1.0)
+        monkeypatch.setattr(sp1, "ROW_BUDGET", 12)
+        assert sp1.assemble_h1(pot, 1.0, 0.5, 5).shape == (11, 11)
+        with pytest.raises(ValueError, match="Galerkin size 13 exceeds"):
             sp1._form("add", 0.5).enclosure(pot, 5, sp1._sup_bound(pot))
 
     def test_phase_tables_count_against_the_budget(self, monkeypatch):
@@ -594,14 +610,51 @@ class TestEnclosure:
     @pytest.mark.parametrize("name", list(FORMS))
     @pytest.mark.parametrize("m_dim", [1, 2, 3])
     def test_box_block_is_the_galerkin_matrix_bitwise(self, name, m_dim):
+        # the lower matrix of the padded scatter is the one of the box alone
         which, beta, alpha = self.FORMS[name]
         form = sp1._form(which, beta, alpha)
         pot = sp1.random_psd_potential(m_dim, 2, 1.0, 40 + m_dim)
         for n in (pot.bands[0], pot.bands[0] + 5):
             lower, upper = form.enclosure(pot, n, sp1._sup_bound(pot))
-            want = form.operator(pot, n)
+            want, none = form.enclosure(pot, n)
+            assert none is None
             assert lower.dtype == want.dtype and np.array_equal(lower, want)
-            assert upper is None or upper.shape == want.shape
+            assert upper is None or (upper.dtype, upper.shape) == (want.dtype, want.shape)
+
+    TORUS = {"alpha_1": ((1.0, 1.0), (6, 6)), "alpha_half": ((0.5, 1.0), (10, 4))}
+
+    @pytest.mark.parametrize("case", list(TORUS))
+    def test_torus_box_block_is_the_galerkin_matrix_bitwise(self, case):
+        alphas, n_modes = self.TORUS[case]
+        pot = torus.ScalarPotentialD.random(2, 1, 0.5, 7)
+        lower, upper = sp1._lattice_operator(pot, alphas, 0.0, n_modes, True, sp1._sup_bound(pot))
+        want = torus.assemble_torus_operator(pot, torus.TorusGeometry(alphas), n_modes)
+        assert upper is not None and lower.dtype == want.dtype == np.float64
+        assert np.array_equal(lower, want)
+
+    @pytest.mark.parametrize("case", list(TORUS))
+    def test_torus_lower_of_a_larger_box_stays_below_the_upper_bound(self, case):
+        # the 2-torus mirror of the 1D test below, in the real form
+        alphas, n_modes = self.TORUS[case]
+        pot = torus.ScalarPotentialD.random(2, 1, 0.5, 7)
+        _, upper = sp1._lattice_operator(pot, alphas, 0.0, n_modes, True, sp1._sup_bound(pot))
+        larger = torus.assemble_torus_operator(pot, torus.TorusGeometry(alphas), [n + 6 for n in n_modes])
+        ev_upper = np.minimum(np.linalg.eigvalsh(upper), 0.0)
+        ev_larger = np.minimum(np.linalg.eigvalsh(larger), 0.0)[: len(ev_upper)]
+        assert np.min(ev_upper) < 0
+        assert np.all(ev_upper <= ev_larger + 1e-12 * np.max(np.abs(larger)))
+
+    def test_torus_upper_exists_exactly_when_the_long_axis_ring_outweighs_s(self):
+        # alpha = (1/2, 1) with n_2 = 6: the lightest mode outside the box is
+        # k = (n_1 + 1, +-1), of weight (n_1 + 1)^2 / 4 + 1, for every n_1 < 12
+        pot = torus.ScalarPotentialD.random(2, 1, 0.5, 7)
+        s = sp1._sup_bound(pot)
+        found = set()
+        for n in range(2, 12, 2):
+            _, upper = sp1._lattice_operator(pot, (0.5, 1.0), 0.0, (n, 6), True, s)
+            found.add(upper is None)
+            assert (upper is None) == ((0.5 * (n + 1)) ** 2 + 1.0 <= s), (n, s)
+        assert found == {True, False}
 
     @staticmethod
     def _items(m_dim):
@@ -634,7 +687,7 @@ class TestEnclosure:
                 _, upper = form.enclosure(pot, n, s)
                 if upper is None:
                     continue
-                larger = form.operator(pot, n + 8)
+                larger, _ = form.enclosure(pot, n + 8)
                 ev_upper = np.minimum(np.linalg.eigvalsh(upper), 0.0)
                 ev_larger = np.minimum(np.linalg.eigvalsh(larger), 0.0)[: len(ev_upper)]
                 assert np.all(ev_upper <= ev_larger + 1e-12 * np.max(np.abs(larger))), (n, pot.bands)
@@ -692,7 +745,7 @@ class TestEnclosure:
         calls = []
         enclosure = sp1._Form.enclosure
         monkeypatch.setattr(sp1._Form, "enclosure",
-                            lambda self, p, n, s: calls.append(n) or enclosure(self, p, n, s))
+                            lambda self, p, n, s=None: calls.append(n) or enclosure(self, p, n, s))
         report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0, n_max=9)
         assert calls == [9] and report.metadata["truncation"] == 9
         assert report.lhs == sp1.riesz_mean(

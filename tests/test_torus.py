@@ -229,7 +229,8 @@ class TestAssembly:
             want = spectral1d._real_form(want)  # a scalar V: the cos/sin basis
             a = torus.assemble_torus_operator(pot, torus.TorusGeometry(alphas), n_modes)
         else:
-            a = spectral1d._lattice_operator(pot, alphas, 0.0, n_modes, projected=False)
+            a, upper = spectral1d._lattice_operator(pot, alphas, 0.0, n_modes, projected=False)
+            assert upper is None
         assert a.dtype == want.dtype
         assert np.array_equal(a, want)
 
