@@ -262,9 +262,10 @@ def _read_config_file(path: str) -> dict:
 
 def _inject_config(argv: list[str]) -> list[str]:
     # Config entries become flags inserted right after the subcommand, so any
-    # explicit command-line flag (parsed later) wins on conflict.
+    # explicit command-line flag (parsed later) wins on conflict; argparse
+    # rejects a trailing --config.
     for i, token in enumerate(argv):
-        if token == "--config":
+        if token == "--config" and i + 1 < len(argv):
             path = argv[i + 1]
             break
         if token.startswith("--config="):
@@ -284,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail_usage(str(exc))
     try:
         return args.func(args)

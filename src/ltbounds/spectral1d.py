@@ -180,8 +180,7 @@ def _check_psd_params(d: int, m_dim: int, band: int, scale: float) -> None:
     """Reject the parameters of :func:`_psd_coeffs` before it does any work."""
     if d < 1 or m_dim < 1 or band < 0 or scale <= 0:
         raise ValueError("invalid potential parameters")
-    # V has band 2*band, which every truncation must cover: the smallest such
-    # Galerkin matrix must fit before the autocorrelation loops over V's offsets
+    # V's band 2*band needs a Galerkin matrix within the row budget; rejected before V's grid is built
     _check_rows((2 * band,) * d, m_dim, projected=band > 0)
 
 
@@ -189,33 +188,18 @@ def _autocorrelation(w: np.ndarray) -> np.ndarray:
     """Coefficients V_m = sum_k W_k W_{k-m}^H of V = W W^H.
 
     w has shape (2*b_1+1, ..., 2*b_d+1, m, r) with r >= 0; V has bands 2*b_j
-    and (m, m) blocks.  V_m is formed on the lexicographically non-negative
-    half of the offsets and mirrored exactly onto the other, with a
-    symmetrised head, so V passes MatrixPotential's pairing check.
+    and (m, m) blocks.  V is c^2 times the inverse FFT of F F^H, with F the
+    FFT of W / c zero-padded to V's box (so no offset wraps around) and c
+    the largest entry of W, so only the product by c^2 can overflow.
+    Averaging with the flipped adjoint makes MatrixPotential's pairing
+    V_-m = V_m^H exact.
     """
-    *widths, m_dim, rank = w.shape
-    d = len(widths)
-    out_bands = [n - 1 for n in widths]  # 2 * b_j
-    coeffs = np.zeros(tuple(2 * b + 1 for b in out_bands) + (m_dim, m_dim), dtype=complex)
-    # W W^H can overflow at a huge scale; MatrixPotential rejects the non-finite result
-    with np.errstate(over="ignore", invalid="ignore"):
-        for idx in np.ndindex(*coeffs.shape[:d]):
-            m = tuple(i - b for i, b in zip(idx, out_bands))
-            if m < (0,) * d:
-                continue  # mirrored from -m
-            # k runs over the overlap of W's box with its shift by m
-            src = tuple(slice(max(0, mj), n + min(0, mj)) for mj, n in zip(m, widths))
-            dst = tuple(slice(max(0, -mj), n + min(0, -mj)) for mj, n in zip(m, widths))
-            # an explicit row count, since reshape cannot infer -1 when rank is 0
-            count = math.prod(sl.stop - sl.start for sl in src)
-            a, b = (w[s].reshape(count, m_dim, rank) for s in (src, dst))
-            acc = np.einsum("nij,nkj->ik", a, b.conj())
-            if not any(m):
-                coeffs[idx] = 0.5 * (acc + acc.conj().T)  # exact Hermitian head
-            else:
-                coeffs[idx] = acc
-                coeffs[tuple(2 * b - i for i, b in zip(idx, out_bands))] = acc.conj().T
-    return coeffs
+    lattice = tuple(range(w.ndim - 2))
+    c = float(np.max(np.abs(w), initial=0.0)) or 1.0  # an empty or zero W stays zero
+    f = np.fft.fftn(w / c, s=[2 * n - 1 for n in w.shape[:-2]], axes=lattice)
+    with np.errstate(over="ignore", invalid="ignore"):  # MatrixPotential rejects an overflow
+        v = c * c * np.fft.fftshift(np.fft.ifftn(f @ f.conj().swapaxes(-1, -2), axes=lattice), axes=lattice)
+        return 0.5 * (v + np.flip(v, lattice).conj().swapaxes(-1, -2))
 
 
 def _block_eigvalsh(values: np.ndarray) -> np.ndarray:

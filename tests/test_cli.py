@@ -505,6 +505,11 @@ class TestConfigFile:
         code, _, err = run(capsys, "constants", "--config=/nonexistent/cfg")
         assert code == 2
 
+    def test_config_without_a_path_is_an_argparse_error(self, capsys):
+        code, out, err = run(capsys, "constants", "--config")
+        assert (code, out) == (2, "")
+        assert "--config: expected one argument" in err
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("gamma 2\n")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,31 @@ class TestGeneratorParity:
         for seed in range(5):
             want = psd_coeffs_torus_loop(d, band, 1.0, seed)[..., None, None]
             _assert_parity(sp1._psd_coeffs(d, 1, band, 1.0, seed), want)
+
+    def test_matches_torus_loop_oracle_at_the_cli_default_band(self):
+        for seed in range(5):
+            want = psd_coeffs_torus_loop(2, 2, 1.0, seed)[..., None, None]
+            _assert_parity(sp1._psd_coeffs(2, 1, 2, 1.0, seed), want)
+
+    @pytest.mark.parametrize("m_dim, rank", [(1, 0), (2, 0), (1, 3), (2, 3), (3, 1), (3, 2)])
+    def test_family_shapes_match_a_double_loop(self, m_dim, rank):
+        # a density W W^H of `rank` members with (2b+1, m_dim) coefficients
+        band = 2
+        w = np.random.default_rng(rank + 10 * m_dim).standard_normal((2 * band + 1, m_dim, rank, 2)) @ [1, 1j]
+        want = np.zeros((4 * band + 1, m_dim, m_dim), dtype=complex)
+        for m in range(-2 * band, 2 * band + 1):
+            for k in range(max(-band, m - band), min(band, m + band) + 1):
+                want[m + 2 * band] += w[k + band] @ w[k - m + band].conj().T
+        _assert_parity(sp1._autocorrelation(w), want)  # rank 0: exactly zero
+
+    @pytest.mark.parametrize("d, m_dim", [(1, 2), (1, 3), (2, 1)])
+    def test_scale_near_1e150_stays_finite_without_a_warning(self, d, m_dim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sp1._psd_coeffs(d, m_dim, 2, 1e150, 3)
+        want = psd_coeffs_1d_loop(m_dim, 2, 1e150, 3) if d == 1 else psd_coeffs_torus_loop(d, 2, 1e150, 3)
+        assert np.all(np.isfinite(got))
+        _assert_parity(got, want.reshape(got.shape))
 
 
 class TestTracePowerIntegral:
@@ -643,6 +669,34 @@ class TestEnclosure:
         ev_larger = np.minimum(np.linalg.eigvalsh(larger), 0.0)[: len(ev_upper)]
         assert np.min(ev_upper) < 0
         assert np.all(ev_upper <= ev_larger + 1e-12 * np.max(np.abs(larger)))
+
+    # (W band, W scale, seed, alphas, truncation): the first truncation with an upper matrix
+    TORUS_UPPER = {
+        "band_1_alpha_1": (1, 0.5, 0, (1.0, 1.0), (2, 2)),
+        "band_1_alpha_half": (1, 0.5, 2, (0.5, 1.0), (5, 2)),
+        "band_2_alpha_1": (2, 0.3, 0, (1.0, 1.0), (4, 4)),
+        "band_2_alpha_half": (2, 0.3, 1, (0.5, 1.0), (7, 4)),
+    }
+
+    @pytest.mark.parametrize("case", list(TORUS_UPPER))
+    def test_torus_upper_matches_the_loop_schur_complement(self, case):
+        # A - B (diag K_ring - s)^-1 B^H on the box padded by max(b_j, 1),
+        # from the pair-loop Galerkin matrix, folded into the real form
+        band, scale, seed, alphas, n_modes = self.TORUS_UPPER[case]
+        pot = torus.ScalarPotentialD.random(2, band, scale, seed)
+        s = sp1._sup_bound(pot)
+        padded = [n + max(b, 1) for n, b in zip(n_modes, pot.bands)]
+        mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in padded], indexing="ij")
+        modes = np.stack([g.ravel() for g in mesh], axis=-1)
+        modes = modes[modes[:, -1] != 0]
+        kinetic = np.sum((np.asarray(alphas) * modes) ** 2, axis=1)
+        h = galerkin_loop(modes, kinetic, pot.coeffs, np.ones(len(modes), bool))
+        inside = np.all(np.abs(modes) <= n_modes, axis=1)
+        a, b = h[np.ix_(inside, inside)], h[np.ix_(inside, ~inside)]
+        want = sp1._real_form(a - b @ np.diag(1.0 / (kinetic[~inside] - s)) @ b.conj().T)
+        _, upper = sp1._lattice_operator(pot, alphas, 0.0, n_modes, True, s)
+        assert upper is not None and np.min(np.linalg.eigvalsh(upper)) < 0
+        assert np.max(np.abs(upper - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_torus_upper_exists_exactly_when_the_long_axis_ring_outweighs_s(self):
         # alpha = (1/2, 1) with n_2 = 6: the lightest mode outside the box is
