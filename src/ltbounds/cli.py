@@ -29,8 +29,16 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _document(command: str, config: dict, body: dict) -> str:
-    doc = {"version": __version__, "command": command, "config": config}
+# Parsed names left out of the config echo: argparse bookkeeping, the output
+# and config paths, the curve's output format, and the attractor constants
+# that the document reports under "constants".
+_NOT_ECHOED = ("command", "func", "out", "config", "format", "c_lt", "c_q")
+
+
+def _document(args, body: dict) -> str:
+    config = {key: value for key, value in vars(args).items() if key not in _NOT_ECHOED}
+    config["seed"] = getattr(args, "seed_base", None)
+    doc = {"version": __version__, "command": args.command, "config": config}
     doc.update(body)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -58,24 +66,16 @@ def cmd_constants(args) -> int:
         if args.gamma == 1
         else None,
     }
-    config = {"gamma": args.gamma, "d": args.d, "seed": None}
-    _emit(_document("constants", config, body), args.out)
+    _emit(_document(args, body), args.out)
     return 0
 
 
 def cmd_k_curve(args) -> int:
-    table = interp.export_curve(args.which, args.beta_min, args.beta_max, args.num)
+    table = interp.export_curve(args.which, args.min, args.max, args.num)
     if args.format == "csv":
         _emit(table.to_csv(), args.out)
     else:
-        config = {
-            "which": args.which,
-            "min": args.beta_min,
-            "max": args.beta_max,
-            "num": args.num,
-            "seed": None,
-        }
-        _emit(_document("k-curve", config, table.to_dict()), args.out)
+        _emit(_document(args, table.to_dict()), args.out)
     return 0
 
 
@@ -85,8 +85,7 @@ def cmd_thresholds(args) -> int:
         "beta_star_star": interp.beta_star_star(args.tol),
         "tol": args.tol,
     }
-    config = {"tol": args.tol, "seed": None}
-    _emit(_document("thresholds", config, body), args.out)
+    _emit(_document(args, body), args.out)
     return 0
 
 
@@ -113,12 +112,10 @@ def _verify_one(kind: str, args, seed: int):
             args.family_size, args.m_dim, args.band, False, seed
         )
         return families.verify_trace1(fam, args.alpha, args.beta, seed=seed)
-    if kind == "trace2":
-        fam = families.random_orthonormal_family(
-            args.family_size, args.m_dim, args.band, True, seed
-        )
-        return families.verify_trace2(fam, args.delta, seed=seed)
-    raise ValueError(f"unknown verify kind {kind!r}")
+    fam = families.random_orthonormal_family(
+        args.family_size, args.m_dim, args.band, True, seed
+    )
+    return families.verify_trace2(fam, args.delta, seed=seed)
 
 
 def cmd_verify(args) -> int:
@@ -134,24 +131,8 @@ def cmd_verify(args) -> int:
     if args.rhs_scale != 1.0:
         reports = [rep.with_rhs_scaled(args.rhs_scale) for rep in reports]
     all_pass = all(rep.passed for rep in reports)
-    config = {
-        "kind": args.kind,
-        "seeds": args.seeds,
-        "seed_base": args.seed_base,
-        "seed": args.seed_base,
-        "gamma": args.gamma,
-        "beta": args.beta,
-        "delta": args.delta,
-        "alpha": args.alpha,
-        "d": args.d,
-        "m_dim": args.m_dim,
-        "band": args.band,
-        "scale": args.scale,
-        "family_size": args.family_size,
-        "rhs_scale": args.rhs_scale,
-    }
     body = {"reports": [rep.to_dict() for rep in reports], "all_pass": all_pass}
-    _emit(_document("verify", config, body), args.out)
+    _emit(_document(args, body), args.out)
     return 0 if all_pass else 1
 
 
@@ -172,17 +153,8 @@ def cmd_attractor(args) -> int:
     else:
         value = attractor.kolmogorov_number(params)
         constants = {}
-    config = {
-        "formula": args.formula,
-        "nu": args.nu,
-        "mu": args.mu,
-        "length": args.length,
-        "grad_g": args.grad_g,
-        "aspect": args.aspect,
-        "seed": None,
-    }
     body = {"value": value, "constants": constants, "valid": True}
-    _emit(_document("attractor", config, body), args.out)
+    _emit(_document(args, body), args.out)
     return 0
 
 
@@ -205,8 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("k-curve", parents=[io_flags], help="export a K1/K2 curve")
     p.add_argument("--which", choices=("k1", "k2"), default="k1")
-    p.add_argument("--min", dest="beta_min", type=finite_float, default=0.01)
-    p.add_argument("--max", dest="beta_max", type=finite_float, default=0.5)
+    p.add_argument("--min", type=finite_float, default=0.01)
+    p.add_argument("--max", type=finite_float, default=0.5)
     p.add_argument("-n", "--num", type=int, default=50)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_k_curve)
@@ -260,36 +232,21 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    # Config entries become flags inserted right after the subcommand, so any
-    # explicit command-line flag (parsed later) wins on conflict; argparse
-    # rejects a trailing --config.
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            break
-    else:
-        return argv
-    tokens = [f"--{key}={value}" for key, value in _read_config_file(path).items()]
-    return argv[:1] + tokens + argv[1:]
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _inject_config(argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # Config entries become flags right after the subcommand, so any
+            # explicit flag (parsed later) wins on conflict.
+            tokens = [f"--{key}={value}" for key, value in _read_config_file(args.config).items()]
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, ValueError) as exc:
-        return _fail_usage(str(exc))
-    try:
-        return args.func(args)
-    except (ValueError, ArithmeticError, ConvergenceError) as exc:
+    except (OSError, ValueError, ArithmeticError, ConvergenceError) as exc:
+        # OSError: an unreadable config file or an unwritable --out.
         # ArithmeticError: inputs whose arithmetic overflows or divides by an
         # underflowed zero, e.g. attractor --mu 1e-300
         return _fail_usage(str(exc))

@@ -515,3 +515,52 @@ class TestConfigFile:
         cfg.write_text("gamma 2\n")
         code, _, _ = run(capsys, "constants", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("spelling", ["--conf", "--con="])
+    def test_abbreviated_config_flag_reads_the_file(self, capsys, tmp_path, spelling):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma=2\nd=3\n")
+        argv = [spelling + str(cfg)] if spelling.endswith("=") else [spelling, str(cfg)]
+        abbreviated = run(capsys, "constants", *argv)
+        assert abbreviated == run(capsys, "constants", "--config", str(cfg))
+        assert json.loads(abbreviated[1])["config"]["gamma"] == 2.0
+
+    def test_last_config_flag_wins(self, capsys, tmp_path):
+        first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+        first.write_text("gamma=2\n")
+        last.write_text("gamma=3\n")
+        code, out, _ = run(capsys, "constants", "--config", str(first), "--config", str(last))
+        assert code == 0
+        assert json.loads(out)["config"]["gamma"] == 3.0
+
+    def test_help_reads_no_config_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "constants", "--config", str(tmp_path / "missing.cfg"), "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: ltbounds constants")
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["constants"], {"gamma", "d"}),
+        (["thresholds"], {"tol"}),
+        (["k-curve", "-n", "3", "--format", "json"], {"which", "min", "max", "num"}),
+        (["verify", "--kind", "trace1", "--seeds", "1", "--seed-base", "3"],
+         {"kind", "seeds", "seed_base", "gamma", "beta", "delta", "alpha", "d", "m_dim",
+          "band", "scale", "family_size", "rhs_scale"}),
+        (["attractor"], {"formula", "nu", "mu", "length", "grad_g", "aspect"}),
+    ], ids=["constants", "thresholds", "k-curve", "verify", "attractor"])
+    def test_config_echo_keys(self, capsys, argv, keys):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert set(config) == keys | {"seed"}
+        assert config["seed"] == (3 if argv[0] == "verify" else None)
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("argv, target", [
+        (["constants"], "missing/x.json"),
+        (["verify", "--kind", "h2", "--seeds", "1"], "."),
+    ], ids=["missing-directory", "a-directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv, target):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
