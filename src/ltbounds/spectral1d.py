@@ -62,8 +62,8 @@ _EIG_CUT_REL = 1e-12
 _PHASE_MEMO_SIZE = 32
 # Largest dense Galerkin matrix (rows = modes * m_dim) any assembler builds:
 # 10,000 complex rows are 1.6 GB, and the eigensolver roughly doubles that.
-# A real cos/sin row costs half, but the complex scatter it is folded from
-# is held alongside it: 2.4 GB at the budget.
+# A real cos/sin row costs half: it is scattered in place, with no complex
+# matrix alongside, so 0.8 GB at the budget.
 ROW_BUDGET = 10_000
 # The default 1D truncations climb to b + _TOP_MARGIN and stop where the two
 # sides of the enclosure agree to _GAP_REL relative (see _Form.truncations).
@@ -274,7 +274,8 @@ def trace_power_integral(potential: MatrixPotential, p: float, period: float) ->
     return _power_integral(potential, p, period, (_quad_grid_1d(potential),))
 
 
-def _assemble_lattice(modes: np.ndarray, kinetic: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _assemble_lattice(modes: np.ndarray, kinetic: np.ndarray, coeffs: np.ndarray, real: bool,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Galerkin matrix diag(kinetic) - V on an integer mode lattice.
 
     modes is (n, d) and coeffs has shape (2b_1+1, ..., 2b_d+1, m, m), so each
@@ -282,50 +283,53 @@ def _assemble_lattice(modes: np.ndarray, kinetic: np.ndarray, coeffs: np.ndarray
     coeffs[k_i - k_j] when the difference lies inside the coefficient box.
     The scatter runs once per box offset, so besides the matrix it only
     allocates arrays of length n.
+
+    When `real`, V is scalar and real and mode n-1-i is -(mode i).  For
+    k_i of the first half, i < h = n/2, row i is then the cosine
+    (e_k + e_-k)/sqrt2 and row h + i the sine -i(e_k - e_-k)/sqrt2, a
+    unitary change of basis.  With P[i, j] = a[k_i, k_j] and
+    Q[i, j] = a[k_i, -k_j] of the complex matrix a, the n x n float array
+    [[Re(P + Q), Im(P - Q)], [Im(P - Q)^T, Re(P - Q)]] is built, refilling
+    `out` when it has that shape.  An entry takes at most one term of P,
+    V(k_i - k_j), and one of Q, V(k_i + k_j); the zero offset goes first,
+    so a diagonal entry is kinetic - V(0) before its Q term, as in a.
     """
     n, d = modes.shape
     m = coeffs.shape[-1]
     widths = np.array(coeffs.shape[:d])
-    a = np.diag(np.repeat(kinetic, m).astype(complex))
-    blocks = a.reshape(n, m, n, m)  # view: blocks[i, :, j, :] couples mode i to mode j
+    rows = n // 2 if real else n  # the rows the scatter fills: the cosine rows, or all
+    if real:
+        a = out if out is not None and out.shape == (n, n) else np.empty((n, n))
+        a.fill(0.0)
+        np.fill_diagonal(a, np.tile(kinetic[:rows], 2))
+        flat = a.reshape(-1)  # view
+        index = np.arange(n)  # partner j >= h is -k of cosine row n-1-j: a Q term, negated in P - Q
+        column, sign = np.minimum(index, n - 1 - index), np.where(index < rows, 1.0, -1.0)
+    else:
+        a = np.diag(np.repeat(kinetic, m).astype(complex))
+        blocks = a.reshape(n, m, n, m)  # view: blocks[i, :, j, :] couples mode i to mode j
     # row of each mode in a table over the modes' bounding box, padded by the
     # band so that every partner k_i - dk indexes inside it; -1 elsewhere
     bands = (widths - 1) // 2
     low = modes.min(axis=0, initial=0) - bands
     row_of = np.full(tuple(modes.max(axis=0, initial=0) - low + bands + 1), -1, np.intp)
     row_of[tuple((modes - low).T)] = np.arange(n)
-    partner = modes - low + bands  # k_i - dk - low is partner - offset, dk = offset - bands
-    for offset in np.ndindex(*widths):
+    partner = modes[:rows] - low + bands  # k_i - dk - low is partner - offset, dk = offset - bands
+    for offset in sorted(np.ndindex(*widths), key=lambda o: o != tuple(bands)):
         j = row_of[tuple((partner - offset).T)]
         i = np.flatnonzero(j >= 0)
-        blocks[i, :, j[i], :] -= coeffs[offset]
+        j = j[i]
+        if not real:
+            blocks[i, :, j, :] -= coeffs[offset]
+            continue
+        v = complex(coeffs[offset][0, 0])
+        at, s = i * n + column[j], sign[j]  # flat index of entry (i, column)
+        flat[at] -= v.real  # Re(P + Q)
+        flat[at + rows] -= s * v.imag  # Im(P - Q), to the right
+        flat[at + rows * (n + 1)] -= s * v.real  # Re(P - Q), to the lower right
+    if real:
+        a[rows:, :rows] = a[:rows, rows:].T
     return a
-
-
-def _real_form(a: np.ndarray) -> np.ndarray:
-    """The real symmetric form of a scalar projected Galerkin matrix.
-
-    `a` is complex Hermitian on modes in meshgrid "ij" order without the
-    k_d = 0 modes, so mode n-1-i is -(mode i), and a real V gives
-    a[-k, -l] = conj(a[k, l]).  For each k of the first half h = n/2, row i
-    is the cosine (e_k + e_-k)/sqrt2 and row h + i the sine
-    -i(e_k - e_-k)/sqrt2.  That is a unitary change of basis, so the
-    spectrum is unchanged.  With P = a[:h, :h] and Q = a[:h, h:] reversed
-    along its columns (Q[i, j] couples k_i to -k_j), it gives
-
-        [[Re(P + Q), Im(P - Q)], [Im(P - Q)^T, Re(P - Q)]].
-
-    P's real part and Q are exactly symmetric, so the result is too.
-    """
-    n = a.shape[0]
-    h = n // 2
-    p, q = a[:h, :h], a[:h, h:][:, ::-1]
-    r = np.empty((n, n))
-    np.add(p.real, q.real, out=r[:h, :h])
-    np.subtract(p.real, q.real, out=r[h:, h:])
-    np.subtract(p.imag, q.imag, out=r[:h, h:])
-    r[h:, :h] = r[:h, h:].T
-    return r
 
 
 def _check_rows(n_modes, m_dim: int, projected: bool) -> None:
@@ -341,15 +345,15 @@ def _kinetic(alphas, modes: np.ndarray, mass: float) -> np.ndarray:
     return np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
 
 
-def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, projected, s=None) -> tuple:
+def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, projected, s=None, out=None) -> tuple:
     """The lower and upper matrices of -sum_j alpha_j^2 d_j^2 + mass - V on the modes |k_j| <= n_j.
 
     The modes keep the lexicographic (meshgrid "ij") order of the box.  When
     `projected`, the k_d = 0 modes are dropped: P removes the mean along the
     last (shortest) coordinate, and P V P coincides with V on that span.  A
-    projected operator with a scalar (hence real) V is returned in the real
-    cos/sin basis of :func:`_real_form`; every other one is complex
-    Hermitian on the exponentials.
+    projected operator with a scalar (hence real) V is built in the real
+    cos/sin basis of :func:`_assemble_lattice`, which refills `out` when it
+    fits; every other one is complex Hermitian on the exponentials.
 
     The lower matrix is the Galerkin matrix.  Without s the upper one is
     None.  Given s >= sup ||V||, one scatter on the box padded by max(b_j, 1)
@@ -361,7 +365,9 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
     each of its negative eigenvalues lies at or above the matching one of
     the upper matrix A - B D0^-1 B^H: its Riesz mean bounds the continuum
     one from above.  The ring holds the lightest mode of Q, so the upper
-    matrix is None exactly when that mode weighs s or less.
+    matrix is None exactly when that mode weighs s or less.  The padded box
+    is symmetric under k -> -k, so the cos/sin rows split into box and ring
+    rows too, and the real upper matrix is formed in that basis.
     """
     n_modes = tuple(int(n) for n in n_modes)
     if len(n_modes) != potential.d:
@@ -378,19 +384,22 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
     if projected:
         modes = modes[modes[:, -1] != 0]
     kinetic = _kinetic(alphas, modes, mass)
-    h = _assemble_lattice(modes, kinetic, potential.coeffs)
     # MatrixPotential's exact adjoint pairing makes a 1x1-block V real
-    fold = _real_form if projected and potential.m_dim == 1 else np.asarray
+    real = projected and potential.m_dim == 1
+    h = _assemble_lattice(modes, kinetic, potential.coeffs, real, out)
     if s is None:
-        return fold(h), None
-    inside = np.all(np.abs(modes) <= n_modes, axis=1)
-    box, ring = (np.flatnonzero(np.repeat(x, potential.m_dim)) for x in (inside, ~inside))
+        return h, None
+    # the mode of each row: the first half's cos then sin rows, or m_dim rows per mode
+    index = np.arange(len(modes))
+    row_mode = np.tile(index[: len(index) // 2], 2) if real else np.repeat(index, potential.m_dim)
+    inside = np.all(np.abs(modes[row_mode]) <= n_modes, axis=1)
+    box, ring = np.flatnonzero(inside), np.flatnonzero(~inside)
     a = h[np.ix_(box, box)]
-    if not np.min(kinetic[~inside]) > s:
-        return fold(a), None
+    if not np.min(kinetic[row_mode[ring]]) > s:
+        return a, None
     coupling = h[np.ix_(box, ring)]
-    upper = a - (coupling / (np.repeat(kinetic, potential.m_dim)[ring] - s)) @ coupling.conj().T
-    return fold(a), fold(upper)
+    upper = a - (coupling / (kinetic[row_mode[ring]] - s)) @ coupling.conj().T
+    return a, upper
 
 
 def _sup_bound(potential: MatrixPotential) -> float:
@@ -473,8 +482,12 @@ def assemble_h2(potential: MatrixPotential, delta: float, n_max: int) -> np.ndar
 
 def negative_spectrum(matrix: np.ndarray) -> EigenReport:
     """Magnitudes of eigenvalues below -cut, cut = 1e-12 * max|A|, descending."""
-    # one pass over the matrix: max|A| is inf or NaN exactly when an entry is
-    scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
+    # max|A| is inf or NaN exactly when an entry is; a float A takes it as
+    # |max(max A, -min A)|, without the n x n temporary of np.abs(A)
+    if matrix.dtype.kind == "f" and matrix.size:
+        scale = abs(float(np.maximum(np.max(matrix), -np.min(matrix))))
+    else:
+        scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
     if not math.isfinite(scale):
         raise ValueError("matrix contains non-finite entries")
     evs = np.linalg.eigvalsh(matrix)

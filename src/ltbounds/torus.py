@@ -16,6 +16,7 @@ exactly 1 (the unit regime).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ __all__ = [
 
 _THRESHOLD_TOL = 1e-6
 _DELTA_CAP = 1.0 - 1e-6
+# Per thread, the matrix the last verify_bound_torus is done with, refilled by
+# the next assembly there: no fresh n x n allocation, and none of its page faults
+_spare = threading.local()
 
 
 @dataclass(frozen=True)
@@ -156,10 +160,12 @@ def assemble_torus_operator(potential: ScalarPotentialD, geom: TorusGeometry, n_
     the box |k_j| <= n_j with k_d != 0.  Each k of the lexicographically
     negative half, in meshgrid "ij" order, is paired with -k: row i is the
     cosine mode (e_k + e_-k)/sqrt2 and row n/2 + i the sine mode
-    -i(e_k - e_-k)/sqrt2 (see spectral1d._real_form).
+    -i(e_k - e_-k)/sqrt2 (see spectral1d._assemble_lattice).  The array is
+    the caller's: no later call writes to it.
     """
     _check_dimension(potential, geom)
-    return _lattice_operator(potential, geom.alphas, 0.0, n_modes, projected=True)[0]
+    out, _spare.matrix = getattr(_spare, "matrix", None), None
+    return _lattice_operator(potential, geom.alphas, 0.0, n_modes, projected=True, out=out)[0]
 
 
 def _quad_nodes(potential: ScalarPotentialD) -> tuple:
@@ -195,7 +201,8 @@ def verify_bound_torus(
     if n_modes is None:
         n_modes = _default_modes(potential.bands)
     sel = choose_betas(geom)
-    rep = negative_spectrum(assemble_torus_operator(potential, geom, n_modes))
+    matrix = assemble_torus_operator(potential, geom, n_modes)
+    rep, _spare.matrix = negative_spectrum(matrix), matrix  # no other reference to it is left
     integral = potential_power_integral(potential, geom, gamma + 0.5 * geom.d)
     return _lattice_bound(
         potential, rep, gamma, sel.constant_factor, integral, list(_quad_nodes(potential)), seed,

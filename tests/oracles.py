@@ -93,6 +93,32 @@ def galerkin_loop(modes, kinetic, coeffs, coupled) -> np.ndarray:
     return a
 
 
+def real_form(a) -> np.ndarray:
+    """The real cos/sin form of a complex Galerkin matrix a of a real scalar V.
+
+    The modes of a are symmetric under k -> -k in reverse order (mode n-1-i
+    is -(mode i)), so a[-k, -l] = conj(a[k, l]).  For k_i of the first half
+    h = n/2, row i is the cosine (e_k + e_-k)/sqrt2 and row h + i the sine
+    -i(e_k - e_-k)/sqrt2.  With P[i, j] = a[k_i, k_j] and Q[i, j] = a[k_i, -k_j],
+    the form is
+
+        [[Re(P + Q), Im(P - Q)], [Im(P - Q)^T, Re(P - Q)]].
+
+    The pairing is asserted to 1e-12 relative, which lets a rounded Schur
+    complement through.
+    """
+    a = np.asarray(a)
+    n = len(a)
+    drift = np.max(np.abs(a[::-1, ::-1] - a.conj()), initial=0.0)
+    assert n % 2 == 0 and drift <= 1e-12 * np.max(np.abs(a), initial=0.0), "modes are not paired k, -k"
+    h = n // 2
+    p = a[:h, :h]
+    q = np.fliplr(a[:h, h:])  # column j is mode n-1-j, which is -k_j
+    top = np.hstack([(p + q).real, (p - q).imag])
+    bottom = np.hstack([(p - q).imag.T, (p - q).real])
+    return np.vstack([top, bottom])
+
+
 def psd_coeffs_1d_loop(m_dim: int, band: int, scale: float, seed: int) -> np.ndarray:
     """Coefficients of the 1D potential V = W W^H, by a double loop over
     offsets m and overlapping indices k."""

@@ -1,7 +1,9 @@
-"""tools/bench_pairs.py: the summary statistics and the --pairs parsing."""
+"""tools/bench_pairs.py: the summary statistics, the --pairs parsing and the run order."""
 
 import importlib.util
+import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -100,3 +102,36 @@ class TestWorkloadCounts:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "expected WORKLOAD=N" in err
         assert not out.exists()
+
+
+class TestRunOrder:
+    def test_each_bench_run_follows_a_compile_of_its_checkout(self, monkeypatch, tmp_path):
+        calls = []
+
+        def fake_run(argv, cwd=None, **kwargs):
+            calls.append((list(argv), pathlib.Path(cwd)))
+            record = {"correct": True, "metrics": {"items_per_s": {"value": 1.0}}}
+            return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(record) + "\n", stderr="")
+
+        sides = {}
+        for side in ("parent", "change"):
+            sides[side] = tmp_path / side
+            sides[side].mkdir()
+        spec = {"end_to_end": [{"name": "items_per_s", "better": "higher"}], "per_layer": []}
+        (sides["change"] / "BENCHMARK.json").write_text(json.dumps(spec))
+        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+        out = tmp_path / "bench.json"
+        argv = ["--parent", str(sides["parent"]), "--change", str(sides["change"]), "--out", str(out),
+                "--pairs", "line1d=2", "--traced", "torus-weak=1"]
+        assert bench_pairs.main(argv) == 0
+
+        benches = [k for k, (argv, _) in enumerate(calls) if "bench/run.py" in argv]
+        assert len(benches) == 6 and len(calls) == 12
+        for k in benches:
+            compile_argv, compile_cwd = calls[k - 1]
+            assert compile_argv[1:] == ["-m", "compileall", "-q", "src", "bench"]
+            assert compile_cwd == calls[k][1]
+        # pair order alternates: parent first in even pairs
+        roots = [calls[k][1] for k in benches]
+        assert roots[:4] == [sides["parent"], sides["change"], sides["change"], sides["parent"]]
+        assert json.loads(out.read_text())["line1d"]["summary"]["items_per_s"]["pairs"] == 2

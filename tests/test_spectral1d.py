@@ -15,6 +15,7 @@ from oracles import (
     h2_constant_potential_eigs,
     psd_coeffs_1d_loop,
     psd_coeffs_torus_loop,
+    real_form,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -395,23 +396,53 @@ class TestRealForm:
         "torus_alpha_1": (2, 1, 3, (1.0, 1.0), 0.0, (5, 5)),
         "torus_alpha_half": (2, 1, 4, (0.5, 1.0), 0.0, (6, 4)),
         "torus_3d": (3, 1, 5, (0.5, 0.75, 1.0), 0.0, (2, 3, 2)),
+        "torus_alpha_half_9_5": (2, 1, 7, (0.5, 1.0), 0.0, (9, 5)),
+        "torus_3d_unequal": (3, 1, 8, (0.5, 0.75, 1.0), 0.0, (4, 2, 3)),
         "h2": (1, 2, 6, (1.0,), -0.4, (9,)),
     }
 
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_spectrum_matches_complex_oracle(self, case):
+    def _case(self, case):
+        """The potential and the complex pair-loop Galerkin matrix of a case."""
         d, band, seed, alphas, mass, n_modes = self.CASES[case]
         pot = sp1.MatrixPotential(sp1._psd_coeffs(d, 1, band, 1.0, seed))
         mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in n_modes], indexing="ij")
         modes = np.stack([g.ravel() for g in mesh], axis=-1)
         modes = modes[modes[:, -1] != 0]
         kinetic = np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
-        want = galerkin_loop(modes, kinetic, pot.coeffs, np.ones(len(modes), bool))
+        return pot, galerkin_loop(modes, kinetic, pot.coeffs, np.ones(len(modes), bool))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_spectrum_matches_complex_oracle(self, case):
+        _, _, _, alphas, mass, n_modes = self.CASES[case]
+        pot, want = self._case(case)
         r, upper = sp1._lattice_operator(pot, alphas, mass, n_modes, projected=True)
         assert upper is None and r.dtype == np.float64
         assert np.array_equal(r, r.T)
         drift = np.max(np.abs(np.linalg.eigvalsh(r) - np.linalg.eigvalsh(want)))
         assert drift <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_folded_loop_oracle_bitwise(self, case, padded):
+        # the box alone, or the lower block of the box padded for the upper matrix
+        _, _, _, alphas, mass, n_modes = self.CASES[case]
+        pot, loop = self._case(case)
+        s = sp1._sup_bound(pot) if padded else None
+        r, _ = sp1._lattice_operator(pot, alphas, mass, n_modes, True, s)
+        want = real_form(loop)
+        assert r.dtype == want.dtype == np.float64
+        assert np.array_equal(r, want)
+        assert np.array_equal(np.signbit(r), np.signbit(want))
+
+    def test_refills_a_matrix_of_its_shape(self):
+        _, _, _, alphas, mass, n_modes = self.CASES["torus_alpha_half"]
+        pot, loop = self._case("torus_alpha_half")
+        out = np.full(loop.shape, np.nan)
+        r, _ = sp1._lattice_operator(pot, alphas, mass, n_modes, True, out=out)
+        assert r is out and np.array_equal(r, real_form(loop))
+        small = np.full((4, 4), np.nan)
+        r, _ = sp1._lattice_operator(pot, alphas, mass, n_modes, True, out=small)
+        assert r is not small and np.isnan(small).all() and np.array_equal(r, real_form(loop))
 
 
 class TestGammaCheckedFirst:
@@ -556,6 +587,30 @@ class TestNegativeSpectrum:
         with pytest.raises(ValueError, match="non-finite"):
             sp1.negative_spectrum(bad)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (3, 1), (4, 4)])
+    def test_non_finite_entry_of_a_real_matrix_rejected(self, entry, where):
+        bad = np.random.default_rng(0).standard_normal((5, 5))
+        bad[where] = entry
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            sp1.negative_spectrum(bad)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_real_cut_is_the_max_abs_one_bitwise(self, seed, monkeypatch):
+        # eigvalsh is replaced by values one ulp either side of -1e-12 max|A|:
+        # only the one below the cut is reported, so the cut is that value bitwise
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-3, 4)
+        matrix[rng.integers(6), rng.integers(6)] = -3.0 * np.max(np.abs(matrix)) * (seed % 2)
+        cut = sp1._EIG_CUT_REL * float(np.max(np.abs(matrix)))
+        below, at = -np.nextafter(cut, np.inf), -cut
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([below, at, 0.0]))
+        assert sp1.negative_spectrum(matrix).negatives == (-below,)
+
+    def test_zero_real_matrices_have_no_negatives(self):
+        for zero in (np.zeros((3, 3)), np.full((3, 3), -0.0)):
+            assert sp1.negative_spectrum(zero).negatives == ()
+
     def test_empty_matrix(self):
         assert sp1.negative_spectrum(np.zeros((0, 0))).negatives == ()
 
@@ -693,7 +748,7 @@ class TestEnclosure:
         h = galerkin_loop(modes, kinetic, pot.coeffs, np.ones(len(modes), bool))
         inside = np.all(np.abs(modes) <= n_modes, axis=1)
         a, b = h[np.ix_(inside, inside)], h[np.ix_(inside, ~inside)]
-        want = sp1._real_form(a - b @ np.diag(1.0 / (kinetic[~inside] - s)) @ b.conj().T)
+        want = real_form(a - b @ np.diag(1.0 / (kinetic[~inside] - s)) @ b.conj().T)
         _, upper = sp1._lattice_operator(pot, alphas, 0.0, n_modes, True, s)
         assert upper is not None and np.min(np.linalg.eigvalsh(upper)) < 0
         assert np.max(np.abs(upper - want)) <= 1e-12 * np.max(np.abs(want))

@@ -1,4 +1,7 @@
 import math
+import resource
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from ltbounds import attractor, interp, special, spectral1d, torus
 from ltbounds.reports import ConvergenceError
 from ltbounds.spectral1d import negative_spectrum, riesz_mean
 
-from oracles import galerkin_loop, riesz_mean_of, torus_constant_potential_eigs
+from oracles import galerkin_loop, real_form, riesz_mean_of, torus_constant_potential_eigs
 
 
 class TestGeometry:
@@ -213,7 +216,8 @@ class TestAssembly:
 
     @pytest.mark.parametrize(
         "alphas, n_modes",
-        [((1.0, 1.0), (4, 4)), ((0.5, 1.0), (4, 4)), ((0.5, 0.75, 1.0), (2, 2, 2))],
+        [((1.0, 1.0), (4, 4)), ((0.5, 1.0), (4, 4)), ((0.5, 0.75, 1.0), (2, 2, 2)),
+         ((0.5, 1.0), (9, 5)), ((0.5, 0.75, 1.0), (3, 2, 4))],
     )
     @pytest.mark.parametrize("projected", [False, True])
     def test_matches_loop_oracle(self, alphas, n_modes, projected):
@@ -226,13 +230,15 @@ class TestAssembly:
         kinetic = np.sum((np.asarray(alphas) * modes) ** 2, axis=1)
         want = galerkin_loop(modes, kinetic, pot.coeffs, np.ones(len(modes), bool))
         if projected:
-            want = spectral1d._real_form(want)  # a scalar V: the cos/sin basis
+            want = real_form(want)  # a scalar V: the cos/sin basis
             a = torus.assemble_torus_operator(pot, torus.TorusGeometry(alphas), n_modes)
         else:
             a, upper = spectral1d._lattice_operator(pot, alphas, 0.0, n_modes, projected=False)
             assert upper is None
         assert a.dtype == want.dtype
         assert np.array_equal(a, want)
+        for part in (np.real, np.imag):  # zero signs too
+            assert np.array_equal(np.signbit(part(a)), np.signbit(part(want)))
 
     def test_mode_budget_guard(self):
         pot = torus.ScalarPotentialD.constant(2, 1.0)
@@ -353,3 +359,51 @@ class TestVerifyBound:
         report = torus.verify_bound_torus(pot, geom, 1.0, n_modes=(4, 4), seed=3)
         for key in ("d", "alphas", "betas", "delta", "unit_regime", "seed"):
             assert key in report.metadata
+
+
+class TestWorkspace:
+    """verify_bound_torus refills one matrix per thread; the public assembler
+    still returns arrays that belong to the caller."""
+
+    GEOM = torus.TorusGeometry((0.5, 1.0))
+
+    def test_assembled_matrices_stay_the_callers(self):
+        pots = [torus.ScalarPotentialD.random(2, 1, 1.0, seed) for seed in (0, 1)]
+        torus.verify_bound_torus(pots[0], self.GEOM, 1.0, n_modes=(6, 6))  # leaves a spare matrix
+        first, second = (torus.assemble_torus_operator(pot, self.GEOM, (6, 6)) for pot in pots)
+        assert not np.shares_memory(first, second)
+        kept = first.copy(), second.copy()
+        for pot in pots:
+            torus.verify_bound_torus(pot, self.GEOM, 1.0, n_modes=(6, 6))
+        assert np.array_equal(first, kept[0]) and np.array_equal(second, kept[1])
+        assert not np.array_equal(first, second)
+
+    def test_threads_match_sequential_reports(self):
+        pots = [torus.ScalarPotentialD.random(2, 1, 1.0 + seed, seed) for seed in range(4)]
+
+        def reports(chunk):
+            return [torus.verify_bound_torus(pot, self.GEOM, 1.0, seed=i).to_json() for i, pot in chunk]
+
+        items = list(enumerate(pots))
+        want = reports(items)
+        got = {}
+        threads = [threading.Thread(target=lambda k=k: got.update({k: reports(items[k::2])})) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got[0] + got[1] == want[0::2] + want[1::2]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="page-fault counts of Linux getrusage")
+    def test_verification_reuses_its_matrix(self):
+        # CLI defaults: W band 2, V band 4, 1,056 rows of 8-byte entries
+        pot = torus.ScalarPotentialD.random(2, 2, 1.0, 0)
+        geom = torus.TorusGeometry((1.0, 1.0))
+        torus.verify_bound_torus(pot, geom, 1.0)  # warm-up
+        calls = 3
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(calls):
+            torus.verify_bound_torus(pot, geom, 1.0)
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+        pages = 1056 * 1056 * 8 / 4096
+        assert faults < pages / 4, faults

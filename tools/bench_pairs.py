@@ -4,15 +4,16 @@
         --pairs torus-weak=10 --pairs torus-strong=5 --pairs line1d=5 \
         [--traced torus-weak=1]
 
-Both checkouts' `src` and `bench` are byte-compiled first, so neither side's
-`setup_s` includes compiling them.  Pair i of a workload then runs
+Pair i of a workload runs
 `python3 bench/run.py --workload W --seed S --seconds 30 --trace 0` once in
 each checkout, parent first when i is even and change first when i is odd,
-both with seed S = 200 + i.  The file keeps each run's exit code and the
-`env` and result records that run.py prints last, and per metric the median
-and quartiles of each side, the number of pairs the change won (ties
-count for neither) and the exact two-sided sign-test p-value over the
-pairs that are not tied.  `--traced` adds pairs run with --trace 1, whose
+both with seed S = 200 + i.  Each run follows a byte-compile of its
+checkout's `src` and `bench`, so no `setup_s` includes compiling a file,
+even one edited while the pairs run, under PYTHONDONTWRITEBYTECODE=1 too.
+The file keeps each run's exit code and the `env` and result records that
+run.py prints last, and per metric the median and quartiles of each side,
+the number of pairs the change won (ties count for neither) and the exact
+two-sided sign-test p-value over the pairs that are not tied.  `--traced` adds pairs run with --trace 1, whose
 per-layer metrics are kept the same way.
 """
 
@@ -32,6 +33,7 @@ SEED_BASE = 200
 
 
 def run(root: Path, workload: str, seed: int, trace: int) -> dict:
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"], cwd=root, check=True)
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
@@ -98,9 +100,6 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for root in roots.values():
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
-                       cwd=root, check=True)
     doc = {"command": f"python3 bench/run.py --workload W --seed S --seconds {SECONDS}"
                       " --trace 0|1, alternating parent and change"}
     for trace, counts, kind in plans:
