@@ -1,5 +1,4 @@
 import math
-import resource
 import sys
 import threading
 
@@ -396,6 +395,8 @@ class TestWorkspace:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="page-fault counts of Linux getrusage")
     def test_verification_reuses_its_matrix(self):
+        import resource  # POSIX only
+
         # CLI defaults: W band 2, V band 4, 1,056 rows of 8-byte entries
         pot = torus.ScalarPotentialD.random(2, 2, 1.0, 0)
         geom = torus.TorusGeometry((1.0, 1.0))
