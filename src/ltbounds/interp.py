@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
+from .reports import ConvergenceError
 
 __all__ = [
     "ConstantResult",
@@ -73,12 +74,20 @@ def g_objective(lam, beta):
 
     Equals twice sqrt(lam) times the diagonal Green's function of
     -d^2/dx^2 + beta + lam on the unit circle (after rescaling the period
-    away).  Accepts scalars or arrays in lam.
+    away).  Accepts scalars or arrays in lam; a float lam takes the float
+    path of :mod:`ltbounds.special`, bitwise equal to the array path.
     """
+    if isinstance(lam, float):
+        if not lam > 0:
+            raise ValueError("g_objective requires lambda > 0")
+        if not beta > 0:
+            raise ValueError("g_objective requires beta > 0")
+        s = float(beta) + lam
+        return float(math.sqrt(lam) * special.xcoth_kernel(s) / s)
     lam_arr = np.asarray(lam, dtype=float)
-    if np.any(lam_arr <= 0):
+    if not np.all(lam_arr > 0):
         raise ValueError("g_objective requires lambda > 0")
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("g_objective requires beta > 0")
     s = beta + lam_arr
     out = np.sqrt(lam_arr) * np.asarray(special.xcoth_kernel(s)) / s
@@ -92,8 +101,14 @@ def f_objective(lam, beta):
     lam - beta may be negative (down to -beta > -1) and crosses zero
     smoothly.
     """
+    if isinstance(lam, float):
+        if not lam > 0:
+            raise ValueError("f_objective requires lambda > 0")
+        if not 0.0 <= beta < 1.0:
+            raise ValueError("f_objective requires beta in [0, 1)")
+        return float(math.sqrt(lam) * special.xcoth_excess(lam - float(beta)))
     lam_arr = np.asarray(lam, dtype=float)
-    if np.any(lam_arr <= 0):
+    if not np.all(lam_arr > 0):
         raise ValueError("f_objective requires lambda > 0")
     if not 0.0 <= beta < 1.0:
         raise ValueError("f_objective requires beta in [0, 1)")
@@ -156,7 +171,7 @@ def _constant(fn, beta: float) -> ConstantResult:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def k1(beta: float) -> ConstantResult:
     """Sharp constant of the mass-added inequality: 2 sup sqrt(lam) g_beta(lam)."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("k1 requires beta > 0")
     return _constant(lambda lam: g_objective(lam, beta), beta)
 
@@ -231,7 +246,7 @@ def export_curve(which: str, beta_min: float, beta_max: float, n: int) -> CurveT
 
     The whole range is checked before any solve.  K1 must be non-increasing
     and K2 non-decreasing; a violation beyond solver noise indicates a
-    sup-search bug, hence the assertion.
+    sup-search bug and raises ConvergenceError.
     """
     if n < 2:
         raise ValueError("need at least 2 sample points")
@@ -255,5 +270,6 @@ def export_curve(which: str, beta_min: float, beta_max: float, n: int) -> CurveT
     values = [r[1] for r in rows]
     sign = -1.0 if which == "k1" else 1.0
     for prev, cur in zip(values, values[1:]):
-        assert sign * (cur - prev) >= -1e-10, f"{which} curve failed monotonicity"
+        if not sign * (cur - prev) >= -1e-10:
+            raise ConvergenceError(f"{which} curve failed monotonicity")
     return CurveTable(which=which, rows=tuple(rows))

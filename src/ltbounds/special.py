@@ -12,6 +12,15 @@ analytically continued through s = 0 (where h = 1/pi) to
 which is the closed form of the lattice sum  sum_{k in Z} 1/(k^2 + s)
 = pi * h(s) / s.  The first cotangent pole makes s = -1 a hard domain
 boundary.
+
+The kernel and its excess take two paths.  A float argument (np.float64
+included) runs a short scalar path: the K-solve's golden-section search
+makes tens of such calls per constant, and boolean masks and 0-d arrays
+would cost far more than the arithmetic.  Anything else runs the masked
+array path.  The two paths agree bit for bit: they share the Horner
+evaluation of the Bernoulli series, and tanh and tan are numpy's ufuncs on
+both, because math.tanh and math.tan differ from numpy's SIMD loops in the
+last bit on some points (sqrt is correctly rounded either way).
 """
 
 from __future__ import annotations
@@ -96,22 +105,31 @@ def _as_array(s) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
-def xcoth_kernel(s):
-    """h(s) = sqrt(s)*coth(pi*sqrt(s)), continued smoothly across s = 0.
+def _horner(u, coeffs):
+    # Same evaluation order as np.polynomial.polynomial.polyval, so a float
+    # and an array argument round alike.
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = c + acc * u
+    return acc
 
-    Accepts scalars or arrays (elementwise).  For |s| below the series
-    radius the Bernoulli expansion of t*coth(t) is used, which avoids the
-    0/0 ill-conditioning of both closed-form branches near the origin.
-    Raises ValueError at or beyond the first cotangent pole (s <= -1).
-    """
-    arr, scalar = _as_array(s)
-    if np.any(arr <= -1.0):
-        raise ValueError("xcoth_kernel requires s > -1 (first cotangent pole)")
+
+def _kernel_float(s: float) -> float:
+    if abs(s) < _SERIES_RADIUS:
+        return _horner((math.pi * math.pi) * s, _TCOTH) / math.pi
+    if s > 0:
+        r = math.sqrt(s)
+        return r / float(np.tanh(math.pi * r))
+    t = math.sqrt(-s)
+    return t / float(np.tan(math.pi * t))
+
+
+def _kernel_array(arr: np.ndarray) -> np.ndarray:
     out = np.empty_like(arr)
     small = np.abs(arr) < _SERIES_RADIUS
     if np.any(small):
         u = (math.pi * math.pi) * arr[small]
-        out[small] = np.polynomial.polynomial.polyval(u, _TCOTH) / math.pi
+        out[small] = _horner(u, _TCOTH) / math.pi
     pos = ~small & (arr > 0)
     if np.any(pos):
         r = np.sqrt(arr[pos])
@@ -120,6 +138,26 @@ def xcoth_kernel(s):
     if np.any(neg):
         t = np.sqrt(-arr[neg])
         out[neg] = t / np.tan(math.pi * t)
+    return out
+
+
+def xcoth_kernel(s):
+    """h(s) = sqrt(s)*coth(pi*sqrt(s)), continued smoothly across s = 0.
+
+    Accepts scalars or arrays (elementwise).  For |s| below the series
+    radius the Bernoulli expansion of t*coth(t) is used, which avoids the
+    0/0 ill-conditioning of both closed-form branches near the origin.
+    Raises ValueError at or beyond the first cotangent pole (s <= -1) and
+    for NaN.
+    """
+    if isinstance(s, float):
+        if not s > -1.0:
+            raise ValueError("xcoth_kernel requires s > -1 (first cotangent pole)")
+        return _kernel_float(float(s))
+    arr, scalar = _as_array(s)
+    if not np.all(arr > -1.0):
+        raise ValueError("xcoth_kernel requires s > -1 (first cotangent pole)")
+    out = _kernel_array(arr)
     return float(out) if scalar else out
 
 
@@ -129,16 +167,23 @@ def xcoth_excess(s):
     The subtraction is catastrophic near s = 0 if done naively; the series
     branch evaluates the quotient directly (value pi/3 at s = 0).
     """
+    if isinstance(s, float):
+        if not s > -1.0:
+            raise ValueError("xcoth_excess requires s > -1 (first cotangent pole)")
+        s = float(s)
+        if abs(s) < _SERIES_RADIUS:
+            return math.pi * _horner((math.pi * math.pi) * s, _TCOTH[1:])
+        return (_kernel_float(s) - 1.0 / math.pi) / s
     arr, scalar = _as_array(s)
-    if np.any(arr <= -1.0):
+    if not np.all(arr > -1.0):
         raise ValueError("xcoth_excess requires s > -1 (first cotangent pole)")
     out = np.empty_like(arr)
     small = np.abs(arr) < _SERIES_RADIUS
     if np.any(small):
         u = (math.pi * math.pi) * arr[small]
-        out[small] = math.pi * np.polynomial.polynomial.polyval(u, _TCOTH[1:])
+        out[small] = math.pi * _horner(u, _TCOTH[1:])
     big = ~small
     if np.any(big):
         sb = arr[big]
-        out[big] = (np.asarray(xcoth_kernel(sb)) - 1.0 / math.pi) / sb
+        out[big] = (_kernel_array(sb) - 1.0 / math.pi) / sb
     return float(out) if scalar else out

@@ -81,6 +81,15 @@ class TestKCurve:
         code, _, err = run(capsys, "k-curve", "--which", "k2", "--min", "0.5", "--max", "1.2")
         assert code == 2
 
+    def test_non_monotone_solver_exits_2(self, capsys, monkeypatch):
+        # A sup-search bug that breaks monotonicity is a failed run, exit 2,
+        # and not a traceback (nor skipped under python -O).
+        monkeypatch.setattr(interp, "k2", lambda beta: interp.ConstantResult(beta, 2.0 - beta, None, 2.0 - beta))
+        code, out, err = run(capsys, "k-curve", "--which", "k2", "--min", "0", "--max", "0.5", "-n", "4")
+        assert code == 2
+        assert out == ""
+        assert "k2 curve failed monotonicity" in err
+
     def test_file_output(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"
         code, out, _ = run(capsys, "k-curve", "-n", "3", "--min", "0.1", "--max", "0.3",

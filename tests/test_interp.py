@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ltbounds import interp
+from ltbounds.reports import ConvergenceError
 
 from oracles import dense_grid_max, f_series, g_series, lattice_sum
 
@@ -57,6 +58,29 @@ class TestObjectives:
             interp.f_objective(1.0, 1.0)
         with pytest.raises(ValueError):
             interp.f_objective(-1.0, 0.5)
+
+    def test_nan_lambda_is_rejected_on_both_paths(self):
+        for objective, message in ((interp.g_objective, "g_objective"), (interp.f_objective, "f_objective")):
+            with pytest.raises(ValueError, match=f"{message} requires lambda > 0"):
+                objective(math.nan, 0.5)
+            with pytest.raises(ValueError, match=f"{message} requires lambda > 0"):
+                objective(np.array([1.0, math.nan]), 0.5)
+        with pytest.raises(ValueError, match="g_objective requires beta > 0"):
+            interp.g_objective(1.0, math.nan)
+
+    @pytest.mark.parametrize("beta", [1e-4, 0.045, 0.5, 0.839, 0.999])
+    def test_float_path_is_bitwise_the_array_path(self, beta):
+        # The golden-section search evaluates floats, the grid an array; the
+        # two must round alike.  lam near beta puts lam - beta on the series
+        # seams and through zero, tiny lam puts it near -beta.
+        near = [beta + d for d in np.linspace(-0.02, 0.02, 401) if beta + d > 0]
+        lams = np.concatenate([np.geomspace(1e-10, 1e9, 1500), near, [beta]])
+        for lam in map(float, lams):
+            pairs = [(interp.g_objective, beta)]
+            if beta < 1.0:
+                pairs.append((interp.f_objective, beta))
+            for objective, b in pairs:
+                assert objective(lam, b) == objective(np.array([lam]), b)[0], lam.hex()
 
     def test_series_cross_validation(self):
         rng = np.random.default_rng(7)
@@ -186,6 +210,28 @@ class TestThresholds:
         bss = interp.beta_star_star(1e-5)
         assert interp.k1(bs + 1e-4).value == pytest.approx(1.0, abs=1e-8)
         assert interp.k2(bss - 1e-4).value == pytest.approx(1.0, abs=1e-8)
+
+    def test_threshold_solves_take_the_array_path_once_per_k_solve(self, monkeypatch):
+        # Structural guard, no timing: a cold K-solve evaluates its lambda
+        # grid as one array and every golden-section probe as a float, so
+        # the array path is entered at most once per solve.
+        from ltbounds import special
+
+        entries = []
+        as_array = special._as_array
+
+        def counted(s):
+            entries.append(1)
+            return as_array(s)
+
+        monkeypatch.setattr(special, "_as_array", counted)
+        for memo in (interp.k1, interp.k2, interp.beta_star, interp.beta_star_star):
+            memo.cache_clear()
+        interp.beta_star(1e-6)
+        interp.beta_star_star(1e-6)
+        solves = interp.k1.cache_info().misses + interp.k2.cache_info().misses
+        assert solves > 20
+        assert len(entries) <= solves
 
     def test_tol_validation(self):
         with pytest.raises(ValueError):
@@ -358,6 +404,11 @@ class TestCurveExport:
             interp.export_curve("k1", 0.5, 0.1, 10)
         with pytest.raises(ValueError):
             interp.export_curve("k1", 0.1, 0.5, 1)
+
+    def test_non_monotone_curve_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(interp, "k1", lambda beta: interp.ConstantResult(beta, 1.0 + beta, None, 1.0 + beta))
+        with pytest.raises(ConvergenceError, match="k1 curve failed monotonicity"):
+            interp.export_curve("k1", 0.1, 0.5, 5)
 
     @pytest.mark.parametrize(
         "which, lo, hi, message",

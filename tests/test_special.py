@@ -84,6 +84,29 @@ class TestOrthonormalConstant:
             special.lt_to_orthonormal_constant(1.0, 0)
 
 
+def _dense_points() -> list[float]:
+    """Kernel arguments across every branch: both series seams a few ulps
+    either side, signed zeros, the approach to the pole at -1, and up to 1e9."""
+    seams = []
+    for x in (0.01, -0.01):
+        for direction in (math.inf, -math.inf):
+            y = x
+            for _ in range(4):
+                y = math.nextafter(y, direction)
+                seams.append(y)
+        seams.append(x)
+    near_pole = [math.nextafter(-1.0, 0.0)]
+    for _ in range(3):
+        near_pole.append(math.nextafter(near_pole[-1], 0.0))
+    points = np.concatenate([
+        seams, near_pole, [0.0, -0.0, -0.999999, -0.99, -0.25, 1e9],
+        np.linspace(-0.999, 2.0, 1500),
+        np.geomspace(1e-12, 1e9, 1500),
+        -np.geomspace(1e-12, 0.999, 1500),
+    ])
+    return [float(x) for x in points]
+
+
 class TestXcothKernel:
     def test_series_oracle_at_one(self):
         # sum_{k in Z} 1/(k^2+1) = pi * h(1); partial sum to 1e7 plus tail.
@@ -136,6 +159,23 @@ class TestXcothKernel:
         vec = special.xcoth_kernel(s)
         for i, si in enumerate(s):
             assert vec[i] == special.xcoth_kernel(float(si))
+
+    @pytest.mark.parametrize("fn", [special.xcoth_kernel, special.xcoth_excess])
+    def test_float_path_is_bitwise_the_array_path(self, fn):
+        # A float runs the scalar path, an array the masked one; the results
+        # depend on the host's SIMD loops, so both run here and no constant
+        # is pinned.
+        for s in _dense_points():
+            expect = fn(np.array([s]))[0]
+            assert fn(s) == expect, s.hex()
+            assert fn(np.float64(s)) == expect, s.hex()
+
+    @pytest.mark.parametrize("fn", [special.xcoth_kernel, special.xcoth_excess])
+    def test_nan_is_rejected_on_both_paths(self, fn):
+        with pytest.raises(ValueError, match="requires s > -1"):
+            fn(math.nan)
+        with pytest.raises(ValueError, match="requires s > -1"):
+            fn(np.array([0.5, math.nan, 2.0]))
 
 
 class TestXcothExcess:
