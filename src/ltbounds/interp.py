@@ -82,7 +82,7 @@ def g_objective(lam, beta):
             raise ValueError("g_objective requires lambda > 0")
         if not beta > 0:
             raise ValueError("g_objective requires beta > 0")
-        s = float(beta) + lam
+        s = beta + lam
         return float(math.sqrt(lam) * special.xcoth_kernel(s) / s)
     lam_arr = np.asarray(lam, dtype=float)
     if not np.all(lam_arr > 0):
@@ -106,7 +106,7 @@ def f_objective(lam, beta):
             raise ValueError("f_objective requires lambda > 0")
         if not 0.0 <= beta < 1.0:
             raise ValueError("f_objective requires beta in [0, 1)")
-        return float(math.sqrt(lam) * special.xcoth_excess(lam - float(beta)))
+        return float(math.sqrt(lam) * special.xcoth_excess(lam - beta))
     lam_arr = np.asarray(lam, dtype=float)
     if not np.all(lam_arr > 0):
         raise ValueError("f_objective requires lambda > 0")

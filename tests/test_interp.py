@@ -76,11 +76,8 @@ class TestObjectives:
         near = [beta + d for d in np.linspace(-0.02, 0.02, 401) if beta + d > 0]
         lams = np.concatenate([np.geomspace(1e-10, 1e9, 1500), near, [beta]])
         for lam in map(float, lams):
-            pairs = [(interp.g_objective, beta)]
-            if beta < 1.0:
-                pairs.append((interp.f_objective, beta))
-            for objective, b in pairs:
-                assert objective(lam, b) == objective(np.array([lam]), b)[0], lam.hex()
+            for objective in (interp.g_objective, interp.f_objective):
+                assert objective(lam, beta) == objective(np.array([lam]), beta)[0], lam.hex()
 
     def test_series_cross_validation(self):
         rng = np.random.default_rng(7)

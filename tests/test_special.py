@@ -155,20 +155,15 @@ class TestXcothKernel:
         assert special.xcoth_kernel(s + eps) > special.xcoth_kernel(s)
 
     def test_vectorized_matches_scalar(self):
-        s = np.array([-0.9, -0.25, -0.005, 0.0, 0.004, 0.3, 2.0, 1e6])
-        vec = special.xcoth_kernel(s)
-        for i, si in enumerate(s):
-            assert vec[i] == special.xcoth_kernel(float(si))
-
-    @pytest.mark.parametrize("fn", [special.xcoth_kernel, special.xcoth_excess])
-    def test_float_path_is_bitwise_the_array_path(self, fn):
-        # A float runs the scalar path, an array the masked one; the results
-        # depend on the host's SIMD loops, so both run here and no constant
-        # is pinned.
-        for s in _dense_points():
-            expect = fn(np.array([s]))[0]
-            assert fn(s) == expect, s.hex()
-            assert fn(np.float64(s)) == expect, s.hex()
+        # A float runs the scalar path, an array the masked one, and the two
+        # must agree bitwise.  The results depend on the host's SIMD loops,
+        # so both paths run here and no constant is pinned.
+        points = _dense_points()
+        for fn in (special.xcoth_kernel, special.xcoth_excess):
+            vec = fn(np.array(points))
+            for s, v in zip(points, vec):
+                assert fn(s) == v == fn(np.array([s]))[0], s.hex()
+                assert fn(np.float64(s)) == v, s.hex()
 
     @pytest.mark.parametrize("fn", [special.xcoth_kernel, special.xcoth_excess])
     def test_nan_is_rejected_on_both_paths(self, fn):
