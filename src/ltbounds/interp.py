@@ -46,6 +46,8 @@ _LAMBDA_MIN = 1e-10
 _LAMBDA_MAX = 1e8
 _GRID_POINTS = 2000
 _REFINE_REL_TOL = 1e-12
+_GRID = np.geomspace(_LAMBDA_MIN, _LAMBDA_MAX, _GRID_POINTS)
+_GRID.flags.writeable = False
 # Interior maxima within this distance of 1 still get a reported argmax: at
 # the K2 threshold the sup is attained at a finite point and at infinity
 # simultaneously, and the finite maximizer is the useful datum.
@@ -74,16 +76,9 @@ def g_objective(lam, beta):
 
     Equals twice sqrt(lam) times the diagonal Green's function of
     -d^2/dx^2 + beta + lam on the unit circle (after rescaling the period
-    away).  Accepts scalars or arrays in lam; a float lam takes the float
-    path of :mod:`ltbounds.special`, bitwise equal to the array path.
+    away).  Accepts scalars or arrays in lam; the K-solve's golden-section
+    probes take a private float twin of it, bitwise equal.
     """
-    if isinstance(lam, float):
-        if not lam > 0:
-            raise ValueError("g_objective requires lambda > 0")
-        if not beta > 0:
-            raise ValueError("g_objective requires beta > 0")
-        s = beta + lam
-        return float(math.sqrt(lam) * special.xcoth_kernel(s) / s)
     lam_arr = np.asarray(lam, dtype=float)
     if not np.all(lam_arr > 0):
         raise ValueError("g_objective requires lambda > 0")
@@ -101,12 +96,6 @@ def f_objective(lam, beta):
     lam - beta may be negative (down to -beta > -1) and crosses zero
     smoothly.
     """
-    if isinstance(lam, float):
-        if not lam > 0:
-            raise ValueError("f_objective requires lambda > 0")
-        if not 0.0 <= beta < 1.0:
-            raise ValueError("f_objective requires beta in [0, 1)")
-        return float(math.sqrt(lam) * special.xcoth_excess(lam - beta))
     lam_arr = np.asarray(lam, dtype=float)
     if not np.all(lam_arr > 0):
         raise ValueError("f_objective requires lambda > 0")
@@ -135,29 +124,28 @@ def _golden_max(fn, log_lo: float, log_hi: float, tol: float) -> tuple[float, fl
     return (math.exp(c), fc) if fc >= fd else (math.exp(d), fd)
 
 
-def _interior_max(fn) -> tuple[float, float, bool]:
-    """Locate the maximum of fn over the lambda grid.
+def _interior_max(fn, probe) -> tuple[float, float, bool]:
+    """Maximize over the lambda grid: fn takes it as one array, probe one float.
 
     Returns (lam_best, value_best, interior) where interior is False when
     the best grid point sits on the grid boundary, i.e. the scan found no
     interior peak and the 'maximum' is really the approach to a limit.
     """
-    grid = np.geomspace(_LAMBDA_MIN, _LAMBDA_MAX, _GRID_POINTS)
-    vals = fn(grid)
+    vals = fn(_GRID)
     i = int(np.argmax(vals))
     interior = 0 < i < _GRID_POINTS - 1
-    lam_best, v_best = float(grid[i]), float(vals[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, _GRID_POINTS - 1)]
+    lam_best, v_best = float(_GRID[i]), float(vals[i])
+    lo = _GRID[max(i - 1, 0)]
+    hi = _GRID[min(i + 1, _GRID_POINTS - 1)]
     tol = math.log1p(_REFINE_REL_TOL)
-    lam_ref, v_ref = _golden_max(fn, math.log(lo), math.log(hi), tol)
+    lam_ref, v_ref = _golden_max(probe, math.log(lo), math.log(hi), tol)
     if v_ref > v_best:
         lam_best, v_best = lam_ref, v_ref
     return lam_best, v_best, interior
 
 
-def _constant(fn, beta: float) -> ConstantResult:
-    lam_best, v_best, interior = _interior_max(fn)
+def _constant(fn, probe, beta: float) -> ConstantResult:
+    lam_best, v_best, interior = _interior_max(fn, probe)
     value = max(1.0, v_best)
     report_argmax = interior and v_best > 1.0 - _ARGMAX_TIE_TOL
     return ConstantResult(
@@ -173,7 +161,8 @@ def k1(beta: float) -> ConstantResult:
     """Sharp constant of the mass-added inequality: 2 sup sqrt(lam) g_beta(lam)."""
     if not beta > 0:
         raise ValueError("k1 requires beta > 0")
-    return _constant(lambda lam: g_objective(lam, beta), beta)
+    return _constant(lambda lam: g_objective(lam, beta),
+                     lambda lam: math.sqrt(lam) * special._kernel_float(beta + lam) / (beta + lam), beta)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -181,7 +170,8 @@ def k2(beta: float) -> ConstantResult:
     """Sharp constant of the mass-subtracted (zero-mean) inequality."""
     if not 0.0 <= beta < 1.0:
         raise ValueError("k2 requires beta in [0, 1)")
-    return _constant(lambda lam: f_objective(lam, beta), beta)
+    return _constant(lambda lam: f_objective(lam, beta),
+                     lambda lam: math.sqrt(lam) * special._excess_float(lam - beta), beta)
 
 
 def _bisect(name: str, excess, lo: float, hi: float, tol: float) -> float:

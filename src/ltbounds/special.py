@@ -13,14 +13,13 @@ which is the closed form of the lattice sum  sum_{k in Z} 1/(k^2 + s)
 = pi * h(s) / s.  The first cotangent pole makes s = -1 a hard domain
 boundary.
 
-The kernel and its excess take two paths.  A float argument (np.float64
-included) runs a short scalar path: the K-solve's golden-section search
-makes tens of such calls per constant, and boolean masks and 0-d arrays
-would cost far more than the arithmetic.  Anything else runs the masked
-array path.  The two paths agree bit for bit: they share the Horner
-evaluation of the Bernoulli series, and tanh and tan are numpy's ufuncs on
-both, because math.tanh and math.tan differ from numpy's SIMD loops in the
-last bit on some points (sqrt is correctly rounded either way).
+The public kernel and its excess take one masked array path, which runs a
+scalar as a 0-d array and returns a float.  The K-solve's golden-section
+probes call the private _kernel_float and _excess_float instead, which skip
+the masks and 0-d arrays and match the array path bit for bit: both share
+the Horner evaluation of the Bernoulli series, and tanh and tan are numpy's
+ufuncs on both, because math.tanh and math.tan differ from numpy's SIMD
+loops in the last bit on some points (sqrt is correctly rounded either way).
 """
 
 from __future__ import annotations
@@ -124,6 +123,12 @@ def _kernel_float(s: float) -> float:
     return t / float(np.tan(math.pi * t))
 
 
+def _excess_float(s: float) -> float:
+    if abs(s) < _SERIES_RADIUS:
+        return math.pi * _horner((math.pi * math.pi) * s, _TCOTH[1:])
+    return (_kernel_float(s) - 1.0 / math.pi) / s
+
+
 def _kernel_array(arr: np.ndarray) -> np.ndarray:
     out = np.empty_like(arr)
     small = np.abs(arr) < _SERIES_RADIUS
@@ -150,10 +155,6 @@ def xcoth_kernel(s):
     Raises ValueError at or beyond the first cotangent pole (s <= -1) and
     for NaN.
     """
-    if isinstance(s, float):
-        if not s > -1.0:
-            raise ValueError("xcoth_kernel requires s > -1 (first cotangent pole)")
-        return _kernel_float(float(s))
     arr, scalar = _as_array(s)
     if not np.all(arr > -1.0):
         raise ValueError("xcoth_kernel requires s > -1 (first cotangent pole)")
@@ -167,13 +168,6 @@ def xcoth_excess(s):
     The subtraction is catastrophic near s = 0 if done naively; the series
     branch evaluates the quotient directly (value pi/3 at s = 0).
     """
-    if isinstance(s, float):
-        if not s > -1.0:
-            raise ValueError("xcoth_excess requires s > -1 (first cotangent pole)")
-        s = float(s)
-        if abs(s) < _SERIES_RADIUS:
-            return math.pi * _horner((math.pi * math.pi) * s, _TCOTH[1:])
-        return (_kernel_float(s) - 1.0 / math.pi) / s
     arr, scalar = _as_array(s)
     if not np.all(arr > -1.0):
         raise ValueError("xcoth_excess requires s > -1 (first cotangent pole)")

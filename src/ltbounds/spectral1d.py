@@ -342,7 +342,8 @@ def _check_rows(n_modes, m_dim: int, projected: bool) -> None:
 
 def _kinetic(alphas, modes: np.ndarray, mass: float) -> np.ndarray:
     """The kinetic diagonal sum_j (alpha_j k_j)^2 + mass of each mode row k."""
-    return np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
+    with np.errstate(over="ignore"):  # an overflow is rejected as a non-finite entry or side
+        return np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
 
 
 def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, projected, s=None, out=None) -> tuple:

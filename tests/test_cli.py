@@ -24,6 +24,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_in_shell(argv: str) -> subprocess.CompletedProcess:
+    # A fresh interpreter with warnings shown, as in a shell: pytest captures
+    # the RuntimeWarnings an overflow would print.
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    return subprocess.run(
+        [sys.executable, "-m", "ltbounds", *argv.split()],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
 class TestConstants:
     def test_reference_values(self, capsys):
         code, out, _ = run(capsys, "constants", "--gamma", "1", "--d", "2")
@@ -228,20 +239,23 @@ class TestVerify:
         ["verify --kind h2 --gamma 400 --scale 3 --seeds 1",
          "verify --kind torus --gamma 300 --scale 3 --seeds 1",
          # finite coefficients whose values on the phase grid overflow
-         "verify --kind torus --scale 1e153 --seeds 1"],
+         "verify --kind torus --scale 1e153 --seeds 1",
+         # kinetic weights (alpha k)^2 that overflow
+         "verify --kind trace1 --alpha 1e160 --seeds 1",
+         "verify --kind trace1 --alpha 1e300 --seeds 1"],
     )
     def test_overflow_prints_one_stderr_line(self, argv):
-        # A fresh interpreter with warnings shown, as in a shell: pytest
-        # captures the RuntimeWarnings an overflowing power would print.
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
-        proc = subprocess.run(
-            [sys.executable, "-m", "ltbounds", *argv.split()],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = run_in_shell(argv)
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith("error: bound sides must be finite")
+
+    @pytest.mark.parametrize("alpha", ["1e160", "1e300"])
+    def test_overflowing_kinetic_weights_print_one_stderr_line(self, alpha):
+        # (alpha k)^2 overflows to inf, which the h1 matrix check rejects
+        proc = run_in_shell(f"verify --kind h1 --alpha {alpha} --seeds 1")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: matrix contains non-finite entries\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -350,9 +364,9 @@ class TestVerify:
         solved = []
         constant = interp._constant
 
-        def counting(fn, beta):
+        def counting(fn, probe, beta):
             solved.append(beta)
-            return constant(fn, beta)
+            return constant(fn, probe, beta)
 
         monkeypatch.setattr(interp, "_constant", counting)
         interp.k1.cache_clear()

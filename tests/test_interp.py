@@ -69,15 +69,27 @@ class TestObjectives:
             interp.g_objective(1.0, math.nan)
 
     @pytest.mark.parametrize("beta", [1e-4, 0.045, 0.5, 0.839, 0.999])
-    def test_float_path_is_bitwise_the_array_path(self, beta):
-        # The golden-section search evaluates floats, the grid an array; the
-        # two must round alike.  lam near beta puts lam - beta on the series
-        # seams and through zero, tiny lam puts it near -beta.
+    def test_float_path_is_bitwise_the_array_path(self, beta, monkeypatch):
+        # k1 and k2 hand the search the public objective for the grid and a
+        # private float probe for the golden section; the two must round
+        # alike.  lam near beta puts lam - beta on the series seams and
+        # through zero, tiny lam puts it near -beta.
+        searched = []
+
+        def search(fn, probe):
+            searched.append((fn, probe))
+            return 1.0, 1.0, False
+
+        monkeypatch.setattr(interp, "_interior_max", search)
+        interp.k1.__wrapped__(beta)
+        interp.k2.__wrapped__(beta)
+        assert len(searched) == 2
         near = [beta + d for d in np.linspace(-0.02, 0.02, 401) if beta + d > 0]
         lams = np.concatenate([np.geomspace(1e-10, 1e9, 1500), near, [beta]])
-        for lam in map(float, lams):
-            for objective in (interp.g_objective, interp.f_objective):
-                assert objective(lam, beta) == objective(np.array([lam]), beta)[0], lam.hex()
+        for objective, (fn, probe) in zip((interp.g_objective, interp.f_objective), searched):
+            vec = objective(lams, beta)
+            for lam, v in zip(map(float, lams), vec):
+                assert probe(lam) == v == fn(np.array([lam]))[0] == objective(lam, beta), lam.hex()
 
     def test_series_cross_validation(self):
         rng = np.random.default_rng(7)

@@ -155,15 +155,16 @@ class TestXcothKernel:
         assert special.xcoth_kernel(s + eps) > special.xcoth_kernel(s)
 
     def test_vectorized_matches_scalar(self):
-        # A float runs the scalar path, an array the masked one, and the two
-        # must agree bitwise.  The results depend on the host's SIMD loops,
-        # so both paths run here and no constant is pinned.
+        # The golden-section probes run the private float twins, the public
+        # functions the masked array path, and the two must agree bitwise.
+        # The results depend on the host's SIMD loops, so both paths run
+        # here and no constant is pinned.
         points = _dense_points()
-        for fn in (special.xcoth_kernel, special.xcoth_excess):
+        pairs = ((special.xcoth_kernel, special._kernel_float), (special.xcoth_excess, special._excess_float))
+        for fn, twin in pairs:
             vec = fn(np.array(points))
             for s, v in zip(points, vec):
-                assert fn(s) == v == fn(np.array([s]))[0], s.hex()
-                assert fn(np.float64(s)) == v, s.hex()
+                assert twin(s) == v == fn(np.array([s]))[0] == fn(s), s.hex()
 
     @pytest.mark.parametrize("fn", [special.xcoth_kernel, special.xcoth_excess])
     def test_nan_is_rejected_on_both_paths(self, fn):
