@@ -1,7 +1,7 @@
 """Closed-form attractor-dimension bounds for damped-driven 2D flows.
 
 Pure arithmetic on the flow parameters; the only state is a validity guard
-on the elongated-torus estimate.  The density-bound constants c_lt (square
+on each torus estimate.  The density-bound constants c_lt (square
 torus, default 3/2) and c_q (elongated torus, default 6) are parameters, so
 sharper values can be plugged in later.  C_P = pi/6, the elongated estimate's
 orthonormal-family constant, ends the constant chain at gamma = 1 on the
@@ -58,10 +58,12 @@ def dim_bound_square(params: FlowParams, c_lt: float = 1.5) -> float:
 
     With the default c_lt the two coefficients are 3/16 and 3/(2 sqrt2).
     The first branch wins in the small-viscosity limit, the second for weak
-    forcing on a small box.
+    forcing on a small box.  Valid on the square torus only (aspect 1).
     """
     if c_lt <= 0:
         raise ValueError("c_lt must be positive")
+    if params.aspect != 1.0:
+        raise ValidityError(f"aspect={params.aspect} is not 1; the square-torus estimate does not apply")
     g = params.grad_g_norm
     first = (c_lt / 8.0) * g * g / (params.nu * params.mu**3)
     second = (c_lt / math.sqrt(2.0)) * g * params.length / (params.nu * params.mu)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spectral1d
 from .reports import BoundReport
 from .spectral1d import MatrixPotential, _autocorrelation, _form, _power_integral
 
@@ -68,13 +69,18 @@ class OrthonormalFamily:
         return not np.any(self.coeffs[:, self.band, :])
 
     def gram_matrix(self) -> np.ndarray:
-        flat = self.coeffs.reshape(self.n_members, -1)
+        flat = self.coeffs.reshape(self.n_members, math.prod(self.coeffs.shape[1:]))
         return flat @ flat.conj().T
 
     def gram_defect(self) -> float:
-        return float(
-            np.max(np.abs(self.gram_matrix() - np.eye(self.n_members)))
-        ) if self.n_members else 0.0
+        return float(np.max(np.abs(self.gram_matrix() - np.eye(self.n_members)), initial=0.0))
+
+
+def _check_entries(n_members: int, m_dim: int, band: int) -> None:
+    # The density's FFT pads a family to (4b+1) m n_members entries, more than a
+    # random draw's capacity x n_members, and its blocks take (4b+1) m^2.
+    if (4 * band + 1) * m_dim * max(n_members, m_dim) > spectral1d.ROW_BUDGET**2:
+        raise ValueError(f"a family of {n_members} members exceeds the dense budget")
 
 
 def random_orthonormal_family(
@@ -93,18 +99,16 @@ def random_orthonormal_family(
     capacity = m_dim * (2 * band if zero_mean else 2 * band + 1)
     if n_members < 0 or n_members > capacity:
         raise ValueError(f"cannot fit {n_members} orthonormal members in dimension {capacity}")
-    shape = (n_members, 2 * band + 1, m_dim)
-    if n_members == 0:
-        return OrthonormalFamily(np.zeros(shape, complex))
+    _check_entries(n_members, m_dim, band)
     keep = np.ones(2 * band + 1, dtype=bool)
     if zero_mean:
         keep[band] = False
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((capacity, n_members)) + 1j * rng.standard_normal((capacity, n_members))
     q, r = np.linalg.qr(x)
-    if not float(np.min(np.abs(np.diag(r)))) > 1e-10:
+    if not float(np.min(np.abs(np.diag(r)), initial=np.inf)) > 1e-10:
         raise RuntimeError("rank-deficient draw")
-    coeffs = np.zeros(shape, dtype=complex)
+    coeffs = np.zeros((n_members, 2 * band + 1, m_dim), dtype=complex)
     coeffs[:, keep, :] = q.T.reshape(n_members, int(keep.sum()), m_dim)
     fam = OrthonormalFamily(coeffs)
     defect = fam.gram_defect()
@@ -125,6 +129,7 @@ def density_and_kinetic(
     form = _form(mode, beta, alpha)
     if form.projected and not fam.zero_mean:
         raise ValueError("the mass-subtracted form needs a zero-mean family")
+    _check_entries(fam.n_members, fam.m_dim, fam.band)
     w = math.sqrt(alpha / TWO_PI) * np.moveaxis(fam.coeffs, 0, -1)
     density = MatrixPotential(_autocorrelation(w))
     lhs = _power_integral(density, 3, TWO_PI / alpha, (8 * (2 * fam.band + 1),))

@@ -132,17 +132,13 @@ def _excess_float(s: float) -> float:
 def _kernel_array(arr: np.ndarray) -> np.ndarray:
     out = np.empty_like(arr)
     small = np.abs(arr) < _SERIES_RADIUS
-    if np.any(small):
-        u = (math.pi * math.pi) * arr[small]
-        out[small] = _horner(u, _TCOTH) / math.pi
+    out[small] = _horner((math.pi * math.pi) * arr[small], _TCOTH) / math.pi
     pos = ~small & (arr > 0)
-    if np.any(pos):
-        r = np.sqrt(arr[pos])
-        out[pos] = r / np.tanh(math.pi * r)
+    r = np.sqrt(arr[pos])
+    out[pos] = r / np.tanh(math.pi * r)
     neg = ~small & (arr < 0)
-    if np.any(neg):
-        t = np.sqrt(-arr[neg])
-        out[neg] = t / np.tan(math.pi * t)
+    t = np.sqrt(-arr[neg])
+    out[neg] = t / np.tan(math.pi * t)
     return out
 
 
@@ -173,11 +169,7 @@ def xcoth_excess(s):
         raise ValueError("xcoth_excess requires s > -1 (first cotangent pole)")
     out = np.empty_like(arr)
     small = np.abs(arr) < _SERIES_RADIUS
-    if np.any(small):
-        u = (math.pi * math.pi) * arr[small]
-        out[small] = math.pi * _horner(u, _TCOTH[1:])
-    big = ~small
-    if np.any(big):
-        sb = arr[big]
-        out[big] = (_kernel_array(sb) - 1.0 / math.pi) / sb
+    out[small] = math.pi * _horner((math.pi * math.pi) * arr[small], _TCOTH[1:])
+    big = arr[~small]
+    out[~small] = (_kernel_array(big) - 1.0 / math.pi) / big
     return float(out) if scalar else out

@@ -133,8 +133,8 @@ class MatrixPotential:
         if not np.all(np.isfinite(values)):
             raise ValueError("bound sides must be finite: the potential overflows on its sample grid")
         evs = _block_eigvalsh(values)
-        scale = max(1.0, float(np.max(np.abs(evs))))
-        if float(np.min(evs)) < -_PSD_TOL * scale:
+        scale = float(np.max(np.abs(evs), initial=1.0))
+        if float(np.min(evs, initial=0.0)) < -_PSD_TOL * scale:
             raise ValueError("potential is not pointwise PSD on the sample grid")
 
 
@@ -408,12 +408,10 @@ def _sup_bound(potential: MatrixPotential) -> float:
     norm is c times the root of the largest eigenvalue of U^H U, U = V_k / c
     with c the largest entry of any V_k (so U^H U cannot overflow), which
     :func:`_block_eigvalsh` gives without a LAPACK call for 1x1 and 2x2 blocks."""
-    c = float(np.max(np.abs(potential.coeffs), initial=0.0))
-    if c == 0.0:
-        return 0.0
+    c = float(np.max(np.abs(potential.coeffs), initial=0.0)) or 1.0  # a zero V gives s = 0
     unit = potential.coeffs / c
-    largest = _block_eigvalsh(unit.conj().swapaxes(-1, -2) @ unit)[..., -1]
-    return c * float(np.sum(np.sqrt(np.maximum(largest, 0.0))))
+    largest = np.max(_block_eigvalsh(unit.conj().swapaxes(-1, -2) @ unit), axis=-1, initial=0.0)
+    return c * float(np.sum(np.sqrt(largest)))
 
 
 @dataclass(frozen=True)
@@ -483,12 +481,7 @@ def assemble_h2(potential: MatrixPotential, delta: float, n_max: int) -> np.ndar
 
 def negative_spectrum(matrix: np.ndarray) -> EigenReport:
     """Magnitudes of eigenvalues below -cut, cut = 1e-12 * max|A|, descending."""
-    # max|A| is inf or NaN exactly when an entry is; a float A takes it as
-    # |max(max A, -min A)|, without the n x n temporary of np.abs(A)
-    if matrix.dtype.kind == "f" and matrix.size:
-        scale = abs(float(np.maximum(np.max(matrix), -np.min(matrix))))
-    else:
-        scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
+    scale = float(np.max(np.abs(matrix), initial=0.0))  # inf or NaN exactly when an entry is
     if not math.isfinite(scale):
         raise ValueError("matrix contains non-finite entries")
     evs = np.linalg.eigvalsh(matrix)
@@ -505,8 +498,6 @@ def _check_gamma(gamma: float) -> None:
 def riesz_mean(report: EigenReport, gamma: float) -> float:
     """Sum of |negative eigenvalue|^gamma; 0 for an empty spectrum."""
     _check_gamma(gamma)
-    if not report.negatives:
-        return 0.0
     with np.errstate(over="ignore"):  # an overflow is rejected as a non-finite side
         return float(np.sum(np.asarray(report.negatives) ** gamma))
 

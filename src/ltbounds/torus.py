@@ -102,21 +102,11 @@ def choose_betas(geom: TorusGeometry) -> BetaSelection:
     """
     beta = interp.beta_star(_THRESHOLD_TOL) + _THRESHOLD_TOL
     delta = beta * sum(a * a for a in geom.alphas[:-1])
-    if delta <= interp.beta_star_star(_THRESHOLD_TOL) - _THRESHOLD_TOL:
-        return BetaSelection(
-            betas=(beta,) * (geom.d - 1),
-            delta=delta,
-            constant_factor=1.0,
-            in_unit_regime=True,
-        )
-    if delta >= _DELTA_CAP:
+    unit = delta <= interp.beta_star_star(_THRESHOLD_TOL) - _THRESHOLD_TOL
+    if delta >= _DELTA_CAP:  # outside the unit regime, which ends below beta_star_star
         beta, delta = _DELTA_CAP / delta * beta, _DELTA_CAP
-    return BetaSelection(
-        betas=(beta,) * (geom.d - 1),
-        delta=delta,
-        constant_factor=interp.k1(beta).value ** (geom.d - 1) * interp.k2(delta).value,
-        in_unit_regime=False,
-    )
+    factor = 1.0 if unit else interp.k1(beta).value ** (geom.d - 1) * interp.k2(delta).value
+    return BetaSelection(betas=(beta,) * (geom.d - 1), delta=delta, constant_factor=factor, in_unit_regime=unit)
 
 
 def lt_constant_bound(gamma: float, sel: BetaSelection, d: int) -> float:

@@ -319,6 +319,17 @@ class TestVerify:
         code, _, err = run(capsys, *"verify --kind torus --d 3 --band 0 --seeds 1".split())
         assert (code, err) == (2, "error: Galerkin size 15000 exceeds the dense budget 10000 rows\n")
 
+    def test_trace_family_over_the_dense_budget_exits_2_before_the_draw(self, capsys, monkeypatch):
+        # the density's FFT would pad 20,000 members to 401 x 100 modes each
+        def refuse(seed):
+            raise AssertionError("a family over the budget was drawn")
+
+        monkeypatch.setattr("numpy.random.default_rng", refuse)
+        argv = "verify --kind trace1 --m-dim 100 --band 100 --family-size 20000 --seeds 1"
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == "error: a family of 20000 members exceeds the dense budget\n"
+
     def test_torus_default_truncation_rejected_before_the_potential(self, capsys, monkeypatch):
         # V's band 4 on the 4-torus fits a 5,832-row matrix, but the default
         # truncation 16 per axis needs 1,149,984 rows: known from the band alone
@@ -487,6 +498,11 @@ class TestAttractor:
         code, _, err = run(capsys, "attractor", "--formula", "elongated", "--nu", "9")
         assert code == 2
         assert "does not apply" in err
+
+    def test_square_needs_the_square_torus(self, capsys):
+        code, out, err = run(capsys, "attractor", "--formula", "square", "--aspect", "0.25")
+        assert (code, out) == (2, "")
+        assert err == "error: aspect=0.25 is not 1; the square-torus estimate does not apply\n"
 
     def test_kolmogorov(self, capsys):
         code, out, _ = run(capsys, "attractor", "--formula", "kolmogorov", "--grad-g", "2")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ltbounds import families, interp
+from ltbounds import families, interp, spectral1d
 
 from oracles import family_values, rho_cubed_loop
 
@@ -47,6 +47,26 @@ class TestRandomFamily:
             families.random_orthonormal_family(4, 1, 1, False, 0)
         with pytest.raises(ValueError):
             families.random_orthonormal_family(3, 1, 1, True, 0)
+
+    def test_entries_count_against_the_dense_budget(self, monkeypatch):
+        # a budget of 6^2 entries: the density of 4 members of band 2 in
+        # m = 1 pads to 9 * 4 = 36 of them, its blocks of m = 6 take 1 * 6^2
+        monkeypatch.setattr(spectral1d, "ROW_BUDGET", 6)
+        assert families.random_orthonormal_family(4, 1, 2, False, 0).n_members == 4
+        assert families.random_orthonormal_family(0, 6, 0, False, 0).m_dim == 6
+        with pytest.raises(ValueError, match="a grid of"):  # past the family's check, to the density's grid
+            families.density_and_kinetic(families.OrthonormalFamily(np.zeros((4, 5, 1), complex)), 0.5, "add")
+
+        def refuse(seed):
+            raise AssertionError("a family over the budget was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for n_members, m_dim, band in ((5, 1, 2), (0, 7, 0)):
+            with pytest.raises(ValueError, match=f"family of {n_members} members exceeds the dense budget"):
+                families.random_orthonormal_family(n_members, m_dim, band, False, 0)
+            fam = families.OrthonormalFamily(np.zeros((n_members, 2 * band + 1, m_dim), complex))
+            with pytest.raises(ValueError, match=f"family of {n_members} members exceeds"):
+                families.density_and_kinetic(fam, 0.5, "add")
 
 
 class TestDensityAndKinetic:

@@ -108,6 +108,10 @@ class TestRandomPotential:
         with pytest.raises(ValueError, match="coefficients must be finite"):
             sp1.MatrixPotential(coeffs)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_width_blocks_validate(self, d):
+        sp1.MatrixPotential(np.zeros((3,) * d + (0, 0), complex)).validate()
+
     def test_validation_rejects_bad_params(self):
         with pytest.raises(ValueError):
             sp1.random_psd_potential(0, 1, 1.0, 0)
@@ -598,14 +602,20 @@ class TestNegativeSpectrum:
     @pytest.mark.parametrize("seed", range(6))
     def test_real_cut_is_the_max_abs_one_bitwise(self, seed, monkeypatch):
         # eigvalsh is replaced by values one ulp either side of -1e-12 max|A|:
-        # only the one below the cut is reported, so the cut is that value bitwise
+        # only the one below the cut is reported, so the cut is that value
+        # bitwise; for the float matrix, that matrix scaled to max|A| < 1,
+        # and a complex one
         rng = np.random.default_rng(seed)
-        matrix = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-3, 4)
+        scale = 10.0 ** rng.integers(-3, 4)
+        matrix = rng.standard_normal((6, 6)) * scale
         matrix[rng.integers(6), rng.integers(6)] = -3.0 * np.max(np.abs(matrix)) * (seed % 2)
-        cut = sp1._EIG_CUT_REL * float(np.max(np.abs(matrix)))
-        below, at = -np.nextafter(cut, np.inf), -cut
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([below, at, 0.0]))
-        assert sp1.negative_spectrum(matrix).negatives == (-below,)
+        below_one = matrix * (0.75 / np.max(np.abs(matrix)))
+        complex_matrix = matrix + 1j * rng.standard_normal((6, 6)) * scale
+        for a in (matrix, below_one, complex_matrix):
+            cut = sp1._EIG_CUT_REL * float(np.max(np.abs(a)))
+            below, at = -np.nextafter(cut, np.inf), -cut
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([below, at, 0.0]))
+            assert sp1.negative_spectrum(a).negatives == (-below,)
 
     def test_zero_real_matrices_have_no_negatives(self):
         for zero in (np.zeros((3, 3)), np.full((3, 3), -0.0)):
