@@ -13,12 +13,13 @@ every verifier, and one builder (_lattice_operator) makes its matrices:
 V is a band-limited Hermitian, pointwise-PSD matrix function.  Because the
 basis restriction is a Rayleigh-Ritz projection, every computed Riesz mean
 of the negative spectrum is a lower bound on the true one, so a verified
-inequality can only fail when the continuum inequality actually fails.  The
-builder's padded form, one scatter on the box and a ring of modes around
-it, also gives an upper matrix: a Schur complement on the ring, whose Riesz
-mean bounds the true one from above.  The 1D verifiers use both and by
-default take the smallest truncation of a short ladder at which the two
-bounds agree to 1e-12 relative.
+inequality can only fail when the continuum inequality actually fails.  On
+the box and a ring of modes around it the builder also gives an upper
+matrix: a Schur complement on the ring, whose Riesz mean bounds the true
+one from above.  The 1D verifiers use both and by default take the
+smallest truncation of a short ladder at which the two bounds agree to
+1e-12 relative.  The index work depends only on a matrix's shape: it runs
+once per shape (_lattice_plan), and each matrix is a gather from V.
 
 The basis is the exponentials exp(i k.theta), except for a scalar V on a
 projected operator (the torus and scalar h2).  Such a V is real, and the
@@ -60,6 +61,9 @@ _EIG_CUT_REL = 1e-12
 # (band, nodes) phase tables kept per process: a verification uses two or
 # three, and each is at most a few hundred kB at CLI defaults
 _PHASE_MEMO_SIZE = 32
+# Index plans of the lattice builder kept per process (see _lattice_plan): a
+# 1D item meets one or two shapes per truncation rung, a torus batch one
+_PLAN_MEMO_SIZE = 32
 # Largest dense Galerkin matrix (rows = modes * m_dim) any assembler builds:
 # 10,000 complex rows are 1.6 GB, and the eigensolver roughly doubles that.
 # A real cos/sin row costs half: it is scattered in place, with no complex
@@ -274,64 +278,6 @@ def trace_power_integral(potential: MatrixPotential, p: float, period: float) ->
     return _power_integral(potential, p, period, (_quad_grid_1d(potential),))
 
 
-def _assemble_lattice(modes: np.ndarray, kinetic: np.ndarray, coeffs: np.ndarray, real: bool,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Galerkin matrix diag(kinetic) - V on an integer mode lattice.
-
-    modes is (n, d) and coeffs has shape (2b_1+1, ..., 2b_d+1, m, m), so each
-    mode carries an (m, m) block.  Modes i and j couple through
-    coeffs[k_i - k_j] when the difference lies inside the coefficient box.
-    The scatter runs once per box offset, so besides the matrix it only
-    allocates arrays of length n.
-
-    When `real`, V is scalar and real and mode n-1-i is -(mode i).  For
-    k_i of the first half, i < h = n/2, row i is then the cosine
-    (e_k + e_-k)/sqrt2 and row h + i the sine -i(e_k - e_-k)/sqrt2, a
-    unitary change of basis.  With P[i, j] = a[k_i, k_j] and
-    Q[i, j] = a[k_i, -k_j] of the complex matrix a, the n x n float array
-    [[Re(P + Q), Im(P - Q)], [Im(P - Q)^T, Re(P - Q)]] is built, refilling
-    `out` when it has that shape.  An entry takes at most one term of P,
-    V(k_i - k_j), and one of Q, V(k_i + k_j); the zero offset goes first,
-    so a diagonal entry is kinetic - V(0) before its Q term, as in a.
-    """
-    n, d = modes.shape
-    m = coeffs.shape[-1]
-    widths = np.array(coeffs.shape[:d])
-    rows = n // 2 if real else n  # the rows the scatter fills: the cosine rows, or all
-    if real:
-        a = out if out is not None and out.shape == (n, n) else np.empty((n, n))
-        a.fill(0.0)
-        np.fill_diagonal(a, np.tile(kinetic[:rows], 2))
-        flat = a.reshape(-1)  # view
-        index = np.arange(n)  # partner j >= h is -k of cosine row n-1-j: a Q term, negated in P - Q
-        column, sign = np.minimum(index, n - 1 - index), np.where(index < rows, 1.0, -1.0)
-    else:
-        a = np.diag(np.repeat(kinetic, m).astype(complex))
-        blocks = a.reshape(n, m, n, m)  # view: blocks[i, :, j, :] couples mode i to mode j
-    # row of each mode in a table over the modes' bounding box, padded by the
-    # band so that every partner k_i - dk indexes inside it; -1 elsewhere
-    bands = (widths - 1) // 2
-    low = modes.min(axis=0, initial=0) - bands
-    row_of = np.full(tuple(modes.max(axis=0, initial=0) - low + bands + 1), -1, np.intp)
-    row_of[tuple((modes - low).T)] = np.arange(n)
-    partner = modes[:rows] - low + bands  # k_i - dk - low is partner - offset, dk = offset - bands
-    for offset in sorted(np.ndindex(*widths), key=lambda o: o != tuple(bands)):
-        j = row_of[tuple((partner - offset).T)]
-        i = np.flatnonzero(j >= 0)
-        j = j[i]
-        if not real:
-            blocks[i, :, j, :] -= coeffs[offset]
-            continue
-        v = complex(coeffs[offset][0, 0])
-        at, s = i * n + column[j], sign[j]  # flat index of entry (i, column)
-        flat[at] -= v.real  # Re(P + Q)
-        flat[at + rows] -= s * v.imag  # Im(P - Q), to the right
-        flat[at + rows * (n + 1)] -= s * v.real  # Re(P - Q), to the lower right
-    if real:
-        a[rows:, :rows] = a[:rows, rows:].T
-    return a
-
-
 def _check_rows(n_modes, m_dim: int, projected: bool) -> None:
     """Reject a Galerkin matrix on |k_j| <= n_j (k_d != 0 if projected) over ROW_BUDGET rows."""
     last = 2 * n_modes[-1] + (0 if projected else 1)
@@ -346,6 +292,94 @@ def _kinetic(alphas, modes: np.ndarray, mass: float) -> np.ndarray:
         return np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
 
 
+@functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)
+def _lattice_plan(widths: tuple, m_dim: int, n_modes: tuple, projected: bool, upper: bool) -> tuple:
+    """Read-only index arrays from which _lattice_operator builds each matrix of one shape.
+
+    The modes are those of |k_j| <= n_j, padded by max(b_j, 1) per axis when
+    `upper`, in meshgrid "ij" order without k_d = 0 when `projected`.  Modes
+    i and j couple through coeffs[k_i - k_j] when the difference lies in the
+    coefficient box of `widths`.  The scatter over the box offsets runs here
+    once, the zero offset first and then np.ndindex order, and records each
+    term as a flat entry (dst) and a flat coefficient (src, see values in
+    _lattice_operator) of block A (box rows by box rows) or B (box rows by
+    ring rows).  With m_dim rows per mode each entry takes one term.
+
+    When V is scalar on a projected box (the real form), mode n-1-i is
+    -(mode i).  For k_i of the first half, i < h = n/2, row i is then the
+    cosine (e_k + e_-k)/sqrt2 and row h + i the sine -i(e_k - e_-k)/sqrt2, a
+    unitary change of basis.  With P[i, j] = a[k_i, k_j] and
+    Q[i, j] = a[k_i, -k_j] of the complex matrix a, the rows hold
+    [[Re(P + Q), Im(P - Q)], [Im(P - Q)^T, Re(P - Q)]].  An entry can take a
+    term of P, V(k_i - k_j), and one of Q, V(k_i + k_j), and they are
+    subtracted in scatter order (a diagonal entry is kinetic - V(0) before
+    its Q term, as in a), so each block has a pass of first terms and one of
+    second terms.  The negation of a Q term in P - Q is a src into -V.
+
+    The shape is checked here, before any box is built.  Returns
+    (box, ring, a, b): the mode of each box and ring row, and the (dst, src)
+    int32 passes of each block, all read-only.  A plan holds 8 bytes per
+    term, at most four per coupled pair of modes, so at most the bytes of
+    the real matrix it fills (half those of a complex one); the default
+    torus box takes 1.2 MB.
+    """
+    bands = [(w - 1) // 2 for w in widths]
+    if len(n_modes) != len(widths):
+        raise ValueError("one truncation per axis required")
+    if any(n < b for n, b in zip(n_modes, bands)):
+        raise ValueError("truncation must cover the potential band")
+    if projected and n_modes[-1] < 1:
+        raise ValueError("need at least one mode pair along the projected axis")
+    padded = tuple(n + max(b, 1) for n, b in zip(n_modes, bands)) if upper else n_modes
+    for shape in (n_modes, padded):  # before the (2n+1)^d box is built
+        _check_rows(shape, m_dim, projected)
+    mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in padded], indexing="ij")
+    modes = np.stack([g.ravel() for g in mesh], axis=-1)
+    if projected:
+        modes = modes[modes[:, -1] != 0]
+    n, m, real = len(modes), m_dim, projected and m_dim == 1
+    rows = n // 2 if real else n  # the modes whose rows the scatter fills: the cosine rows, or all
+    # the mode of each row: the first half's cos then sin rows, or m_dim rows per mode
+    row_mode = np.tile(np.arange(rows), 2) if real else np.repeat(np.arange(n), m)
+    # row of each mode in a table over the modes' bounding box, padded by the
+    # band so that every partner k_i - dk indexes inside it; -1 elsewhere
+    low = modes.min(axis=0, initial=0) - bands
+    row_of = np.full(tuple(modes.max(axis=0, initial=0) - low + bands + 1), -1, np.intp)
+    row_of[tuple((modes - low).T)] = np.arange(n)
+    partner = modes[:rows] - low + bands  # k_i - dk - low is partner - offset, dk = offset - bands
+    p, terms = np.arange(m), []  # (row, column, src) of each term, in scatter order
+    for offset in sorted(np.ndindex(*widths), key=lambda o: o != tuple(bands)):
+        j = row_of[tuple((partner - offset).T)]
+        i = np.flatnonzero(j >= 0)
+        j = j[i]
+        o = np.ravel_multi_index(offset, widths)
+        if real:  # src 2o is Re V(dk) and 2o + 1 its Im; a partner -k_c (Q) takes -V's
+            col, re = np.minimum(j, n - 1 - j), 2 * o + np.where(j < rows, 0, 2 * math.prod(widths))
+            terms += [(i, col, np.full(len(i), 2 * o)), (i, col + rows, re + 1), (col + rows, i, re + 1),
+                      (i + rows, col + rows, re)]
+        else:
+            block = np.broadcast_arrays((i * m)[:, None, None] + p[:, None], (j * m)[:, None, None] + p,
+                                        (o * m + p[:, None]) * m + p)
+            terms.append([x.ravel() for x in block])
+    r, c, src = (np.concatenate(x) for x in zip(*terms))
+    first = np.zeros(len(r), bool)  # an entry's first term: np.unique returns first occurrences
+    first[np.unique(r * len(row_mode) + c, return_index=True)[1]] = True
+    inside = np.all(np.abs(modes[row_mode]) <= n_modes, axis=1)
+    box, ring = np.flatnonzero(inside), np.flatnonzero(~inside)
+    position = np.empty(len(row_mode), np.intp)  # of each row in the box or in the ring
+    position[box], position[ring] = np.arange(len(box)), np.arange(len(ring))
+    plan = [modes[row_mode[box]], modes[row_mode[ring]]]
+    for columns, width in ((inside, len(box)), (~inside, len(ring))):
+        dst, passes = position[r] * width + position[c], []
+        for at in (inside[r] & columns[c] & term for term in (first, ~first)):
+            order = np.argsort(dst[at])  # entries in memory order
+            passes += [(dst[at][order].astype(np.int32), src[at][order].astype(np.int32))] if at.any() else []
+        plan.append(tuple(passes))
+    for x in [*plan[:2], *(x for block in plan[2:] for pair in block for x in pair)]:
+        x.flags.writeable = False
+    return tuple(plan)
+
+
 def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, projected, s=None, out=None) -> tuple:
     """The lower and upper matrices of -sum_j alpha_j^2 d_j^2 + mass - V on the modes |k_j| <= n_j.
 
@@ -353,14 +387,14 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
     `projected`, the k_d = 0 modes are dropped: P removes the mean along the
     last (shortest) coordinate, and P V P coincides with V on that span.  A
     projected operator with a scalar (hence real) V is built in the real
-    cos/sin basis of :func:`_assemble_lattice`, which refills `out` when it
-    fits; every other one is complex Hermitian on the exponentials.
+    cos/sin basis (see _lattice_plan); every other one is complex Hermitian
+    on the exponentials.
 
     The lower matrix is the Galerkin matrix.  Without s the upper one is
-    None.  Given s >= sup ||V||, one scatter on the box padded by max(b_j, 1)
-    per axis gives H = [[A, B], [B^H, D]] on the box P and the ring S around
-    it; A is the Galerkin matrix bitwise.  The full operator has no coupling
-    from P beyond S, and on the modes Q outside P it is at least
+    None.  Given s >= sup ||V||, the box P padded by max(b_j, 1) per axis
+    adds a ring S around it, and H = [[A, B], [B^H, D]] on P and S has A,
+    the Galerkin matrix bitwise.  The full operator has no coupling from P
+    beyond S, and on the modes Q outside P it is at least
     D0 = diag(kinetic) - s.  When D0 is positive, [[B D0^-1 B^H, B], [B^H, D0]]
     >= 0, so the operator is at least (A - B D0^-1 B^H) + 0, and by min-max
     each of its negative eigenvalues lies at or above the matching one of
@@ -369,38 +403,32 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
     matrix is None exactly when that mode weighs s or less.  The padded box
     is symmetric under k -> -k, so the cos/sin rows split into box and ring
     rows too, and the real upper matrix is formed in that basis.
+
+    Only A and B are built, by a gather from V's coefficients along the
+    memoised plan of the shape: zeros (A refills `out` when it has A's
+    shape), A's kinetic diagonal, then each pass of the plan.  The plan
+    holds no alpha or mass, so the geometries of one shape share it.
     """
-    n_modes = tuple(int(n) for n in n_modes)
-    if len(n_modes) != potential.d:
-        raise ValueError("one truncation per axis required")
-    if any(n < b for n, b in zip(n_modes, potential.bands)):
-        raise ValueError("truncation must cover the potential band")
-    if projected and n_modes[-1] < 1:
-        raise ValueError("need at least one mode pair along the projected axis")
-    padded = n_modes if s is None else tuple(n + max(b, 1) for n, b in zip(n_modes, potential.bands))
-    for box in (n_modes, padded):  # before the (2n+1)^d box is built
-        _check_rows(box, potential.m_dim, projected)
-    mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in padded], indexing="ij")
-    modes = np.stack([g.ravel() for g in mesh], axis=-1)
-    if projected:
-        modes = modes[modes[:, -1] != 0]
-    kinetic = _kinetic(alphas, modes, mass)
+    box, ring, a_passes, b_passes = _lattice_plan(potential.coeffs.shape[:-2], potential.m_dim,
+                                                  tuple(int(n) for n in n_modes), projected, s is not None)
+    values = np.ascontiguousarray(potential.coeffs, complex).reshape(-1)
     # MatrixPotential's exact adjoint pairing makes a 1x1-block V real
-    real = projected and potential.m_dim == 1
-    h = _assemble_lattice(modes, kinetic, potential.coeffs, real, out)
+    if projected and potential.m_dim == 1:  # the real form reads Re and Im of V and of -V
+        values = np.concatenate((values.view(float), -values.view(float)))
+    a = out if out is not None and out.shape == (len(box),) * 2 else np.empty((len(box),) * 2, values.dtype)
+    a.fill(0)
+    np.fill_diagonal(a, _kinetic(alphas, box, mass))
+    for dst, src in a_passes:
+        a.reshape(-1)[dst] -= values[src]
     if s is None:
-        return h, None
-    # the mode of each row: the first half's cos then sin rows, or m_dim rows per mode
-    index = np.arange(len(modes))
-    row_mode = np.tile(index[: len(index) // 2], 2) if real else np.repeat(index, potential.m_dim)
-    inside = np.all(np.abs(modes[row_mode]) <= n_modes, axis=1)
-    box, ring = np.flatnonzero(inside), np.flatnonzero(~inside)
-    a = h[np.ix_(box, box)]
-    if not np.min(kinetic[row_mode[ring]]) > s:
         return a, None
-    coupling = h[np.ix_(box, ring)]
-    upper = a - (coupling / (kinetic[row_mode[ring]] - s)) @ coupling.conj().T
-    return a, upper
+    kinetic = _kinetic(alphas, ring, mass)
+    if not np.min(kinetic, initial=np.inf) > s:
+        return a, None
+    coupling = np.zeros((len(box), len(ring)), values.dtype)
+    for dst, src in b_passes:
+        coupling.reshape(-1)[dst] -= values[src]
+    return a, a - (coupling / (kinetic - s)) @ coupling.conj().T
 
 
 def _sup_bound(potential: MatrixPotential) -> float:

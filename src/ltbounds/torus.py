@@ -150,7 +150,7 @@ def assemble_torus_operator(potential: ScalarPotentialD, geom: TorusGeometry, n_
     the box |k_j| <= n_j with k_d != 0.  Each k of the lexicographically
     negative half, in meshgrid "ij" order, is paired with -k: row i is the
     cosine mode (e_k + e_-k)/sqrt2 and row n/2 + i the sine mode
-    -i(e_k - e_-k)/sqrt2 (see spectral1d._assemble_lattice).  The array is
+    -i(e_k - e_-k)/sqrt2 (see spectral1d._lattice_plan).  The array is
     the caller's: no later call writes to it.
     """
     _check_dimension(potential, geom)

@@ -449,6 +449,101 @@ class TestRealForm:
         assert r is not small and np.isnan(small).all() and np.array_equal(r, real_form(loop))
 
 
+class TestLatticePlan:
+    # (d, band, truncation): bands 2 and 4 give the real form's diagonal Q terms V(2k)
+    CASES = {
+        "d1_band0": (1, 0, (2,)),
+        "d1_band4": (1, 4, (5,)),
+        "d2_band0": (2, 0, (1, 1)),
+        "d2_band2": (2, 2, (2, 3)),
+        "d3_band0": (3, 0, (1, 1, 1)),
+        "d3_band1": (3, 1, (1, 1, 1)),
+    }
+    ALPHAS = {1: (0.5,), 2: (0.5, 1.0), 3: (0.5, 0.75, 1.0)}
+
+    @staticmethod
+    def _potential(d, m_dim, band, seed):
+        """Random coefficients, exactly paired (V need not be PSD here)."""
+        rng = np.random.default_rng(seed)
+        shape = (2 * band + 1,) * d + (m_dim, m_dim)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return sp1.MatrixPotential(0.5 * (c + np.flip(c, tuple(range(d))).conj().swapaxes(-1, -2)))
+
+    @staticmethod
+    def _oracle(pot, alphas, mass, n_modes, projected, s):
+        """The loop matrix of the box padded by max(b_j, 1), folded when real,
+        then its box block and the Schur complement on the ring."""
+        padded = [n + max(b, 1) for n, b in zip(n_modes, pot.bands)]
+        mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in padded], indexing="ij")
+        modes = np.stack([g.ravel() for g in mesh], axis=-1)
+        if projected:
+            modes = modes[modes[:, -1] != 0]
+        kinetic = np.sum((np.asarray(alphas) * modes) ** 2, axis=1) + mass
+        h = galerkin_loop(modes, kinetic, pot.coeffs, np.ones(len(modes), bool))
+        index = np.arange(len(modes))
+        if projected and pot.m_dim == 1:
+            h, row_mode = real_form(h), np.tile(index[: len(index) // 2], 2)
+        else:
+            row_mode = np.repeat(index, pot.m_dim)
+        inside = np.all(np.abs(modes[row_mode]) <= n_modes, axis=1)
+        a, b = h[np.ix_(inside, inside)], h[np.ix_(inside, ~inside)]
+        return a, a - (b / (kinetic[row_mode[~inside]] - s)) @ b.conj().T
+
+    @pytest.mark.parametrize("projected", [False, True])
+    @pytest.mark.parametrize("m_dim", [1, 2])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_lower_and_upper_match_the_loop_oracles_bitwise(self, case, m_dim, projected):
+        d, band, n_modes = self.CASES[case]
+        pot, alphas = self._potential(d, m_dim, band, 3 * d + band), self.ALPHAS[d]
+        s = 0.1  # below every ring weight, so both sides have an upper matrix
+        want_lower, want_upper = self._oracle(pot, alphas, 0.3, n_modes, projected, s)
+        assert want_lower.dtype == (np.float64 if projected and m_dim == 1 else complex)
+        alone, none = sp1._lattice_operator(pot, alphas, 0.3, n_modes, projected)
+        lower, upper = sp1._lattice_operator(pot, alphas, 0.3, n_modes, projected, s)
+        assert none is None
+        for got, want in ((alone, want_lower), (lower, want_lower), (upper, want_upper)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()  # zero signs too
+
+    def test_potentials_of_one_shape_keep_their_own_values(self):
+        form = sp1._form("add", 0.5)
+        pots = [sp1.random_psd_potential(2, 2, 1.0, seed) for seed in (0, 1)]
+        s = max(sp1._sup_bound(pot) for pot in pots)
+        first = [form.enclosure(pot, 10, s) for pot in pots]
+        sp1._lattice_plan.cache_clear()
+        again = [form.enclosure(pot, 10, s) for pot in reversed(pots)][::-1]
+        assert sp1._lattice_plan.cache_info().currsize == 1
+        for (lower, upper), (lower_again, upper_again) in zip(first, again):
+            assert np.array_equal(lower, lower_again) and np.array_equal(upper, upper_again)
+        assert not np.array_equal(first[0][0], first[1][0])
+
+    def test_plan_arrays_are_read_only(self):
+        box, ring, a, b = sp1._lattice_plan((9,), 1, (12,), True, True)
+        arrays = [box, ring, *(x for passes in (a, b) for pair in passes for x in pair)]
+        assert len(a) == 2 and len(b) >= 1 and all(x.dtype == np.int32 for x in arrays[2:])
+        for x in arrays:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[...] = 0
+
+    def test_geometries_of_one_shape_share_one_plan(self):
+        pot = torus.ScalarPotentialD.random(2, 2, 1.0, 0)
+        sp1._lattice_plan.cache_clear()
+        built = [torus.assemble_torus_operator(pot, torus.TorusGeometry((alpha, 1.0)), (16, 16))
+                 for alpha in (1.0, 0.5)]
+        info = sp1._lattice_plan.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        assert not np.array_equal(*built)
+
+    def test_memo_is_bounded(self):
+        size = sp1._PLAN_MEMO_SIZE
+        assert sp1._lattice_plan.cache_info().maxsize == size
+        pot = sp1.constant_potential(1.0)
+        for n in range(1, 1 + 2 * size):
+            sp1._lattice_operator(pot, (1.0,), 0.5, (n,), False)
+        assert sp1._lattice_plan.cache_info().currsize == size
+
+
 class TestGammaCheckedFirst:
     @pytest.fixture(autouse=True)
     def no_eigensolve(self, monkeypatch):
@@ -640,6 +735,12 @@ class TestRieszMean:
             sp1.riesz_mean(rep, 0.5)
 
 
+def _assert_zero_certified(report):
+    # a zero-width potential has no negative eigenvalue and no rhs
+    assert report.lhs == report.rhs == report.metadata["lhs_upper"] == 0.0
+    assert report.metadata["certified"] is True
+
+
 class TestVerifyH1:
     def test_constant_enumeration(self):
         pot = sp1.constant_potential(2.0)
@@ -655,6 +756,9 @@ class TestVerifyH1:
         report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0, n_max=4)
         assert report.lhs == 0.0 and report.rhs == 0.0
         assert report.ratio == 0.0 and report.passed
+
+    def test_zero_width_potential(self):
+        _assert_zero_certified(sp1.verify_bound_h1(sp1.MatrixPotential(np.zeros((3, 0, 0), complex)), 1.0, 0.5, 1.0))
 
     def test_random_suite(self):
         for seed in range(20):
@@ -677,6 +781,9 @@ class TestVerifyH2:
         pot = sp1.constant_potential(0.0)
         report = sp1.verify_bound_h2(pot, 0.839, 1.0, n_max=4)
         assert report.lhs == 0.0 and report.passed
+
+    def test_zero_width_potential(self):
+        _assert_zero_certified(sp1.verify_bound_h2(sp1.MatrixPotential(np.zeros((3, 0, 0), complex)), 0.5, 1.0))
 
     def test_random_suite(self):
         for i, seed in enumerate(range(20)):

@@ -393,6 +393,26 @@ class TestWorkspace:
             t.join()
         assert got[0] + got[1] == want[0::2] + want[1::2]
 
+    def test_a_thread_never_refills_another_threads_spare(self):
+        # thread A leaves its spare, then thread B assembles the same box: a
+        # spare held per process would hand A's matrix to B
+        pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
+        got = {}
+
+        def verify():
+            torus.verify_bound_torus(pot, self.GEOM, 1.0, n_modes=(6, 6))
+            got["spare"] = torus._spare.matrix
+
+        def assemble():
+            got["matrix"] = torus.assemble_torus_operator(pot, self.GEOM, (6, 6))
+
+        for target in (verify, assemble):
+            thread = threading.Thread(target=target)
+            thread.start()
+            thread.join()
+        assert got["spare"].shape == got["matrix"].shape
+        assert not np.shares_memory(got["matrix"], got["spare"])
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="page-fault counts of Linux getrusage")
     def test_verification_reuses_its_matrix(self):
         import resource  # POSIX only
