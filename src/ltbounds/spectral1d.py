@@ -18,8 +18,8 @@ the box and a ring of modes around it the builder also gives an upper
 matrix: a Schur complement on the ring, whose Riesz mean bounds the true
 one from above.  The 1D verifiers use both and by default take the
 smallest truncation of a short ladder at which the two bounds agree to
-1e-12 relative.  The index work depends only on a matrix's shape: it runs
-once per shape (_lattice_plan), and each matrix is a gather from V.
+1e-12 relative.  The builder's index work runs once per shape (_lattice_plan),
+and each matrix is then one gather from V's coefficients.
 
 The basis is the exponentials exp(i k.theta), except for a scalar V on a
 projected operator (the torus and scalar h2).  Such a V is real, and the
@@ -61,8 +61,7 @@ _EIG_CUT_REL = 1e-12
 # (band, nodes) phase tables kept per process: a verification uses two or
 # three, and each is at most a few hundred kB at CLI defaults
 _PHASE_MEMO_SIZE = 32
-# Index plans of the lattice builder kept per process (see _lattice_plan): a
-# 1D item meets one or two shapes per truncation rung, a torus batch one
+# Index plans kept per process (see _lattice_plan): a few per 1D ladder, one per torus box
 _PLAN_MEMO_SIZE = 32
 # Largest dense Galerkin matrix (rows = modes * m_dim) any assembler builds:
 # 10,000 complex rows are 1.6 GB, and the eigensolver roughly doubles that.
@@ -299,31 +298,26 @@ def _lattice_plan(widths: tuple, m_dim: int, n_modes: tuple, projected: bool, up
     The modes are those of |k_j| <= n_j, padded by max(b_j, 1) per axis when
     `upper`, in meshgrid "ij" order without k_d = 0 when `projected`.  Modes
     i and j couple through coeffs[k_i - k_j] when the difference lies in the
-    coefficient box of `widths`.  The scatter over the box offsets runs here
-    once, the zero offset first and then np.ndindex order, and records each
-    term as a flat entry (dst) and a flat coefficient (src, see values in
-    _lattice_operator) of block A (box rows by box rows) or B (box rows by
-    ring rows).  With m_dim rows per mode each entry takes one term.
+    box `widths`.  The scatter over the box offsets (zero first, then
+    np.ndindex order) runs here, and keeps each term of block A (box rows by
+    box rows) or B (box rows by ring rows) as a flat entry dst and src.
 
-    When V is scalar on a projected box (the real form), mode n-1-i is
-    -(mode i).  For k_i of the first half, i < h = n/2, row i is then the
-    cosine (e_k + e_-k)/sqrt2 and row h + i the sine -i(e_k - e_-k)/sqrt2, a
-    unitary change of basis.  With P[i, j] = a[k_i, k_j] and
-    Q[i, j] = a[k_i, -k_j] of the complex matrix a, the rows hold
-    [[Re(P + Q), Im(P - Q)], [Im(P - Q)^T, Re(P - Q)]].  An entry can take a
-    term of P, V(k_i - k_j), and one of Q, V(k_i + k_j), and they are
-    subtracted in scatter order (a diagonal entry is kinetic - V(0) before
-    its Q term, as in a), so each block has a pass of first terms and one of
-    second terms.  The negation of a Q term in P - Q is a src into -V.
+    A scalar V on a projected box is real, and mode n-1-i is -(mode i).
+    For k_i of the first half, i < h = n/2, row i is then the cosine
+    (e_k + e_-k)/sqrt2 and row h + i the sine -i(e_k - e_-k)/sqrt2.  With
+    P[i, j] = a[k_i, k_j] and Q[i, j] = a[k_i, -k_j] of the complex matrix
+    a, the rows hold [[Re(P + Q), Im(P - Q)], [Im(P - Q)^T, Re(P - Q)]],
+    and a Q term of P - Q is a src into -V.  An entry can take a term of P,
+    V(k_i - k_j), and one of Q, V(k_i + k_j), subtracted in scatter order
+    (kinetic - V(0) before V(2k) on the diagonal, as in a), so a block has
+    a pass of first terms and one of second terms.
 
-    The shape is checked here, before any box is built.  Returns
-    (box, ring, a, b): the mode of each box and ring row, and the (dst, src)
-    int32 passes of each block, all read-only.  A plan holds 8 bytes per
-    term, at most four per coupled pair of modes, so at most the bytes of
-    the real matrix it fills (half those of a complex one); the default
-    torus box takes 1.2 MB.
+    Returns (box, ring, a, b), the shape checked first: the mode of each box
+    and ring row, and the (dst, src) int32 passes of A and B.  A plan holds
+    8 bytes per term, at most half the bytes of the complex matrix it fills
+    or twice those of the real one; 1.2 MB on the default torus box.
     """
-    bands = [(w - 1) // 2 for w in widths]
+    bands = np.array([(w - 1) // 2 for w in widths])
     if len(n_modes) != len(widths):
         raise ValueError("one truncation per axis required")
     if any(n < b for n, b in zip(n_modes, bands)):
@@ -347,37 +341,48 @@ def _lattice_plan(widths: tuple, m_dim: int, n_modes: tuple, projected: bool, up
     row_of = np.full(tuple(modes.max(axis=0, initial=0) - low + bands + 1), -1, np.intp)
     row_of[tuple((modes - low).T)] = np.arange(n)
     partner = modes[:rows] - low + bands  # k_i - dk - low is partner - offset, dk = offset - bands
-    p, terms = np.arange(m), []  # (row, column, src) of each term, in scatter order
-    for offset in sorted(np.ndindex(*widths), key=lambda o: o != tuple(bands)):
-        j = row_of[tuple((partner - offset).T)]
-        i = np.flatnonzero(j >= 0)
-        j = j[i]
-        o = np.ravel_multi_index(offset, widths)
-        if real:  # src 2o is Re V(dk) and 2o + 1 its Im; a partner -k_c (Q) takes -V's
-            col, re = np.minimum(j, n - 1 - j), 2 * o + np.where(j < rows, 0, 2 * math.prod(widths))
-            terms += [(i, col, np.full(len(i), 2 * o)), (i, col + rows, re + 1), (col + rows, i, re + 1),
-                      (i + rows, col + rows, re)]
-        else:
-            block = np.broadcast_arrays((i * m)[:, None, None] + p[:, None], (j * m)[:, None, None] + p,
-                                        (o * m + p[:, None]) * m + p)
-            terms.append([x.ravel() for x in block])
-    r, c, src = (np.concatenate(x) for x in zip(*terms))
-    first = np.zeros(len(r), bool)  # an entry's first term: np.unique returns first occurrences
-    first[np.unique(r * len(row_mode) + c, return_index=True)[1]] = True
     inside = np.all(np.abs(modes[row_mode]) <= n_modes, axis=1)
     box, ring = np.flatnonzero(inside), np.flatnonzero(~inside)
     position = np.empty(len(row_mode), np.intp)  # of each row in the box or in the ring
     position[box], position[ring] = np.arange(len(box)), np.arange(len(ring))
-    plan = [modes[row_mode[box]], modes[row_mode[ring]]]
-    for columns, width in ((inside, len(box)), (~inside, len(ring))):
-        dst, passes = position[r] * width + position[c], []
-        for at in (inside[r] & columns[c] & term for term in (first, ~first)):
-            order = np.argsort(dst[at])  # entries in memory order
-            passes += [(dst[at][order].astype(np.int32), src[at][order].astype(np.int32))] if at.any() else []
-        plan.append(tuple(passes))
-    for x in [*plan[:2], *(x for block in plan[2:] for pair in block for x in pair)]:
+    def terms():  # (slot, dst, src) per offset: slots 0 and 1 hold A's first and second terms, 2 and 3 B's
+        p = np.arange(m)
+        for offset in sorted(np.ndindex(*widths), key=lambda o: o != tuple(bands)):
+            j = row_of[tuple((partner - offset).T)]
+            i = np.flatnonzero(j >= 0)
+            j = j[i]
+            o = np.ravel_multi_index(offset, widths)
+            if real:  # src 2o is Re V(dk), 2o + 1 its Im; a Q term (partner j >= rows) reads -V
+                col, re = np.minimum(j, n - 1 - j), 2 * o + np.where(j < rows, 0, 2 * math.prod(widths))
+                r = np.concatenate((i, i, col + rows, i + rows))
+                c = np.concatenate((col, col + rows, i, col + rows))
+                src = np.concatenate((np.full(len(i), 2 * o), re + 1, re + 1, re))
+                other = modes[i] + modes[j] + bands  # the offset of the entries' other term, of partner -k_j
+                rank = np.where(np.all(other == bands, axis=1), -1, np.ravel_multi_index(other.T, widths, "clip"))
+                earlier = rank < (o if any(offset != bands) else -1)
+                second = np.tile(np.all((other >= 0) & (other < widths), axis=1) & earlier, 4)
+            else:
+                block = np.broadcast_arrays((i * m)[:, None, None] + p[:, None], (j * m)[:, None, None] + p,
+                                            (o * m + p[:, None]) * m + p)
+                r, c, src = (x.ravel() for x in block)
+                second = np.zeros(len(r), bool)
+            keep = inside[r]  # the box rows
+            r, c, src, second = r[keep], c[keep], src[keep], second[keep]
+            to_ring = ~inside[c]
+            yield 2 * to_ring + second, position[r] * np.where(to_ring, len(ring), len(box)) + position[c], src
+
+    # allocated before the second pass, whose freed temporaries then lie above them on the heap
+    blocks = [np.empty((2, k), np.int32) for k in sum(np.bincount(slot, minlength=4) for slot, _, _ in terms())]
+    filled = [0] * 4
+    for slot, dst, src in terms():
+        for k, block in enumerate(blocks):
+            at = slot == k
+            block[:, filled[k]:filled[k] + at.sum()] = dst[at], src[at]
+            filled[k] += at.sum()
+    plan = [modes[row_mode[box]], modes[row_mode[ring]], *blocks]
+    for x in plan:
         x.flags.writeable = False
-    return tuple(plan)
+    return (*plan[:2], tuple(x for x in blocks[:2] if x.size), tuple(x for x in blocks[2:] if x.size))
 
 
 def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, projected, s=None, out=None) -> tuple:
@@ -404,16 +409,13 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
     is symmetric under k -> -k, so the cos/sin rows split into box and ring
     rows too, and the real upper matrix is formed in that basis.
 
-    Only A and B are built, by a gather from V's coefficients along the
-    memoised plan of the shape: zeros (A refills `out` when it has A's
-    shape), A's kinetic diagonal, then each pass of the plan.  The plan
-    holds no alpha or mass, so the geometries of one shape share it.
+    Only A and B are built, each gathered from V along the memoised plan of
+    the shape (see _lattice_plan); A refills `out` when it has A's shape.
     """
     box, ring, a_passes, b_passes = _lattice_plan(potential.coeffs.shape[:-2], potential.m_dim,
                                                   tuple(int(n) for n in n_modes), projected, s is not None)
     values = np.ascontiguousarray(potential.coeffs, complex).reshape(-1)
-    # MatrixPotential's exact adjoint pairing makes a 1x1-block V real
-    if projected and potential.m_dim == 1:  # the real form reads Re and Im of V and of -V
+    if projected and potential.m_dim == 1:  # the real form (V is real by its exact pairing): Re, Im of V and -V
         values = np.concatenate((values.view(float), -values.view(float)))
     a = out if out is not None and out.shape == (len(box),) * 2 else np.empty((len(box),) * 2, values.dtype)
     a.fill(0)
