@@ -343,8 +343,7 @@ def _lattice_plan(widths: tuple, m_dim: int, n_modes: tuple, projected: bool, up
     partner = modes[:rows] - low + bands  # k_i - dk - low is partner - offset, dk = offset - bands
     inside = np.all(np.abs(modes[row_mode]) <= n_modes, axis=1)
     box, ring = np.flatnonzero(inside), np.flatnonzero(~inside)
-    position = np.empty(len(row_mode), np.intp)  # of each row in the box or in the ring
-    position[box], position[ring] = np.arange(len(box)), np.arange(len(ring))
+    position = np.where(inside, np.cumsum(inside), np.cumsum(~inside)) - 1  # of each row in the box or the ring
     def terms():  # (slot, dst, src) per offset: slots 0 and 1 hold A's first and second terms, 2 and 3 B's
         p = np.arange(m)
         for offset in sorted(np.ndindex(*widths), key=lambda o: o != tuple(bands)):
@@ -410,14 +409,15 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
     rows too, and the real upper matrix is formed in that basis.
 
     Only A and B are built, each gathered from V along the memoised plan of
-    the shape (see _lattice_plan); A refills `out` when it has A's shape.
+    the shape (see _lattice_plan); A refills `out` of A's shape and dtype.
     """
     box, ring, a_passes, b_passes = _lattice_plan(potential.coeffs.shape[:-2], potential.m_dim,
                                                   tuple(int(n) for n in n_modes), projected, s is not None)
     values = np.ascontiguousarray(potential.coeffs, complex).reshape(-1)
     if projected and potential.m_dim == 1:  # the real form (V is real by its exact pairing): Re, Im of V and -V
         values = np.concatenate((values.view(float), -values.view(float)))
-    a = out if out is not None and out.shape == (len(box),) * 2 else np.empty((len(box),) * 2, values.dtype)
+    fits = out is not None and (out.shape, out.dtype) == ((len(box),) * 2, values.dtype)
+    a = out if fits else np.empty((len(box),) * 2, values.dtype)
     a.fill(0)
     np.fill_diagonal(a, _kinetic(alphas, box, mass))
     for dst, src in a_passes:

@@ -444,9 +444,9 @@ class TestRealForm:
         out = np.full(loop.shape, np.nan)
         r, _ = sp1._lattice_operator(pot, alphas, mass, n_modes, True, out=out)
         assert r is out and np.array_equal(r, real_form(loop))
-        small = np.full((4, 4), np.nan)
-        r, _ = sp1._lattice_operator(pot, alphas, mass, n_modes, True, out=small)
-        assert r is not small and np.isnan(small).all() and np.array_equal(r, real_form(loop))
+        for wrong in (np.full((4, 4), np.nan), np.full(loop.shape, np.nan, complex)):  # shape or dtype
+            r, _ = sp1._lattice_operator(pot, alphas, mass, n_modes, True, out=wrong)
+            assert r is not wrong and np.isnan(wrong).all() and np.array_equal(r, real_form(loop))
 
 
 class TestLatticePlan:
