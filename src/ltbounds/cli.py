@@ -89,33 +89,53 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-def _verify_one(kind: str, args, seed: int):
-    if kind == "h1":
-        pot = spectral1d.random_psd_potential(args.m_dim, args.band, args.scale, seed)
-        return spectral1d.verify_bound_h1(pot, args.alpha, args.beta, args.gamma, seed=seed)
-    if kind == "h2":
-        pot = spectral1d.random_psd_potential(args.m_dim, args.band, args.scale, seed)
-        return spectral1d.verify_bound_h2(pot, args.delta, args.gamma, seed=seed)
+# Seeds per stack of a 1D batch.  A stack saves numpy's per-call overhead,
+# which 16 seeds already spread thin (32 gained under 3% on 64 trace1
+# seeds), and a default h1 stack of 16 holds about 0.6 MB; the bench's
+# 12-seed commands run as one stack.
+_BATCH = 16
+# Entries a stack may hold in one array.  A seed's largest stacked array
+# has at most m max(512 m, 64 (4b+1) m, (4b+1) n) entries: its PSD sample
+# grid, its quadrature grid doubled, or a family's padded FFT.  Seeds that
+# large are stacked fewer at a time, down to one.
+_BATCH_ENTRIES = 1 << 20
+
+
+def _batch_size(args) -> int:
+    modes = 4 * args.band + 1
+    per_seed = args.m_dim * max(512 * args.m_dim, 64 * modes * args.m_dim, modes * args.family_size)
+    return max(1, min(_BATCH, _BATCH_ENTRIES // max(per_seed, 1)))
+
+
+def _verify_torus(args, seed: int):
+    geom = torus.TorusGeometry((args.alpha,) * (args.d - 1) + (1.0,))
+    # The default truncation follows from the band alone, so its size is
+    # checked before the potential is built.  The checks that reject these
+    # flags first (the potential's parameters and band cover, then gamma)
+    # keep their order.
+    spectral1d._check_psd_params(args.d, 1, args.band, args.scale)
+    spectral1d._check_gamma(args.gamma)
+    spectral1d._check_rows(torus._default_modes((2 * args.band,) * args.d), 1, projected=True)
+    pot = torus.ScalarPotentialD.random(args.d, args.band, args.scale, seed)
+    return torus.verify_bound_torus(pot, geom, args.gamma, seed=seed)
+
+
+def _verify_batch(kind: str, args, seeds) -> list:
+    """The reports of consecutive seeds, in seed order.  A 1D kind draws,
+    validates and integrates the seeds as one stack, then runs each seed's
+    truncation ladder and report in turn; the torus verifies one seed at a
+    time, since its refilled matrix must stay the only n x n array."""
     if kind == "torus":
-        geom = torus.TorusGeometry((args.alpha,) * (args.d - 1) + (1.0,))
-        # The default truncation follows from the band alone, so its size is
-        # checked before the potential is built.  The checks that reject these
-        # flags first (the potential's parameters and band cover, then gamma)
-        # keep their order.
-        spectral1d._check_psd_params(args.d, 1, args.band, args.scale)
-        spectral1d._check_gamma(args.gamma)
-        spectral1d._check_rows(torus._default_modes((2 * args.band,) * args.d), 1, projected=True)
-        pot = torus.ScalarPotentialD.random(args.d, args.band, args.scale, seed)
-        return torus.verify_bound_torus(pot, geom, args.gamma, seed=seed)
+        return [_verify_torus(args, seed) for seed in seeds]
+    if kind in ("h1", "h2"):
+        pots = spectral1d._random_psd_potentials(args.m_dim, args.band, args.scale, seeds)
+        if kind == "h1":
+            return spectral1d._verify_h1(pots, args.alpha, args.beta, args.gamma, None, seeds)
+        return spectral1d._verify_h2(pots, args.delta, args.gamma, None, seeds)
+    fams = families._random_families(args.family_size, args.m_dim, args.band, kind == "trace2", seeds)
     if kind == "trace1":
-        fam = families.random_orthonormal_family(
-            args.family_size, args.m_dim, args.band, False, seed
-        )
-        return families.verify_trace1(fam, args.alpha, args.beta, seed=seed)
-    fam = families.random_orthonormal_family(
-        args.family_size, args.m_dim, args.band, True, seed
-    )
-    return families.verify_trace2(fam, args.delta, seed=seed)
+        return families._verify_trace(fams, args.beta, "add", {"alpha": args.alpha}, seeds)
+    return families._verify_trace(fams, args.delta, "subtract", {}, seeds)
 
 
 def cmd_verify(args) -> int:
@@ -124,10 +144,11 @@ def cmd_verify(args) -> int:
     if args.rhs_scale <= 0:
         return _fail_usage("--rhs-scale must be > 0")
 
-    # Seeds run in order on this thread; the dense eigensolves' BLAS threads
+    # Chunks run in order on this thread; the dense eigensolves' BLAS threads
     # are the only parallelism, since a seed pool on top oversubscribes cores.
-    seeds = [args.seed_base + i for i in range(args.seeds)]
-    reports = [_verify_one(args.kind, args, s) for s in seeds]
+    seeds = range(args.seed_base, args.seed_base + args.seeds)
+    size = _batch_size(args)
+    reports = [rep for i in range(0, len(seeds), size) for rep in _verify_batch(args.kind, args, seeds[i:i + size])]
     if args.rhs_scale != 1.0:
         reports = [rep.with_rhs_scaled(args.rhs_scale) for rep in reports]
     all_pass = all(rep.passed for rep in reports)

@@ -69,11 +69,25 @@ class OrthonormalFamily:
         return not np.any(self.coeffs[:, self.band, :])
 
     def gram_matrix(self) -> np.ndarray:
-        flat = self.coeffs.reshape(self.n_members, math.prod(self.coeffs.shape[1:]))
-        return flat @ flat.conj().T
+        return _gram(self.coeffs[None])[0]
 
     def gram_defect(self) -> float:
-        return float(np.max(np.abs(self.gram_matrix() - np.eye(self.n_members)), initial=0.0))
+        return float(_gram_defect(self.coeffs[None])[0])
+
+
+# The stacked layers below take the coefficients of several families of one
+# shape with a leading stack axis, (S, n_members, 2*band+1, m_dim), one per
+# seed of a CLI batch, and give per-family results in stack order, each
+# bitwise the family's result alone on a stack of one.
+
+
+def _gram(coeffs: np.ndarray) -> np.ndarray:
+    flat = coeffs.reshape(*coeffs.shape[:2], math.prod(coeffs.shape[2:]))
+    return flat @ flat.conj().swapaxes(-1, -2)
+
+
+def _gram_defect(coeffs: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(_gram(coeffs) - np.eye(coeffs.shape[1])), axis=(1, 2), initial=0.0)
 
 
 def _check_entries(n_members: int, m_dim: int, band: int) -> None:
@@ -96,6 +110,11 @@ def random_orthonormal_family(
     space, so they come out exactly zero.  A rank-deficient draw (numerically
     impossible, but cheap to guard) raises RuntimeError.
     """
+    return OrthonormalFamily(_random_families(n_members, m_dim, band, zero_mean, [seed])[0])
+
+
+def _random_families(n_members: int, m_dim: int, band: int, zero_mean: bool, seeds) -> np.ndarray:
+    """The coefficients of random_orthonormal_family for each seed, as one stack."""
     capacity = m_dim * (2 * band if zero_mean else 2 * band + 1)
     if n_members < 0 or n_members > capacity:
         raise ValueError(f"cannot fit {n_members} orthonormal members in dimension {capacity}")
@@ -103,18 +122,19 @@ def random_orthonormal_family(
     keep = np.ones(2 * band + 1, dtype=bool)
     if zero_mean:
         keep[band] = False
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((capacity, n_members)) + 1j * rng.standard_normal((capacity, n_members))
-    q, r = np.linalg.qr(x)
-    if not float(np.min(np.abs(np.diag(r)), initial=np.inf)) > 1e-10:
+    draws = np.empty((2, len(seeds), capacity, n_members))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        draws[0, i], draws[1, i] = rng.standard_normal((capacity, n_members)), rng.standard_normal((capacity, n_members))
+    q, r = np.linalg.qr(draws[0] + 1j * draws[1])
+    if not np.all(np.min(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1, initial=np.inf) > 1e-10):
         raise RuntimeError("rank-deficient draw")
-    coeffs = np.zeros((n_members, 2 * band + 1, m_dim), dtype=complex)
-    coeffs[:, keep, :] = q.T.reshape(n_members, int(keep.sum()), m_dim)
-    fam = OrthonormalFamily(coeffs)
-    defect = fam.gram_defect()
-    if defect > 1e-12:
-        raise AssertionError(f"Gram defect {defect:.3e} exceeds 1e-12")
-    return fam
+    coeffs = np.zeros((len(seeds), n_members, 2 * band + 1, m_dim), dtype=complex)
+    coeffs[:, :, keep, :] = q.swapaxes(-1, -2).reshape(len(seeds), n_members, int(keep.sum()), m_dim)
+    for defect in _gram_defect(coeffs):
+        if defect > 1e-12:
+            raise AssertionError(f"Gram defect {defect:.3e} exceeds 1e-12")
+    return coeffs
 
 
 def density_and_kinetic(
@@ -126,45 +146,59 @@ def density_and_kinetic(
     potential W W^H, and its cube is integrated by the potential layer's
     quadrature on 8 nodes per density mode, refined by doubling.
     """
+    lhs, kinetic = _density_and_kinetic(fam.coeffs[None], beta, mode, alpha)
+    return float(lhs[0]), kinetic[0]
+
+
+def _density_and_kinetic(coeffs: np.ndarray, beta: float, mode: str, alpha: float = 1.0) -> tuple:
+    """density_and_kinetic of each family of the stack: an array of
+    integrals and a list of kinetic forms."""
     form = _form(mode, beta, alpha)
-    if form.projected and not fam.zero_mean:
+    n_members, width, m_dim = coeffs.shape[1:]
+    band = (width - 1) // 2
+    if form.projected and np.any(coeffs[:, :, band, :]):
         raise ValueError("the mass-subtracted form needs a zero-mean family")
-    _check_entries(fam.n_members, fam.m_dim, fam.band)
-    w = math.sqrt(alpha / TWO_PI) * np.moveaxis(fam.coeffs, 0, -1)
-    density = MatrixPotential(_autocorrelation(w))
-    lhs = _power_integral(density, 3, TWO_PI / alpha, (8 * (2 * fam.band + 1),))
-    kinetic = float(np.einsum("k,nkj->", form.weights(fam.band), np.abs(fam.coeffs) ** 2).real)
-    return lhs, kinetic
+    _check_entries(n_members, m_dim, band)
+    density = _autocorrelation(math.sqrt(alpha / TWO_PI) * np.moveaxis(coeffs, 1, -1))
+    for v in density:
+        MatrixPotential(v)  # its checks: finite, exactly paired coefficients
+    lhs = _power_integral(density, 3, TWO_PI / alpha, (8 * width,))
+    # Each family's kinetic form is its own sum, in the order of a family alone.
+    weights, squares = form.weights(band), np.abs(coeffs) ** 2
+    return lhs, [float(np.einsum("k,nkj->", weights, square).real) for square in squares]
 
 
-def _verify_trace(fam, beta, mode, params, seed) -> BoundReport:
-    # Shared body of the trace verifiers; params (alpha for the add form)
-    # reach the form, the density and the metadata.
-    lhs, kinetic = density_and_kinetic(fam, beta, mode, **params)
+def _verify_trace(coeffs, beta, mode, params, seeds) -> list:
+    # Shared body of the trace verifiers for a stack of families and their
+    # seeds; params (alpha for the add form) reach the form, the density and
+    # the metadata.
+    lhs, kinetic = _density_and_kinetic(coeffs, beta, mode, **params)
     k_const = _form(mode, beta, **params).solve_k().value
-    rhs = k_const**2 * kinetic
+    n_members, width, m_dim = coeffs.shape[1:]
     meta = {
         "kind": f"trace_{mode}",
         "beta": beta,
         **params,
-        "n_members": fam.n_members,
-        "m_dim": fam.m_dim,
-        "band": fam.band,
+        "n_members": n_members,
+        "m_dim": m_dim,
+        "band": (width - 1) // 2,
     }
-    if seed is not None:
-        meta["seed"] = seed
-    return BoundReport.build(lhs, rhs, constant_used=k_const**2, **meta)
+    reports = []
+    for value, kin, seed in zip(lhs, kinetic, seeds):
+        seeded = meta if seed is None else {**meta, "seed": seed}
+        reports.append(BoundReport.build(float(value), k_const**2 * kin, constant_used=k_const**2, **seeded))
+    return reports
 
 
 def verify_trace1(fam: OrthonormalFamily, alpha: float, beta: float, seed: int | None = None) -> BoundReport:
     """Cubed-density trace bound with the mass-added kinetic form and K1^2,
     on the period 2pi/alpha."""
-    return _verify_trace(fam, beta, "add", {"alpha": alpha}, seed)
+    return _verify_trace(fam.coeffs[None], beta, "add", {"alpha": alpha}, [seed])[0]
 
 
 def verify_trace2(fam: OrthonormalFamily, beta: float, seed: int | None = None) -> BoundReport:
     """Zero-mean mirror of :func:`verify_trace1` on period 2pi, with K2(beta)^2."""
-    return _verify_trace(fam, beta, "subtract", {}, seed)
+    return _verify_trace(fam.coeffs[None], beta, "subtract", {}, [seed])[0]
 
 
 def verify_interpolation(

@@ -112,33 +112,57 @@ class MatrixPotential:
 
     def values_on_grid(self, nodes) -> np.ndarray:
         """V on the uniform phase grid with nodes[j] points on axis j; shape (*nodes, m, m)."""
-        # neither the grid nor an axis's memoised (nodes, 2b+1) phase table holds
-        # more entries than the largest dense Galerkin matrix
-        tables = [n * (2 * b + 1) for b, n in zip(self.bands, nodes)]
-        if max([math.prod(nodes) * self.m_dim**2, *tables]) > ROW_BUDGET**2:
-            raise ValueError(f"a grid of {math.prod(nodes)} nodes or its phase tables exceed the dense budget")
-        out = self.coeffs
-        for axis, (b, n) in enumerate(zip(self.bands, nodes)):
-            phases = _phase_table(b, n)
-            with np.errstate(over="ignore", invalid="ignore"):  # rejected as a non-finite side
-                out = np.moveaxis(np.tensordot(phases, out, axes=([1], [axis])), 0, axis)
-        return out
+        return _values_on_grid(self.coeffs[None], nodes)[0]
 
     def validate(self) -> None:
         """Assert finite, pointwise positive semidefinite values on a phase
         grid of max(ceil(512^(1/d)), 4 nodes per mode) points per axis."""
-        per_axis = math.ceil(_PSD_SAMPLES ** (1.0 / self.d))
-        nodes = [max(per_axis, 4 * (2 * b + 1)) for b in self.bands]
-        values = self.values_on_grid(nodes)
-        # An overflowed grid holds inf and NaN, which pass every comparison
-        # below.  Every bound side integrates V, so this is the error the CLI
-        # reports for any input that overflows.
-        if not np.all(np.isfinite(values)):
-            raise ValueError("bound sides must be finite: the potential overflows on its sample grid")
-        evs = _block_eigvalsh(values)
-        scale = float(np.max(np.abs(evs), initial=1.0))
-        if float(np.min(evs, initial=0.0)) < -_PSD_TOL * scale:
-            raise ValueError("potential is not pointwise PSD on the sample grid")
+        _validate(self.coeffs[None])
+
+
+# The stacked layers below take coefficient arrays with a leading stack axis,
+# one entry per potential (one per seed of a CLI batch), shape
+# (S, 2b_1+1, ..., 2b_d+1, m, m), and give per-entry results in stack order.
+# An entry's result is bitwise the one it gets alone on a stack of one, and
+# where a check fails for several entries, the lowest of them raises.
+
+
+def _values_on_grid(coeffs: np.ndarray, nodes) -> np.ndarray:
+    """Each potential's values on the phase grid of nodes[j] points per axis; shape (S, *nodes, m, m)."""
+    bands = [(w - 1) // 2 for w in coeffs.shape[1:-2]]
+    # neither one potential's grid nor an axis's memoised (nodes, 2b+1) phase
+    # table holds more entries than the largest dense Galerkin matrix
+    tables = [n * (2 * b + 1) for b, n in zip(bands, nodes)]
+    if max([math.prod(nodes) * coeffs.shape[-1] ** 2, *tables]) > ROW_BUDGET**2:
+        raise ValueError(f"a grid of {math.prod(nodes)} nodes or its phase tables exceed the dense budget")
+    out = coeffs
+    for axis, (b, n) in enumerate(zip(bands, nodes), start=1):
+        # one (n, 2b+1) x (2b+1, rest) product per potential: the same product,
+        # bitwise, as a potential contracted alone
+        moved = np.moveaxis(out, axis, 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected as a non-finite side
+            out = _phase_table(b, n) @ moved.reshape(len(out), 2 * b + 1, -1)
+        out = np.moveaxis(out.reshape(len(out), n, *moved.shape[2:]), 1, axis)
+    return out
+
+
+def _validate(coeffs: np.ndarray) -> None:
+    """MatrixPotential.validate of each potential of the stack."""
+    per_axis = math.ceil(_PSD_SAMPLES ** (1.0 / (coeffs.ndim - 3)))
+    values = _values_on_grid(coeffs, [max(per_axis, 4 * w) for w in coeffs.shape[1:-2]])
+    # An overflowed grid holds inf and NaN, which pass every comparison
+    # below.  Every bound side integrates V, so this is the error the CLI
+    # reports for any input that overflows.  The potentials below the first
+    # such grid are checked for semidefiniteness first.
+    finite = np.all(np.isfinite(values), axis=tuple(range(1, values.ndim)))
+    below = len(finite) if finite.all() else int(np.argmin(finite))
+    evs = _block_eigvalsh(values[:below])
+    cells = tuple(range(1, evs.ndim))
+    scale = np.max(np.abs(evs), axis=cells, initial=1.0)
+    if np.any(np.min(evs, axis=cells, initial=0.0) < -_PSD_TOL * scale):
+        raise ValueError("potential is not pointwise PSD on the sample grid")
+    if not finite.all():
+        raise ValueError("bound sides must be finite: the potential overflows on its sample grid")
 
 
 @functools.lru_cache(maxsize=_PHASE_MEMO_SIZE)
@@ -168,15 +192,17 @@ def constant_potential(value: float, m_dim: int = 1) -> MatrixPotential:
     return MatrixPotential((value * np.eye(m_dim, dtype=complex))[None])
 
 
-def _psd_coeffs(d: int, m_dim: int, band: int, scale: float, seed: int) -> np.ndarray:
-    """Coefficients of a random V = W W^H on the d-dimensional lattice: W has
-    band `band` per axis and i.i.d. complex Gaussian (m_dim, m_dim) coefficient
-    blocks of standard deviation `scale`."""
+def _psd_coeffs(d: int, m_dim: int, band: int, scale: float, seeds) -> np.ndarray:
+    """The stack of coefficients of a random V = W W^H on the d-dimensional
+    lattice, one per seed: W has band `band` per axis and i.i.d. complex
+    Gaussian (m_dim, m_dim) coefficient blocks of standard deviation `scale`."""
     _check_psd_params(d, m_dim, band, scale)
-    rng = np.random.default_rng(seed)
     shape = (2 * band + 1,) * d + (m_dim, m_dim)
-    w = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    return _autocorrelation(w)
+    draws = np.empty((2, len(seeds), *shape))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        draws[0, i], draws[1, i] = rng.standard_normal(shape), rng.standard_normal(shape)
+    return _autocorrelation(scale * (draws[0] + 1j * draws[1]) / math.sqrt(2.0))
 
 
 def _check_psd_params(d: int, m_dim: int, band: int, scale: float) -> None:
@@ -188,18 +214,19 @@ def _check_psd_params(d: int, m_dim: int, band: int, scale: float) -> None:
 
 
 def _autocorrelation(w: np.ndarray) -> np.ndarray:
-    """Coefficients V_m = sum_k W_k W_{k-m}^H of V = W W^H.
+    """Coefficients V_m = sum_k W_k W_{k-m}^H of V = W W^H, for each W of a stack.
 
-    w has shape (2*b_1+1, ..., 2*b_d+1, m, r) with r >= 0; V has bands 2*b_j
-    and (m, m) blocks.  V is c^2 times the inverse FFT of F F^H, with F the
-    FFT of W / c zero-padded to V's box (so no offset wraps around) and c
-    the largest entry of W, so only the product by c^2 can overflow.
-    Averaging with the flipped adjoint makes MatrixPotential's pairing
-    V_-m = V_m^H exact.
+    w has shape (S, 2*b_1+1, ..., 2*b_d+1, m, r) with r >= 0; each V has
+    bands 2*b_j and (m, m) blocks.  V is c^2 times the inverse FFT of F F^H,
+    with F the FFT of W / c zero-padded to V's box (so no offset wraps
+    around) and c the largest entry of that W, so only the product by c^2
+    can overflow.  Averaging with the flipped adjoint makes
+    MatrixPotential's pairing V_-m = V_m^H exact.
     """
-    lattice = tuple(range(w.ndim - 2))
-    c = float(np.max(np.abs(w), initial=0.0)) or 1.0  # an empty or zero W stays zero
-    f = np.fft.fftn(w / c, s=[2 * n - 1 for n in w.shape[:-2]], axes=lattice)
+    lattice = tuple(range(1, w.ndim - 2))
+    c = np.max(np.abs(w), axis=tuple(range(1, w.ndim)), keepdims=True, initial=0.0)
+    c[c == 0.0] = 1.0  # an empty or zero W stays zero
+    f = np.fft.fftn(w / c, s=[2 * n - 1 for n in w.shape[1:-2]], axes=lattice)
     with np.errstate(over="ignore", invalid="ignore"):  # MatrixPotential rejects an overflow
         v = c * c * np.fft.fftshift(np.fft.ifftn(f @ f.conj().swapaxes(-1, -2), axes=lattice), axes=lattice)
         return 0.5 * (v + np.flip(v, lattice).conj().swapaxes(-1, -2))
@@ -226,8 +253,9 @@ def _block_eigvalsh(values: np.ndarray) -> np.ndarray:
     return np.stack((mean - radius, mean + radius), axis=-1)
 
 
-def _power_integral(potential: MatrixPotential, p: float, volume: float, nodes) -> float:
-    """Rectangle rule for the integral of Tr V_+^p over a cell of `volume`.
+def _power_integral(coeffs: np.ndarray, p: float, volume: float, nodes) -> np.ndarray:
+    """Rectangle rule for the integral of Tr V_+^p over a cell of `volume`,
+    for each potential of the stack `coeffs`.
 
     The pointwise spectra come from :func:`_block_eigvalsh`, so the 1x1 and
     2x2 blocks of the torus and of the default 1D and family potentials cost
@@ -242,27 +270,35 @@ def _power_integral(potential: MatrixPotential, p: float, volume: float, nodes) 
     if p < 1:
         raise ValueError("power p must be >= 1")
     nodes = tuple(int(n) for n in nodes)
-    minimum = tuple(4 * (2 * b + 1) for b in potential.bands)
+    minimum = tuple(4 * w for w in coeffs.shape[1:-2])
     if len(nodes) != len(minimum) or any(n < lo for n, lo in zip(nodes, minimum)):
         raise ValueError(f"grid {nodes} below minimum {minimum}")
 
     fine = tuple(2 * n for n in nodes)
-    evs = np.clip(_block_eigvalsh(potential.values_on_grid(fine)), 0.0, None)
+    evs = np.clip(_block_eigvalsh(_values_on_grid(coeffs, fine)), 0.0, None)
+    cells = tuple(range(1, evs.ndim))
     with np.errstate(over="ignore"):  # an overflow is rejected as a non-finite side
         powers = evs**p
-        coarse = powers[(slice(None, None, 2),) * len(nodes)]  # every second node per axis
-        value = float(volume / math.prod(nodes) * np.sum(coarse))
-        refined = float(volume / math.prod(fine) * np.sum(powers))
-    _check_doubling(value, refined, "power integral")
+        coarse = powers[(slice(None),) + (slice(None, None, 2),) * len(nodes)]  # every second node per axis
+        values = volume / math.prod(nodes) * np.sum(coarse, axis=cells)
+        refined = volume / math.prod(fine) * np.sum(powers, axis=cells)
+    for value, fine_value in zip(values, refined):
+        _check_doubling(float(value), float(fine_value), "power integral")
     return refined
 
 
 def random_psd_potential(m_dim: int, band: int, scale: float, seed: int) -> MatrixPotential:
     """Random pointwise-PSD 1D potential V = W W^H, deterministic per seed;
     W has band `band` and coefficient standard deviation `scale`."""
-    pot = MatrixPotential(_psd_coeffs(1, m_dim, band, scale, seed))
-    pot.validate()
-    return pot
+    return _random_psd_potentials(m_dim, band, scale, [seed])[0]
+
+
+def _random_psd_potentials(m_dim: int, band: int, scale: float, seeds) -> list:
+    """random_psd_potential of each seed, drawn and validated as one stack."""
+    coeffs = _psd_coeffs(1, m_dim, band, scale, seeds)
+    potentials = [MatrixPotential(c) for c in coeffs]
+    _validate(coeffs)
+    return potentials
 
 
 def _quad_grid_1d(potential: MatrixPotential) -> int:
@@ -274,7 +310,7 @@ def _quad_grid_1d(potential: MatrixPotential) -> int:
 def trace_power_integral(potential: MatrixPotential, p: float, period: float) -> float:
     """Integral of Tr V_+^p over one period of a 1D potential, on 32 nodes
     per mode refined by doubling."""
-    return _power_integral(potential, p, period, (_quad_grid_1d(potential),))
+    return float(_power_integral(potential.coeffs[None], p, period, (_quad_grid_1d(potential),))[0])
 
 
 def _check_rows(n_modes, m_dim: int, projected: bool) -> None:
@@ -433,15 +469,18 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
     return a, a - (coupling / (kinetic - s)) @ coupling.conj().T
 
 
-def _sup_bound(potential: MatrixPotential) -> float:
-    """s = sum_k ||V_k||_2, an upper bound on sup_x ||V(x)||.  Each spectral
-    norm is c times the root of the largest eigenvalue of U^H U, U = V_k / c
-    with c the largest entry of any V_k (so U^H U cannot overflow), which
+def _sup_bound(coeffs: np.ndarray) -> np.ndarray:
+    """s = sum_k ||V_k||_2, an upper bound on sup_x ||V(x)||, for each
+    potential of the stack.  Each spectral norm is c times the root of the
+    largest eigenvalue of U^H U, U = V_k / c with c the largest entry of any
+    V_k of that potential (so U^H U cannot overflow), which
     :func:`_block_eigvalsh` gives without a LAPACK call for 1x1 and 2x2 blocks."""
-    c = float(np.max(np.abs(potential.coeffs), initial=0.0)) or 1.0  # a zero V gives s = 0
-    unit = potential.coeffs / c
+    c = np.max(np.abs(coeffs), axis=tuple(range(1, coeffs.ndim)), keepdims=True, initial=0.0)
+    c[c == 0.0] = 1.0  # a zero V gives s = 0
+    unit = coeffs / c
     largest = np.max(_block_eigvalsh(unit.conj().swapaxes(-1, -2) @ unit), axis=-1, initial=0.0)
-    return c * float(np.sum(np.sqrt(largest)))
+    with np.errstate(over="ignore"):  # s = inf leaves the enclosure without an upper matrix
+        return c.ravel() * np.sum(np.sqrt(largest), axis=tuple(range(1, largest.ndim)))
 
 
 @dataclass(frozen=True)
@@ -555,26 +594,44 @@ def _lattice_bound(potential, rep, gamma, k_factor, integral, quadrature, seed, 
     return BoundReport.build(lhs, const * integral, constant_used=const, **meta)
 
 
-def _verify_1d(form, potential, gamma, n_max, period, seed, **params) -> BoundReport:
-    # Shared body of the h1 and h2 verifiers.  The rhs quadrature runs first:
-    # it holds the grid budget check, so a band too wide for it is rejected
-    # before any eigensolve.  Each truncation of the ladder (only n_max when
-    # it is given) is enclosed from both sides; the first whose sides agree
+def _verify_1d(which, beta, alpha, potentials, gamma, n_max, seeds, /, **params) -> list:
+    # Shared body of the h1 and h2 verifiers, for potentials of one shape
+    # and their seeds, on the period 2pi/alpha.  The rhs quadratures run
+    # first, as one stack: they hold the grid budget check, so a band too
+    # wide for it is rejected before any eigensolve.  Then each potential
+    # in turn climbs its ladder (only n_max when it is given): each
+    # truncation is enclosed from both sides, and the first whose sides agree
     # to _GAP_REL relative decides, else the ladder's top rung.
-    _check_1d(potential)
-    integral = trace_power_integral(potential, gamma + 0.5, period)
-    s = _sup_bound(potential)
-    for n in form.truncations(potential, s) if n_max is None else [n_max]:
-        lower, upper = form.enclosure(potential, n, s)
-        rep = negative_spectrum(lower)
-        lhs_upper = None if upper is None else riesz_mean(negative_spectrum(upper), gamma)
-        if lhs_upper is not None and lhs_upper - riesz_mean(rep, gamma) <= _GAP_REL * lhs_upper:
-            break
-    return _lattice_bound(
-        potential, rep, gamma, form.solve_k().value, integral, _quad_grid_1d(potential), seed,
-        **params, truncation=n, lhs_upper=lhs_upper, m_dim=potential.m_dim,
-        band=potential.bands[0],
-    )
+    _check_gamma(gamma)
+    form = _form(which, beta, alpha)
+    _check_1d(potentials[0])
+    coeffs = np.stack([potential.coeffs for potential in potentials])
+    grid = _quad_grid_1d(potentials[0])
+    integrals = _power_integral(coeffs, gamma + 0.5, 2.0 * math.pi / alpha, (grid,))
+    reports = []
+    for potential, integral, s, seed in zip(potentials, integrals, _sup_bound(coeffs), seeds):
+        for n in form.truncations(potential, s) if n_max is None else [n_max]:
+            lower, upper = form.enclosure(potential, n, s)
+            rep = negative_spectrum(lower)
+            lhs_upper = None if upper is None else riesz_mean(negative_spectrum(upper), gamma)
+            if lhs_upper is not None and lhs_upper - riesz_mean(rep, gamma) <= _GAP_REL * lhs_upper:
+                break
+        reports.append(_lattice_bound(
+            potential, rep, gamma, form.solve_k().value, float(integral), grid, seed,
+            **params, truncation=n, lhs_upper=lhs_upper, m_dim=potential.m_dim,
+            band=potential.bands[0],
+        ))
+    return reports
+
+
+def _verify_h1(potentials, alpha, beta, gamma, n_max, seeds) -> list:
+    """verify_bound_h1 of each potential and its seed."""
+    return _verify_1d("add", beta, alpha, potentials, gamma, n_max, seeds, operator="h1", alpha=alpha, beta=beta)
+
+
+def _verify_h2(potentials, delta, gamma, n_max, seeds) -> list:
+    """verify_bound_h2 of each potential and its seed."""
+    return _verify_1d("subtract", delta, 1.0, potentials, gamma, n_max, seeds, operator="h2", delta=delta)
 
 
 def verify_bound_h1(
@@ -594,12 +651,7 @@ def verify_bound_h1(
     V^(gamma+1/2).  By default the truncation is the first rung of
     _Form.truncations whose two sides agree to 1e-12 relative, else b + 32.
     """
-    _check_gamma(gamma)
-    form = _form("add", beta, alpha)
-    return _verify_1d(
-        form, potential, gamma, n_max, 2.0 * math.pi / alpha, seed,
-        operator="h1", alpha=alpha, beta=beta,
-    )
+    return _verify_h1([potential], alpha, beta, gamma, n_max, [seed])[0]
 
 
 def verify_bound_h2(
@@ -610,6 +662,4 @@ def verify_bound_h2(
     seed: int | None = None,
 ) -> BoundReport:
     """Mass-subtracted mirror of :func:`verify_bound_h1`, with K2(delta)."""
-    _check_gamma(gamma)
-    form = _form("subtract", delta)
-    return _verify_1d(form, potential, gamma, n_max, 2.0 * math.pi, seed, operator="h2", delta=delta)
+    return _verify_h2([potential], delta, gamma, n_max, [seed])[0]

@@ -133,7 +133,7 @@ class ScalarPotentialD(MatrixPotential):
     @classmethod
     def random(cls, d: int, band: int, scale: float, seed: int) -> "ScalarPotentialD":
         """V = |w|^2 for a random band-limited w; output band doubles."""
-        pot = cls(_psd_coeffs(d, 1, band, scale, seed))
+        pot = cls(_psd_coeffs(d, 1, band, scale, [seed])[0])
         pot.validate()
         return pot
 
@@ -167,7 +167,7 @@ def potential_power_integral(potential: ScalarPotentialD, geom: TorusGeometry, p
     """Integral of V_+^p over the torus: the tensor rectangle rule on 16
     nodes per mode per axis, refined by doubling."""
     _check_dimension(potential, geom)
-    return _power_integral(potential, p, geom.volume, _quad_nodes(potential))
+    return float(_power_integral(potential.coeffs[None], p, geom.volume, _quad_nodes(potential))[0])
 
 
 def _default_modes(bands) -> tuple:

@@ -357,17 +357,56 @@ class TestVerify:
 
     def test_seeds_run_in_order_on_the_main_thread(self, capsys, monkeypatch):
         # BLAS threads are the only parallelism: a seed pool on top of them
-        # oversubscribes the cores.
-        calls = []
-        verify_one = cli._verify_one
+        # oversubscribes the cores.  The 1D kinds stack consecutive seeds, at
+        # most cli._BATCH to a stack.
+        calls, stacks = [], []
+        verify_batch, autocorrelation = cli._verify_batch, spectral1d._autocorrelation
 
-        def recording(kind, args, seed):
-            calls.append((seed, threading.current_thread() is threading.main_thread()))
-            return verify_one(kind, args, seed)
+        def recording(kind, args, seeds):
+            calls.append((list(seeds), threading.current_thread() is threading.main_thread()))
+            return verify_batch(kind, args, seeds)
 
-        monkeypatch.setattr(cli, "_verify_one", recording)
+        def stacked(w):
+            stacks.append(len(w))
+            return autocorrelation(w)
+
+        monkeypatch.setattr(cli, "_verify_batch", recording)
+        monkeypatch.setattr(spectral1d, "_autocorrelation", stacked)
         assert run(capsys, "verify", "--kind", "h2", "--seeds", "4")[0] == 0
-        assert calls == [(0, True), (1, True), (2, True), (3, True)]
+        assert calls == [([0, 1, 2, 3], True)]
+        calls.clear()
+        stacks.clear()
+        assert run(capsys, "verify", "--kind", "h2", "--seeds", "40")[0] == 0
+        assert [seed for chunk, _ in calls for seed in chunk] == list(range(40))
+        assert all(main for _, main in calls)
+        assert sum(stacks) == 40 and max(stacks) == cli._BATCH
+
+    def test_large_seeds_are_stacked_fewer_at_a_time(self, capsys, monkeypatch):
+        # a default h2 seed holds at most 2 * 64 * 9 * 2 = 2,304 entries in one stacked array
+        stacks = []
+        autocorrelation = spectral1d._autocorrelation
+
+        def stacked(w):
+            stacks.append(len(w))
+            return autocorrelation(w)
+
+        monkeypatch.setattr(spectral1d, "_autocorrelation", stacked)
+        monkeypatch.setattr(cli, "_BATCH_ENTRIES", 3 * 2304)
+        assert run(capsys, "verify", "--kind", "h2", "--seeds", "7")[0] == 0
+        assert stacks == [3, 3, 1]
+
+    @pytest.mark.parametrize("flags", ["--kind h1", "--kind h2", "--kind h2 --m-dim 1",
+                                       "--kind trace1", "--kind trace2"])
+    def test_a_seeds_report_does_not_depend_on_the_other_seeds(self, capsys, flags):
+        # 40 seeds cross a stack boundary; each seed's report must be the
+        # one it gets alone
+        code, out, _ = run(capsys, "verify", *flags.split(), "--seeds", "40")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        for seed in (0, cli._BATCH - 1, cli._BATCH, 39):
+            code, out, _ = run(capsys, "verify", *flags.split(), "--seeds", "1", "--seed-base", str(seed))
+            alone, = json.loads(out)["reports"]
+            assert json.dumps(reports[seed], sort_keys=True) == json.dumps(alone, sort_keys=True)
 
     def test_each_constant_is_solved_once_per_beta(self, capsys, monkeypatch):
         # every seed asks for K1(0.5) (h1) or K2(0.5) (trace2); the memo in

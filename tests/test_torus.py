@@ -151,7 +151,7 @@ class TestScalarPotential:
     def test_power_integral_constant(self):
         pot = torus.ScalarPotentialD.constant(2, 2.0)
         geom = torus.TorusGeometry((1.0, 1.0))
-        val = spectral1d._power_integral(pot, 2.0, geom.volume, (4, 4))
+        val = spectral1d._power_integral(pot.coeffs[None], 2.0, geom.volume, (4, 4))[0]
         assert val == pytest.approx(4.0 * math.pi**2 * 4.0, rel=1e-13)
 
     def test_power_integral_scales_with_volume(self):
@@ -178,7 +178,7 @@ class TestScalarPotential:
         pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
         geom = torus.TorusGeometry((1.0, 1.0))
         with pytest.raises(ValueError, match="below minimum"):
-            spectral1d._power_integral(pot, 2.5, geom.volume, (10, 10))
+            spectral1d._power_integral(pot.coeffs[None], 2.5, geom.volume, (10, 10))[0]
 
     def test_power_integral_flags_coarse_grid(self):
         # V^2.5 is not a trig polynomial; at 20 nodes per axis, the minimum
@@ -187,7 +187,7 @@ class TestScalarPotential:
         pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
         geom = torus.TorusGeometry((1.0, 1.0))
         with pytest.raises(ConvergenceError):
-            spectral1d._power_integral(pot, 2.5, geom.volume, (20, 20))
+            spectral1d._power_integral(pot.coeffs[None], 2.5, geom.volume, (20, 20))[0]
         torus.potential_power_integral(pot, geom, 2.5)  # default grid is fine
 
 
