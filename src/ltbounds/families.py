@@ -6,8 +6,8 @@ theta in [0, 2pi).  The verifier fixes the period 2pi/alpha, and a family is
 zero-mean when every k = 0 coefficient is exactly 0.  The Gram matrix, the
 L2 norms and the kinetic quadratic forms are exact finite sums (Parseval).
 The density U(x,x) = sum_n phi_n(x) phi_n(x)^H is V = W W^H for the
-coefficient blocks W_k = sqrt(alpha/2pi) * (component x member), so the
-cubed-density integral is the potential layer's Tr V^3 quadrature.
+coefficient blocks W_k = sqrt(alpha/2pi) * (component x member).  Tr V^3 is
+a trigonometric polynomial of degree 6b, integrated exactly on 6b + 1 nodes.
 
 The verifiers check
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spectral1d
 from .reports import BoundReport
-from .spectral1d import MatrixPotential, _autocorrelation, _form, _power_integral
+from .spectral1d import _autocorrelation, _block_eigvalsh, _form, _gaussian_draws, _values_on_grid
 
 __all__ = [
     "OrthonormalFamily",
@@ -122,11 +122,7 @@ def _random_families(n_members: int, m_dim: int, band: int, zero_mean: bool, see
     keep = np.ones(2 * band + 1, dtype=bool)
     if zero_mean:
         keep[band] = False
-    draws = np.empty((2, len(seeds), capacity, n_members))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        draws[0, i], draws[1, i] = rng.standard_normal((capacity, n_members)), rng.standard_normal((capacity, n_members))
-    q, r = np.linalg.qr(draws[0] + 1j * draws[1])
+    q, r = np.linalg.qr(_gaussian_draws((capacity, n_members), seeds))
     if not np.all(np.min(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1, initial=np.inf) > 1e-10):
         raise RuntimeError("rank-deficient draw")
     coeffs = np.zeros((len(seeds), n_members, 2 * band + 1, m_dim), dtype=complex)
@@ -142,9 +138,8 @@ def density_and_kinetic(
 ) -> tuple[float, float]:
     """(integral of Tr[U(x,x)^3] over the period 2pi/alpha, kinetic form).
 
-    The kinetic sum is exact by Parseval.  The density is the band-2b
-    potential W W^H, and its cube is integrated by the potential layer's
-    quadrature on 8 nodes per density mode, refined by doubling.
+    Both are exact sums: the kinetic form by Parseval, the integral as the
+    rectangle rule on 6b + 1 nodes for the degree-6b polynomial Tr U^3.
     """
     lhs, kinetic = _density_and_kinetic(fam.coeffs[None], beta, mode, alpha)
     return float(lhs[0]), kinetic[0]
@@ -160,9 +155,12 @@ def _density_and_kinetic(coeffs: np.ndarray, beta: float, mode: str, alpha: floa
         raise ValueError("the mass-subtracted form needs a zero-mean family")
     _check_entries(n_members, m_dim, band)
     density = _autocorrelation(math.sqrt(alpha / TWO_PI) * np.moveaxis(coeffs, 1, -1))
-    for v in density:
-        MatrixPotential(v)  # its checks: finite, exactly paired coefficients
-    lhs = _power_integral(density, 3, TWO_PI / alpha, (8 * width,))
+    # Tr V^3 is the sum of V's cubed eigenvalues at each of the 6b + 1 nodes
+    # (no clipping: it is exact).  An overflow gives a non-finite lhs, which
+    # BoundReport rejects.
+    evs = _block_eigvalsh(_values_on_grid(density, (6 * band + 1,)))
+    with np.errstate(over="ignore"):
+        lhs = TWO_PI / alpha / evs.shape[1] * np.sum(evs**3, axis=(1, 2))
     # Each family's kinetic form is its own sum, in the order of a family alone.
     weights, squares = form.weights(band), np.abs(coeffs) ** 2
     return lhs, [float(np.einsum("k,nkj->", weights, square).real) for square in squares]

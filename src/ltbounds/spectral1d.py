@@ -198,11 +198,16 @@ def _psd_coeffs(d: int, m_dim: int, band: int, scale: float, seeds) -> np.ndarra
     Gaussian (m_dim, m_dim) coefficient blocks of standard deviation `scale`."""
     _check_psd_params(d, m_dim, band, scale)
     shape = (2 * band + 1,) * d + (m_dim, m_dim)
+    return _autocorrelation(scale * _gaussian_draws(shape, seeds) / math.sqrt(2.0))
+
+
+def _gaussian_draws(shape: tuple, seeds) -> np.ndarray:
+    """Per seed, stacked: its first standard normal draw of `shape` plus 1j times its second."""
     draws = np.empty((2, len(seeds), *shape))
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         draws[0, i], draws[1, i] = rng.standard_normal(shape), rng.standard_normal(shape)
-    return _autocorrelation(scale * (draws[0] + 1j * draws[1]) / math.sqrt(2.0))
+    return draws[0] + 1j * draws[1]
 
 
 def _check_psd_params(d: int, m_dim: int, band: int, scale: float) -> None:
@@ -258,8 +263,8 @@ def _power_integral(coeffs: np.ndarray, p: float, volume: float, nodes) -> np.nd
     for each potential of the stack `coeffs`.
 
     The pointwise spectra come from :func:`_block_eigvalsh`, so the 1x1 and
-    2x2 blocks of the torus and of the default 1D and family potentials cost
-    no LAPACK call.  Negative eigenvalues of V are clipped to zero.
+    2x2 blocks of the torus and of the default 1D potentials cost no LAPACK
+    call.  Negative eigenvalues of V are clipped to zero.
     Tr V_+^p is not band-limited for fractional p, so the grid (at least 4
     nodes per mode on every axis) is doubled: a relative drift above 1e-8
     raises ConvergenceError, and otherwise the refined value is returned.

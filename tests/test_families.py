@@ -118,6 +118,33 @@ class TestDensityAndKinetic:
             want = rho_cubed_loop(fam.coeffs, alpha, 16 * (2 * band + 1))
             assert abs(rho3 - want) <= 1e-12 * abs(want), (i, n, m_dim, band, mode, alpha)
 
+    @pytest.mark.parametrize("zero_mean", [False, True])
+    def test_node_rule_is_exact_and_minimal(self, zero_mean):
+        # Tr U^3 has degree 6b: the rectangle rule on N = 6b + 1 nodes agrees
+        # with 2N nodes and with the doubled quadrature of Tr V_+^3, while
+        # 6b nodes alias.  Only families below capacity have a non-constant
+        # density, so only they can show the aliasing.
+        def node_rule(coeffs, alpha, nodes):
+            density = spectral1d._autocorrelation(math.sqrt(alpha / TWO_PI) * np.moveaxis(coeffs[None], 1, -1))
+            evs = spectral1d._block_eigvalsh(spectral1d._values_on_grid(density, (nodes,)))
+            return density, TWO_PI / alpha / nodes * float(np.sum(evs**3))
+
+        mode = "subtract" if zero_mean else "add"
+        for m_dim in (1, 2, 3):
+            for band in (1, 2, 3, 4):
+                capacity = m_dim * (2 * band if zero_mean else 2 * band + 1)
+                for n in sorted({1, capacity // 2, capacity - 1}):
+                    for alpha in (1.0,) if zero_mean else (1.0, 0.5):
+                        case = (m_dim, band, n, alpha)
+                        fam = families.random_orthonormal_family(n, m_dim, band, zero_mean, 100 * band + 10 * m_dim + n)
+                        lhs, _ = families.density_and_kinetic(fam, 0.5, mode, alpha)
+                        density, exact = node_rule(fam.coeffs, alpha, 6 * band + 1)
+                        assert exact == lhs, case
+                        assert abs(node_rule(fam.coeffs, alpha, 12 * band + 2)[1] - lhs) <= 1e-14 * lhs, case
+                        quadrature = spectral1d._power_integral(density, 3, TWO_PI / alpha, (8 * (2 * band + 1),))
+                        assert abs(float(quadrature[0]) - lhs) <= 1e-13 * lhs, case
+                        assert abs(node_rule(fam.coeffs, alpha, 6 * band)[1] - lhs) > 1e-12 * lhs, case
+
     @pytest.mark.parametrize("band", [0, 1])
     def test_empty_components(self, band):
         # zero-width (0, 0) density blocks: an empty spectrum, not an IndexError

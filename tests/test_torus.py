@@ -324,6 +324,30 @@ class TestVerifyBound:
             report = torus.verify_bound_torus(pot, geom, gamma, n_modes=(8, 8), seed=seed)
             assert report.passed, report.to_json()
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+    def test_separable_potential_matches_the_1d_spectrum(self, alpha):
+        # V(theta_1, theta_2) = v(theta_2) splits the operator by k_1 into
+        # alpha^2 k_1^2 plus the zero-mean 1D operator -d^2 - P v P, so on
+        # the box (ceil(n/alpha), n) the spectrum is {alpha^2 k_1^2 + nu_j}.
+        # A box of n = 6 keeps the largest matrix at 588 rows.
+        n = 6
+        n_1 = math.ceil(n / alpha)
+        geom = torus.TorusGeometry((alpha, 1.0))
+        for seed in range(4):
+            for scale in (0.3, 1.0, 3.0):
+                v = spectral1d._psd_coeffs(1, 1, 1, scale, [seed])[0]
+                form = spectral1d._form("subtract", 0.0)
+                nu = np.linalg.eigvalsh(form.enclosure(spectral1d.MatrixPotential(v), n)[0])
+                eigs = (alpha**2 * np.arange(-n_1, n_1 + 1)[:, None] ** 2 + nu).ravel()
+                for gamma in (1.0, 2.0):
+                    report = torus.verify_bound_torus(torus.ScalarPotentialD(v[None]), geom, gamma, n_modes=(n_1, n))
+                    want = riesz_mean_of(eigs, gamma)
+                    case = (seed, scale, gamma)
+                    if want == 0.0:
+                        assert report.lhs == 0.0, case
+                    else:
+                        assert abs(report.lhs - want) <= 1e-11 * want, case
+
     def test_three_dimensional_instance(self):
         pot = torus.ScalarPotentialD.random(3, 1, 0.8, 1)
         geom = torus.TorusGeometry((0.5, 0.75, 1.0))
