@@ -228,15 +228,14 @@ def verify_interpolation(
     n = 16 * (2 * band + 1)
     x = np.arange(n) * (period / n)
     basis = math.sqrt(alpha / TWO_PI)
-    phases = np.exp(1j * alpha * np.outer(x, ks))
-    u = basis * phases @ c
+    # u, u' and u'' on the grid, as one stack of 1x1 potentials
+    derivatives = np.stack((c, 1j * alpha * ks * c, -((alpha * ks) ** 2) * c))
+    u, du, d2u = basis * _values_on_grid(derivatives[:, :, None, None], (n,))[:, :, 0, 0]
     q = np.abs(u) ** 2
     i0 = int(np.argmax(q))
     sup2 = float(q[i0])
 
     # one Newton step on |u|^2 at the best node
-    du = basis * phases @ (1j * alpha * ks * c)
-    d2u = basis * phases @ (-((alpha * ks) ** 2) * c)
     g1 = 2.0 * float((u[i0].conjugate() * du[i0]).real)
     g2 = 2.0 * float((np.abs(du[i0]) ** 2 + (u[i0].conjugate() * d2u[i0]).real))
     if g2 < 0.0:

@@ -58,9 +58,6 @@ __all__ = [
 _PSD_TOL = 1e-10
 _PSD_SAMPLES = 512
 _EIG_CUT_REL = 1e-12
-# (band, nodes) phase tables kept per process: a verification uses two or
-# three, and each is at most a few hundred kB at CLI defaults
-_PHASE_MEMO_SIZE = 32
 # Index plans kept per process (see _lattice_plan): a few per 1D ladder, one per torus box
 _PLAN_MEMO_SIZE = 32
 # Largest dense Galerkin matrix (rows = modes * m_dim) any assembler builds:
@@ -128,26 +125,36 @@ class MatrixPotential:
 
 
 def _values_on_grid(coeffs: np.ndarray, nodes) -> np.ndarray:
-    """Each potential's values on the phase grid of nodes[j] points per axis; shape (S, *nodes, m, m)."""
-    bands = [(w - 1) // 2 for w in coeffs.shape[1:-2]]
-    # neither one potential's grid nor an axis's memoised (nodes, 2b+1) phase
-    # table holds more entries than the largest dense Galerkin matrix
-    tables = [n * (2 * b + 1) for b, n in zip(bands, nodes)]
-    if max([math.prod(nodes) * coeffs.shape[-1] ** 2, *tables]) > ROW_BUDGET**2:
-        raise ValueError(f"a grid of {math.prod(nodes)} nodes or its phase tables exceed the dense budget")
-    out = coeffs
-    for axis, (b, n) in enumerate(zip(bands, nodes), start=1):
-        # one (n, 2b+1) x (2b+1, rest) product per potential: the same product,
-        # bitwise, as a potential contracted alone
-        moved = np.moveaxis(out, axis, 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected as a non-finite side
-            out = _phase_table(b, n) @ moved.reshape(len(out), 2 * b + 1, -1)
-        out = np.moveaxis(out.reshape(len(out), n, *moved.shape[2:]), 1, axis)
-    return out
+    """Each potential's values on the phase grid of nodes[j] points per axis; shape (S, *nodes, m, m).
+
+    Axis by axis, sum_k c_k exp(2 pi i k j / n) at the n nodes is the
+    unnormalised inverse FFT of the c_k placed at index k mod n: zero-padded
+    when n >= 2b+1, and folded modulo n below that.  Each transform runs along
+    a contiguous last axis, one per potential, so an entry's values are
+    bitwise those it gets alone on a stack of one.
+    """
+    if min(nodes) < 1:
+        raise ValueError(f"a grid needs at least one node per axis, got {tuple(nodes)}")
+    if math.prod(nodes) * coeffs.shape[-1] ** 2 > ROW_BUDGET**2:  # no more entries than the largest matrix
+        raise ValueError(f"a grid of {math.prod(nodes)} nodes exceeds the dense budget")
+    out = np.moveaxis(coeffs, (-2, -1), (1, 2))  # (S, m, m, lattice axes)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected as a non-finite side
+        for n in nodes:  # axis 3 is the first axis still in coefficients; it leaves as the last
+            lattice = np.moveaxis(out, 3, -1)
+            *rest, width = lattice.shape
+            b = width // 2
+            padded = np.zeros((*rest, n * -(-width // n)), complex)  # the least multiple of n >= 2b+1
+            padded[..., :b + 1] = lattice[..., b:]
+            padded[..., padded.shape[-1] - b:] = lattice[..., :b]
+            if padded.shape[-1] > n:  # fold the modes modulo n
+                padded = padded.reshape(*rest, -1, n).sum(axis=-2)
+            out = np.fft.ifft(padded, axis=-1, norm="forward")
+    return np.moveaxis(out, (1, 2), (-2, -1))
 
 
 def _validate(coeffs: np.ndarray) -> None:
-    """MatrixPotential.validate of each potential of the stack."""
+    """MatrixPotential.validate of each potential of the stack, sampled by
+    one _values_on_grid (an inverse FFT per axis) of the whole stack."""
     per_axis = math.ceil(_PSD_SAMPLES ** (1.0 / (coeffs.ndim - 3)))
     values = _values_on_grid(coeffs, [max(per_axis, 4 * w) for w in coeffs.shape[1:-2]])
     # An overflowed grid holds inf and NaN, which pass every comparison
@@ -163,19 +170,6 @@ def _validate(coeffs: np.ndarray) -> None:
         raise ValueError("potential is not pointwise PSD on the sample grid")
     if not finite.all():
         raise ValueError("bound sides must be finite: the potential overflows on its sample grid")
-
-
-@functools.lru_cache(maxsize=_PHASE_MEMO_SIZE)
-def _phase_table(b: int, n: int) -> np.ndarray:
-    """Read-only (n, 2b+1) table exp(i k theta_j), theta_j = 2 pi j / n, |k| <= b."""
-    theta = 2.0 * math.pi * np.arange(n) / n
-    # built in place, without the table-sized temporaries of exp(1j * outer)
-    phases = np.zeros((n, 2 * b + 1), dtype=complex)
-    np.multiply.outer(theta, np.arange(-b, b + 1), out=phases.imag)
-    phases.imag += 0.0  # 1j * x has imaginary part +0.0 where x is -0.0
-    np.exp(phases, out=phases)
-    phases.flags.writeable = False
-    return phases
 
 
 @dataclass(frozen=True)
@@ -268,9 +262,10 @@ def _power_integral(coeffs: np.ndarray, p: float, volume: float, nodes) -> np.nd
     Tr V_+^p is not band-limited for fractional p, so the grid (at least 4
     nodes per mode on every axis) is doubled: a relative drift above 1e-8
     raises ConvergenceError, and otherwise the refined value is returned.
-    V is evaluated once, on the doubled grid: node j of an n-node axis,
-    2 pi j / n, equals node 2j of the 2n-node axis bitwise, so the coarse
-    rule sums every second node of the refined pass.
+    V is evaluated once, by the inverse FFTs of _values_on_grid on the
+    doubled grid: node 2j of the 2n-node axis is node j of the n-node axis,
+    2 pi j / n, so the coarse rule sums every second node of that one
+    refined evaluation.
     """
     if p < 1:
         raise ValueError("power p must be >= 1")

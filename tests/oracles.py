@@ -197,3 +197,16 @@ def riesz_mean_of(eigs, gamma: float) -> float:
     neg = np.asarray(eigs, dtype=float)
     neg = -neg[neg < 0]
     return float(np.sum(neg**gamma))
+
+
+def direct_sum_on_grid(coeffs, nodes) -> np.ndarray:
+    """sum_k coeffs[k + b] exp(i k.theta) on the phase grid of nodes[j] points
+    per axis, one explicit (n, 2b+1) phase matrix per axis; the phase of
+    k theta_j is reduced exactly, as 2 pi (j k mod n) / n.  coeffs is
+    (S, 2b_1+1, ..., 2b_d+1, m, m); shape (S, *nodes, m, m)."""
+    out = np.asarray(coeffs, dtype=complex)
+    for axis, n in enumerate(nodes, start=1):
+        b = (out.shape[axis] - 1) // 2
+        turns = np.outer(np.arange(n), np.arange(-b, b + 1)) % n
+        out = np.moveaxis(np.tensordot(np.exp(2j * math.pi * turns / n), out, axes=(1, axis)), 0, axis)
+    return out

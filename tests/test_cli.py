@@ -7,7 +7,6 @@ import pathlib
 import subprocess
 import sys
 import threading
-import time
 import warnings
 
 import pytest
@@ -342,18 +341,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("kind", ["h1", "h2"])
     def test_1d_quadrature_budget_rejects_before_any_eigensolve(self, capsys, monkeypatch, kind):
-        # V's band 626: the doubled quadrature grid's phase table is over the
-        # budget, and that check runs before the Galerkin truncations
+        # V's band 6 at --m-dim 2: the PSD sampler's 512 nodes (2,048 entries)
+        # fit 50^2, the doubled quadrature grid's 832 nodes (3,328) do not,
+        # and that check runs before the Galerkin truncations
         def refuse(matrix):
             raise AssertionError("eigensolve ran before the quadrature's budget check")
 
         monkeypatch.setattr(spectral1d, "negative_spectrum", refuse)
-        start = time.perf_counter()
-        code, _, err = run(capsys, "verify", "--kind", kind, "--band", "313", "--seeds", "1")
-        elapsed = time.perf_counter() - start
-        spectral1d._phase_table.cache_clear()  # the PSD sampler's table is 100 MB
-        assert (code, err) == (2, "error: a grid of 80192 nodes or its phase tables exceed the dense budget\n")
-        assert elapsed < 1.0
+        monkeypatch.setattr(spectral1d, "ROW_BUDGET", 50)
+        code, _, err = run(capsys, "verify", "--kind", kind, "--band", "3", "--seeds", "1")
+        assert (code, err) == (2, "error: a grid of 832 nodes exceeds the dense budget\n")
 
     def test_seeds_run_in_order_on_the_main_thread(self, capsys, monkeypatch):
         # BLAS threads are the only parallelism: a seed pool on top of them

@@ -54,8 +54,10 @@ class TestRandomFamily:
         monkeypatch.setattr(spectral1d, "ROW_BUDGET", 6)
         assert families.random_orthonormal_family(4, 1, 2, False, 0).n_members == 4
         assert families.random_orthonormal_family(0, 6, 0, False, 0).m_dim == 6
-        with pytest.raises(ValueError, match="a grid of"):  # past the family's check, to the density's grid
-            families.density_and_kinetic(families.OrthonormalFamily(np.zeros((4, 5, 1), complex)), 0.5, "add")
+        # 2 members of band 2 in m = 2 pass the family's check (9 * 2 * 2 = 36
+        # entries), but the density's grid of 6 * 2 + 1 nodes holds 13 * 2^2
+        with pytest.raises(ValueError, match="a grid of 13 nodes exceeds"):
+            families.density_and_kinetic(families.OrthonormalFamily(np.zeros((2, 5, 2), complex)), 0.5, "add")
 
         def refuse(seed):
             raise AssertionError("a family over the budget was drawn")

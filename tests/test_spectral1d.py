@@ -10,6 +10,7 @@ from ltbounds import torus
 from ltbounds.reports import ConvergenceError
 
 from oracles import (
+    direct_sum_on_grid,
     galerkin_loop,
     h1_constant_potential_eigs,
     h2_constant_potential_eigs,
@@ -297,32 +298,62 @@ class TestTracePowerIntegral:
             sp1.trace_power_integral(pot, 0.5, TWO_PI)
 
 
-class TestPhaseTable:
-    @pytest.mark.parametrize("b, n", [(0, 4), (2, 80), (4, 576), (8, 512)])
-    def test_read_only_and_bitwise_the_fresh_table(self, b, n):
-        theta = 2.0 * math.pi * np.arange(n) / n
-        fresh = np.exp(1j * np.outer(theta, np.arange(-b, b + 1)))
-        table = sp1._phase_table(b, n)
-        assert np.array_equal(table, fresh)
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0] = 0.0
-        assert sp1._phase_table(b, n) is table
+_GRID_BANDS = (2, 1, 3)
 
-    @pytest.mark.parametrize("b, n", [(0, 4), (1, 3), (3, 100), (50, 999)])
-    def test_built_in_place_bitwise_with_signed_zeros(self, b, n):
-        # np.array_equal takes -0.0 for +0.0, so compare the bit patterns
-        theta = 2.0 * math.pi * np.arange(n) / n
-        fresh = np.exp(1j * np.outer(theta, np.arange(-b, b + 1)))
-        sp1._phase_table.cache_clear()
-        assert np.array_equal(sp1._phase_table(b, n).view(np.int64), fresh.view(np.int64))
 
-    def test_memo_is_bounded(self):
-        size = sp1._PHASE_MEMO_SIZE
-        assert sp1._phase_table.cache_info().maxsize == size
-        for n in range(4, 4 + 2 * size):
-            sp1._phase_table(0, n)
-        assert sp1._phase_table.cache_info().currsize == size
+def _grid_cases():
+    """(d, m, nodes) with bands _GRID_BANDS[:d]: 1, 2, 2b, 2b+1, 2b+2 and
+    4(2b+1)+1 nodes on every axis, the first three folding the modes mod n."""
+    for d in (1, 2, 3):
+        counts = [(1, 2, 2 * b, 2 * b + 1, 2 * b + 2, 4 * (2 * b + 1) + 1) for b in _GRID_BANDS[:d]]
+        for m in (1, 2, 3):
+            for nodes in zip(*counts):
+                yield d, m, nodes
+
+
+def _grid_coeffs(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    shape = (3, *[2 * b + 1 for b in _GRID_BANDS[:d]], m, m)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestGridEvaluation:
+    @pytest.mark.parametrize("d, m, nodes", list(_grid_cases()))
+    def test_matches_the_direct_sum(self, d, m, nodes):
+        coeffs = _grid_coeffs(d, m)
+        want = direct_sum_on_grid(coeffs, nodes)
+        got = sp1._values_on_grid(coeffs, nodes)
+        assert got.shape == want.shape == (3, *nodes, m, m)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d, m, nodes", list(_grid_cases()))
+    def test_each_entry_is_bitwise_its_stack_of_one(self, d, m, nodes):
+        coeffs = _grid_coeffs(d, m)
+        stack = sp1._values_on_grid(coeffs, nodes)
+        for entry, alone in zip(stack, coeffs):
+            one = sp1._values_on_grid(alone[None], nodes)[0]
+            assert np.ascontiguousarray(one).tobytes() == np.ascontiguousarray(entry).tobytes()
+
+    @pytest.mark.parametrize("m_dim", [1, 2])
+    def test_potential_values_at_every_node_count(self, m_dim):
+        pot = sp1.random_psd_potential(m_dim, 2, 1.0, 3)
+        for n in range(1, 4 * (2 * pot.bands[0] + 1) + 2):
+            want = direct_sum_on_grid(pot.coeffs[None], (n,))[0]
+            assert np.max(np.abs(pot.values_on_grid((n,)) - want)) <= 1e-13 * np.max(np.abs(want))
+        with pytest.raises(ValueError, match="at least one node per axis"):
+            pot.values_on_grid((0,))
+
+    def test_grid_over_the_budget_is_rejected(self, monkeypatch):
+        # a grid holds nodes * m^2 entries, at most ROW_BUDGET^2
+        monkeypatch.setattr(sp1, "ROW_BUDGET", 40)
+        for m_dim, nodes in ((1, 1600), (2, 400)):
+            pot = sp1.MatrixPotential(sp1._psd_coeffs(1, m_dim, 1, 1.0, [0])[0])
+            assert pot.values_on_grid((nodes,)).shape == (nodes, m_dim, m_dim)
+            with pytest.raises(ValueError, match=f"^a grid of {nodes + 1} nodes exceeds the dense budget$"):
+                pot.values_on_grid((nodes + 1,))
+        pot = sp1.MatrixPotential(sp1._psd_coeffs(2, 1, 1, 1.0, [0])[0])
+        with pytest.raises(ValueError, match="^a grid of 1681 nodes exceeds the dense budget$"):
+            pot.values_on_grid((41, 41))
 
 
 class TestAssembly:
@@ -606,16 +637,6 @@ class TestPairingAndBudget:
         assert sp1.assemble_h1(pot, 1.0, 0.5, 5).shape == (11, 11)
         with pytest.raises(ValueError, match="Galerkin size 13 exceeds"):
             sp1._form("add", 0.5).enclosure(pot, 5, sp1._sup_bound(pot.coeffs[None])[0])
-
-    def test_phase_tables_count_against_the_budget(self, monkeypatch):
-        # a band-2 scalar potential: n grid entries but an n x 5 phase table
-        pot = sp1.MatrixPotential(sp1._psd_coeffs(1, 1, 1, 1.0, [0])[0])
-        monkeypatch.setattr(sp1, "ROW_BUDGET", 40)
-        assert pot.values_on_grid((320,)).shape == (320, 1, 1)  # 1,600 table entries
-        sp1._phase_table.cache_clear()
-        with pytest.raises(ValueError, match="phase tables exceed the dense budget"):
-            pot.values_on_grid((321,))
-        assert sp1._phase_table.cache_info().currsize == 0  # rejected before it was built
 
     def test_uncoverable_band_rejected_before_the_autocorrelation(self, monkeypatch):
         def refuse(w):
