@@ -68,9 +68,6 @@ class OrthonormalFamily:
     def zero_mean(self) -> bool:
         return not np.any(self.coeffs[:, self.band, :])
 
-    def gram_matrix(self) -> np.ndarray:
-        return _gram(self.coeffs[None])[0]
-
     def gram_defect(self) -> float:
         return float(_gram_defect(self.coeffs[None])[0])
 
@@ -81,13 +78,10 @@ class OrthonormalFamily:
 # bitwise the family's result alone on a stack of one.
 
 
-def _gram(coeffs: np.ndarray) -> np.ndarray:
-    flat = coeffs.reshape(*coeffs.shape[:2], math.prod(coeffs.shape[2:]))
-    return flat @ flat.conj().swapaxes(-1, -2)
-
-
 def _gram_defect(coeffs: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(_gram(coeffs) - np.eye(coeffs.shape[1])), axis=(1, 2), initial=0.0)
+    flat = coeffs.reshape(*coeffs.shape[:2], math.prod(coeffs.shape[2:]))
+    gram = flat @ flat.conj().swapaxes(-1, -2)
+    return np.max(np.abs(gram - np.eye(coeffs.shape[1])), axis=(1, 2), initial=0.0)
 
 
 def _check_entries(n_members: int, m_dim: int, band: int) -> None:

@@ -334,19 +334,20 @@ def _lattice_plan(widths: tuple, m_dim: int, n_modes: tuple, projected: bool, up
     The modes are those of |k_j| <= n_j, padded by max(b_j, 1) per axis when
     `upper`, in meshgrid "ij" order without k_d = 0 when `projected`.  Modes
     i and j couple through coeffs[k_i - k_j] when the difference lies in the
-    box `widths`.  The scatter over the box offsets (zero first, then
-    np.ndindex order) runs here, and keeps each term of block A (box rows by
-    box rows) or B (box rows by ring rows) as a flat entry dst and src.
+    box `widths`.  The scatter over the box offsets runs here, and keeps each
+    term of block A (box rows by box rows) or B (box rows by ring rows) as a
+    flat entry dst and src.
 
     A scalar V on a projected box is real, and mode n-1-i is -(mode i).
     For k_i of the first half, i < h = n/2, row i is then the cosine
     (e_k + e_-k)/sqrt2 and row h + i the sine -i(e_k - e_-k)/sqrt2.  With
     P[i, j] = a[k_i, k_j] and Q[i, j] = a[k_i, -k_j] of the complex matrix
     a, the rows hold [[Re(P + Q), Im(P - Q)], [Im(P - Q)^T, Re(P - Q)]],
-    and a Q term of P - Q is a src into -V.  An entry can take a term of P,
-    V(k_i - k_j), and one of Q, V(k_i + k_j), subtracted in scatter order
-    (kinetic - V(0) before V(2k) on the diagonal, as in a), so a block has
-    a pass of first terms and one of second terms.
+    and a Q term of P - Q is a src into -V.  An entry takes at most one term
+    of P, V(k_i - k_j), and one of Q, V(k_i + k_j), so a block has a P pass
+    and a Q pass that each write an entry at most once.  A diagonal entry is
+    then (kinetic - V(0)) - V(2k), as in a; an entry off it starts at 0,
+    where either order of its two terms rounds alike.
 
     Returns (box, ring, a, b), the shape checked first: the mode of each box
     and ring row, and the (dst, src) int32 passes of A and B.  A plan holds
@@ -380,9 +381,9 @@ def _lattice_plan(widths: tuple, m_dim: int, n_modes: tuple, projected: bool, up
     inside = np.all(np.abs(modes[row_mode]) <= n_modes, axis=1)
     box, ring = np.flatnonzero(inside), np.flatnonzero(~inside)
     position = np.where(inside, np.cumsum(inside), np.cumsum(~inside)) - 1  # of each row in the box or the ring
-    def terms():  # (slot, dst, src) per offset: slots 0 and 1 hold A's first and second terms, 2 and 3 B's
+    def terms():  # (slot, dst, src) per offset: slots 0 and 1 hold A's P and Q terms, 2 and 3 B's
         p = np.arange(m)
-        for offset in sorted(np.ndindex(*widths), key=lambda o: o != tuple(bands)):
+        for offset in np.ndindex(*widths):
             j = row_of[tuple((partner - offset).T)]
             i = np.flatnonzero(j >= 0)
             j = j[i]
@@ -392,10 +393,7 @@ def _lattice_plan(widths: tuple, m_dim: int, n_modes: tuple, projected: bool, up
                 r = np.concatenate((i, i, col + rows, i + rows))
                 c = np.concatenate((col, col + rows, i, col + rows))
                 src = np.concatenate((np.full(len(i), 2 * o), re + 1, re + 1, re))
-                other = modes[i] + modes[j] + bands  # the offset of the entries' other term, of partner -k_j
-                rank = np.where(np.all(other == bands, axis=1), -1, np.ravel_multi_index(other.T, widths, "clip"))
-                earlier = rank < (o if any(offset != bands) else -1)
-                second = np.tile(np.all((other >= 0) & (other < widths), axis=1) & earlier, 4)
+                second = np.tile(j >= rows, 4)
             else:
                 block = np.broadcast_arrays((i * m)[:, None, None] + p[:, None], (j * m)[:, None, None] + p,
                                             (o * m + p[:, None]) * m + p)
