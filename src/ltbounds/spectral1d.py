@@ -344,15 +344,16 @@ def _lattice_plan(widths: tuple, m_dim: int, n_modes: tuple, projected: bool, up
     P[i, j] = a[k_i, k_j] and Q[i, j] = a[k_i, -k_j] of the complex matrix
     a, the rows hold [[Re(P + Q), Im(P - Q)], [Im(P - Q)^T, Re(P - Q)]],
     and a Q term of P - Q is a src into -V.  An entry takes at most one term
-    of P, V(k_i - k_j), and one of Q, V(k_i + k_j), so a block has a P pass
-    and a Q pass that each write an entry at most once.  A diagonal entry is
-    then (kinetic - V(0)) - V(2k), as in a; an entry off it starts at 0,
-    where either order of its two terms rounds alike.
+    of P, V(k_i - k_j), and one of Q, V(k_i + k_j), and _lattice_operator
+    subtracts a block's terms in their order here, the zero offset's first.
+    A diagonal entry is then (kinetic - V(0)) - V(2k), as in a; an entry off
+    it starts at 0, where either order of its two terms rounds alike.
 
     Returns (box, ring, a, b), the shape checked first: the mode of each box
-    and ring row, and the (dst, src) int32 passes of A and B.  A plan holds
-    8 bytes per term, at most half the bytes of the complex matrix it fills
-    or twice those of the real one; 1.2 MB on the default torus box.
+    and ring row, and the (2, k) int32 terms (dst, src) of A and of B, where
+    k may be 0.  A plan holds 8 bytes per term, at most half the bytes of
+    the complex matrix it fills or twice those of the real one; 1.2 MB on
+    the default torus box.
     """
     bands = np.array([(w - 1) // 2 for w in widths])
     if len(n_modes) != len(widths):
@@ -381,9 +382,9 @@ def _lattice_plan(widths: tuple, m_dim: int, n_modes: tuple, projected: bool, up
     inside = np.all(np.abs(modes[row_mode]) <= n_modes, axis=1)
     box, ring = np.flatnonzero(inside), np.flatnonzero(~inside)
     position = np.where(inside, np.cumsum(inside), np.cumsum(~inside)) - 1  # of each row in the box or the ring
-    def terms():  # (slot, dst, src) per offset: slots 0 and 1 hold A's P and Q terms, 2 and 3 B's
-        p = np.arange(m)
-        for offset in np.ndindex(*widths):
+    def terms():  # (slot, dst, src) per offset, the zero offset first: slot 0 holds A's terms, 1 B's
+        p, center = np.arange(m), tuple(bands)
+        for offset in sorted(np.ndindex(*widths), key=lambda offset: offset != center):
             j = row_of[tuple((partner - offset).T)]
             i = np.flatnonzero(j >= 0)
             j = j[i]
@@ -393,20 +394,18 @@ def _lattice_plan(widths: tuple, m_dim: int, n_modes: tuple, projected: bool, up
                 r = np.concatenate((i, i, col + rows, i + rows))
                 c = np.concatenate((col, col + rows, i, col + rows))
                 src = np.concatenate((np.full(len(i), 2 * o), re + 1, re + 1, re))
-                second = np.tile(j >= rows, 4)
             else:
                 block = np.broadcast_arrays((i * m)[:, None, None] + p[:, None], (j * m)[:, None, None] + p,
                                             (o * m + p[:, None]) * m + p)
                 r, c, src = (x.ravel() for x in block)
-                second = np.zeros(len(r), bool)
             keep = inside[r]  # the box rows
-            r, c, src, second = r[keep], c[keep], src[keep], second[keep]
+            r, c, src = r[keep], c[keep], src[keep]
             to_ring = ~inside[c]
-            yield 2 * to_ring + second, position[r] * np.where(to_ring, len(ring), len(box)) + position[c], src
+            yield to_ring, position[r] * np.where(to_ring, len(ring), len(box)) + position[c], src
 
     # allocated before the second pass, whose freed temporaries then lie above them on the heap
-    blocks = [np.empty((2, k), np.int32) for k in sum(np.bincount(slot, minlength=4) for slot, _, _ in terms())]
-    filled = [0] * 4
+    blocks = [np.empty((2, k), np.int32) for k in sum(np.bincount(slot, minlength=2) for slot, _, _ in terms())]
+    filled = [0] * 2
     for slot, dst, src in terms():
         for k, block in enumerate(blocks):
             at = slot == k
@@ -415,7 +414,7 @@ def _lattice_plan(widths: tuple, m_dim: int, n_modes: tuple, projected: bool, up
     plan = [modes[row_mode[box]], modes[row_mode[ring]], *blocks]
     for x in plan:
         x.flags.writeable = False
-    return (*plan[:2], tuple(x for x in blocks[:2] if x.size), tuple(x for x in blocks[2:] if x.size))
+    return tuple(plan)
 
 
 def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, projected, s=None, out=None) -> tuple:
@@ -445,8 +444,8 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
     Only A and B are built, each gathered from V along the memoised plan of
     the shape (see _lattice_plan); A refills `out` of A's shape and dtype.
     """
-    box, ring, a_passes, b_passes = _lattice_plan(potential.coeffs.shape[:-2], potential.m_dim,
-                                                  tuple(int(n) for n in n_modes), projected, s is not None)
+    box, ring, a_terms, b_terms = _lattice_plan(potential.coeffs.shape[:-2], potential.m_dim,
+                                                tuple(int(n) for n in n_modes), projected, s is not None)
     values = np.ascontiguousarray(potential.coeffs, complex).reshape(-1)
     if projected and potential.m_dim == 1:  # the real form (V is real by its exact pairing): Re, Im of V and -V
         values = np.concatenate((values.view(float), -values.view(float)))
@@ -454,16 +453,14 @@ def _lattice_operator(potential: MatrixPotential, alphas, mass, n_modes, project
     a = out if fits else np.empty((len(box),) * 2, values.dtype)
     a.fill(0)
     np.fill_diagonal(a, _kinetic(alphas, box, mass))
-    for dst, src in a_passes:
-        a.reshape(-1)[dst] -= values[src]
+    np.subtract.at(a.reshape(-1), a_terms[0], values[a_terms[1]])
     if s is None:
         return a, None
     kinetic = _kinetic(alphas, ring, mass)
     if not np.min(kinetic, initial=np.inf) > s:
         return a, None
     coupling = np.zeros((len(box), len(ring)), values.dtype)
-    for dst, src in b_passes:
-        coupling.reshape(-1)[dst] -= values[src]
+    np.subtract.at(coupling.reshape(-1), b_terms[0], values[b_terms[1]])
     return a, a - (coupling / (kinetic - s)) @ coupling.conj().T
 
 

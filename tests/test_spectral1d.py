@@ -550,9 +550,9 @@ class TestLatticePlan:
 
     def test_plan_arrays_are_read_only(self):
         box, ring, a, b = sp1._lattice_plan((9,), 1, (12,), True, True)
-        arrays = [box, ring, *(x for passes in (a, b) for pair in passes for x in pair)]
-        assert len(a) == 2 and len(b) >= 1 and all(x.dtype == np.int32 for x in arrays[2:])
-        for x in arrays:
+        for terms in (a, b):
+            assert terms.dtype == np.int32 and terms.shape[0] == 2 and terms.shape[1] > 0
+        for x in (box, ring, a, b):
             assert not x.flags.writeable
             with pytest.raises(ValueError):
                 x[...] = 0

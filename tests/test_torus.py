@@ -324,6 +324,18 @@ class TestVerifyBound:
             report = torus.verify_bound_torus(pot, geom, gamma, n_modes=(8, 8), seed=seed)
             assert report.passed, report.to_json()
 
+    @staticmethod
+    def _assert_spectrum(v_2d, geom, n_modes, eigs, case):
+        """The torus lhs and negative count of V on the box n_modes are those of the spectrum eigs."""
+        for gamma in (1.0, 2.0):
+            report = torus.verify_bound_torus(torus.ScalarPotentialD(v_2d), geom, gamma, n_modes=n_modes)
+            want = riesz_mean_of(eigs, gamma)
+            assert report.metadata["negative_count"] == np.count_nonzero(eigs < 0), (*case, gamma)
+            if want == 0.0:
+                assert report.lhs == 0.0, (*case, gamma)
+            else:
+                assert abs(report.lhs - want) <= 1e-11 * want, (*case, gamma)
+
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
     def test_separable_potential_matches_the_1d_spectrum(self, alpha):
         # V(theta_1, theta_2) = v(theta_2) splits the operator by k_1 into
@@ -339,14 +351,24 @@ class TestVerifyBound:
                 form = spectral1d._form("subtract", 0.0)
                 nu = np.linalg.eigvalsh(form.enclosure(spectral1d.MatrixPotential(v), n)[0])
                 eigs = (alpha**2 * np.arange(-n_1, n_1 + 1)[:, None] ** 2 + nu).ravel()
-                for gamma in (1.0, 2.0):
-                    report = torus.verify_bound_torus(torus.ScalarPotentialD(v[None]), geom, gamma, n_modes=(n_1, n))
-                    want = riesz_mean_of(eigs, gamma)
-                    case = (seed, scale, gamma)
-                    if want == 0.0:
-                        assert report.lhs == 0.0, case
-                    else:
-                        assert abs(report.lhs - want) <= 1e-11 * want, case
+                self._assert_spectrum(v[None], geom, (n_1, n), eigs, (seed, scale))
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+    def test_long_axis_potential_matches_the_1d_spectrum(self, alpha):
+        # V(theta_1, theta_2) = v(theta_1) commutes with the projection and
+        # splits the operator by k_2 into k_2^2 plus the unprojected 1D
+        # operator -alpha^2 d^2 - v, so on the same box the spectrum is
+        # {k_2^2 + mu_j : 1 <= |k_2| <= n}.
+        n = 6
+        n_1 = math.ceil(n / alpha)
+        geom = torus.TorusGeometry((alpha, 1.0))
+        k_2 = np.concatenate((-np.arange(1, n + 1), np.arange(1, n + 1)))
+        for seed in range(4):
+            for scale in (0.3, 1.0, 3.0):
+                v = spectral1d._psd_coeffs(1, 1, 1, scale, [seed])[0]
+                line = spectral1d._lattice_operator(spectral1d.MatrixPotential(v), (alpha,), 0.0, (n_1,), False)[0]
+                eigs = (k_2[:, None] ** 2 + np.linalg.eigvalsh(line)).ravel()
+                self._assert_spectrum(v[:, None], geom, (n_1, n), eigs, (seed, scale))
 
     def test_three_dimensional_instance(self):
         pot = torus.ScalarPotentialD.random(3, 1, 0.8, 1)

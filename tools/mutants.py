@@ -49,13 +49,18 @@ _WORKSPACE = "tests/test_torus.py::TestWorkspace"
 _TORUS_RHS = "potential, rep, gamma, sel.constant_factor, integral,"
 
 MUTANTS = (
-    # The real lattice plan subtracts an entry's P term before its Q term,
-    # so a diagonal entry is (kinetic - V(0)) - V(2k).  In one pass, an entry
-    # with both terms is written twice by one fancy-index update, which keeps one.
-    Mutant("q-pass-before-p-pass", _SPECTRAL1D, "second = np.tile(j >= rows, 4)",
-           "second = np.tile(j < rows, 4)", (_REAL_FORM,)),
-    Mutant("one-pass-for-both", _SPECTRAL1D, "second = np.tile(j >= rows, 4)",
-           "second = np.tile(j < 0, 4)", (_REAL_FORM,)),
+    # The real lattice plan lists the zero offset's terms first, so a diagonal
+    # entry is (kinetic - V(0)) - V(2k).  An entry with two terms is written
+    # twice, which a buffered fancy-index update does only once.
+    Mutant("zero-offset-not-first", _SPECTRAL1D,
+           "for offset in sorted(np.ndindex(*widths), key=lambda offset: offset != center):",
+           "for offset in np.ndindex(*widths):", (_REAL_FORM,)),
+    Mutant("buffered-block-update", _SPECTRAL1D, "np.subtract.at(a.reshape(-1), a_terms[0], values[a_terms[1]])",
+           "a.reshape(-1)[a_terms[0]] -= values[a_terms[1]]", (_REAL_FORM,)),
+    # the k_2 = 0 modes kept add the 1D spectrum of the long axis
+    Mutant("torus-unprojected", _TORUS, "n_modes, projected=True, out=out)",
+           "n_modes, projected=False, out=out)",
+           ("tests/test_torus.py::TestVerifyBound::test_long_axis_potential_matches_the_1d_spectrum",)),
     Mutant("halved-s-in-d0", _SPECTRAL1D, "(coupling / (kinetic - s))", "(coupling / (kinetic - s / 2))",
            ("tests/test_spectral1d.py::TestEnclosure::test_torus_upper_matches_the_loop_schur_complement",)),
     Mutant("scale-initial-1", _SPECTRAL1D, "scale = float(np.max(np.abs(matrix), initial=0.0))",
