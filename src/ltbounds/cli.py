@@ -107,26 +107,22 @@ def _batch_size(args) -> int:
     return max(1, min(_BATCH, _BATCH_ENTRIES // max(per_seed, 1)))
 
 
-def _verify_torus(args, seed: int):
-    geom = torus.TorusGeometry((args.alpha,) * (args.d - 1) + (1.0,))
-    # The default truncation follows from the band alone, so its size is
-    # checked before the potential is built.  The checks that reject these
-    # flags first (the potential's parameters and band cover, then gamma)
-    # keep their order.
-    spectral1d._check_psd_params(args.d, 1, args.band, args.scale)
-    spectral1d._check_gamma(args.gamma)
-    spectral1d._check_rows(torus._default_modes((2 * args.band,) * args.d), 1, projected=True)
-    pot = torus.ScalarPotentialD.random(args.d, args.band, args.scale, seed)
-    return torus.verify_bound_torus(pot, geom, args.gamma, seed=seed)
-
-
 def _verify_batch(kind: str, args, seeds) -> list:
     """The reports of consecutive seeds, in seed order.  A 1D kind draws,
     validates and integrates the seeds as one stack, then runs each seed's
     truncation ladder and report in turn; the torus verifies one seed at a
     time, since its refilled matrix must stay the only n x n array."""
     if kind == "torus":
-        return [_verify_torus(args, seed) for seed in seeds]
+        geom = torus.TorusGeometry((args.alpha,) * (args.d - 1) + (1.0,))
+        # The default truncation follows from the band alone, so its size is
+        # checked before any potential is built.  The checks that reject these
+        # flags first (the potential's parameters and band cover, then gamma)
+        # keep their order.
+        spectral1d._check_psd_params(args.d, 1, args.band, args.scale)
+        spectral1d._check_gamma(args.gamma)
+        spectral1d._check_rows(torus._default_modes((2 * args.band,) * args.d), 1, projected=True)
+        return [torus.verify_bound_torus(torus.ScalarPotentialD.random(args.d, args.band, args.scale, seed),
+                                         geom, args.gamma, seed=seed) for seed in seeds]
     if kind in ("h1", "h2"):
         pots = spectral1d._random_psd_potentials(args.m_dim, args.band, args.scale, seeds)
         if kind == "h1":

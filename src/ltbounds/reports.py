@@ -33,8 +33,8 @@ class BoundReport:
     metadata carries the discretization parameters so a failing instance
     can be reproduced.  A verifier that also bounds the continuum moment from
     above passes it as metadata["lhs_upper"] (None when it has no bound);
-    the report then carries certified, lhs_upper <= rhs * (1 + PASS_SLACK):
-    the inequality holds for the continuum operator, not only its truncation.
+    the report then carries certified, lhs_upper <= rhs with no slack: the
+    inequality holds for the continuum operator, not only its truncation.
     """
 
     lhs: float
@@ -54,7 +54,7 @@ class BoundReport:
             upper = metadata["lhs_upper"]
             if upper is not None and not math.isfinite(upper):
                 raise ValueError(f"bound sides must be finite, got lhs_upper={upper}")
-            metadata["certified"] = upper is not None and bool(upper <= rhs * (1.0 + PASS_SLACK))
+            metadata["certified"] = upper is not None and bool(upper <= rhs)
         if rhs == 0.0:
             ratio = 0.0 if lhs == 0.0 else math.inf
         else:

@@ -127,10 +127,10 @@ class MatrixPotential:
 def _values_on_grid(coeffs: np.ndarray, nodes) -> np.ndarray:
     """Each potential's values on the phase grid of nodes[j] points per axis; shape (S, *nodes, m, m).
 
-    Axis by axis, sum_k c_k exp(2 pi i k j / n) at the n nodes is the
-    unnormalised inverse FFT of the c_k placed at index k mod n: zero-padded
-    when n >= 2b+1, and folded modulo n below that.  Each transform runs along
-    a contiguous last axis, one per potential, so an entry's values are
+    Axis by axis, sum_k c_k exp(2 pi i k j / n) at the n nodes is every
+    (N/n)-th value of the unnormalised inverse FFT of the c_k placed at index
+    k mod N, with N the least multiple of n >= 2b+1.  Each transform runs
+    along a contiguous last axis, one per potential, so an entry's values are
     bitwise those it gets alone on a stack of one.
     """
     if min(nodes) < 1:
@@ -146,9 +146,7 @@ def _values_on_grid(coeffs: np.ndarray, nodes) -> np.ndarray:
             padded = np.zeros((*rest, n * -(-width // n)), complex)  # the least multiple of n >= 2b+1
             padded[..., :b + 1] = lattice[..., b:]
             padded[..., padded.shape[-1] - b:] = lattice[..., :b]
-            if padded.shape[-1] > n:  # fold the modes modulo n
-                padded = padded.reshape(*rest, -1, n).sum(axis=-2)
-            out = np.fft.ifft(padded, axis=-1, norm="forward")
+            out = np.fft.ifft(padded, axis=-1, norm="forward")[..., ::padded.shape[-1] // n]
     return np.moveaxis(out, (1, 2), (-2, -1))
 
 

@@ -211,3 +211,24 @@ def test_c10_negative_control(capsys, tmp_path):
     assert len(failing) >= 1
     assert doc["all_pass"] is False
     _report(10, f"fault injection produced {len(failing)} failing reports and exit code 1")
+
+
+def test_c11_one_bound_state_well():
+    # W_k = (alpha/2) sqrt(3/4) sech(pi k alpha/2) is w = sqrt(3/4) sech on the
+    # period 2 pi/alpha, so V = |w|^2 is the Poschl-Teller well (3/4) sech^2
+    # (nu = 1/2), whose one eigenvalue -1/4 gives the h1 ratio 2/pi on the line.
+    t0 = time.perf_counter()
+    ratios = []
+    for alpha, w_band in ((0.25, 30), (0.125, 60), (0.0625, 120)):
+        k = np.arange(-w_band, w_band + 1)
+        w = (alpha / 2.0) * math.sqrt(0.75) / np.cosh(math.pi * k * alpha / 2.0)
+        v = spectral1d._autocorrelation(w.astype(complex)[None, :, None, None])[0]
+        rep = spectral1d.verify_bound_h1(spectral1d.MatrixPotential(v), alpha, 0.05, 1.0)
+        assert rep.metadata["certified"] is True and rep.metadata["negative_count"] == 1, rep.to_json()
+        ratios.append(rep.ratio)
+    limit = 2.0 / math.pi
+    assert ratios[0] < ratios[1] < ratios[2] < limit
+    assert limit - ratios[2] <= 1e-3
+    elapsed = time.perf_counter() - t0
+    _report(11, f"one-bound-state well ratios {', '.join(f'{r:.5f}' for r in ratios)} "
+                f"rise toward 2/pi = {limit:.5f} ({elapsed:.1f}s)")

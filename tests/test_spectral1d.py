@@ -7,7 +7,7 @@ import pytest
 
 from ltbounds import spectral1d as sp1
 from ltbounds import torus
-from ltbounds.reports import ConvergenceError
+from ltbounds.reports import PASS_SLACK, ConvergenceError
 
 from oracles import (
     direct_sum_on_grid,
@@ -303,7 +303,8 @@ _GRID_BANDS = (2, 1, 3)
 
 def _grid_cases():
     """(d, m, nodes) with bands _GRID_BANDS[:d]: 1, 2, 2b, 2b+1, 2b+2 and
-    4(2b+1)+1 nodes on every axis, the first three folding the modes mod n."""
+    4(2b+1)+1 nodes on every axis, the first three below 2b+1, where the
+    transform of length N > n is decimated."""
     for d in (1, 2, 3):
         counts = [(1, 2, 2 * b, 2 * b + 1, 2 * b + 2, 4 * (2 * b + 1) + 1) for b in _GRID_BANDS[:d]]
         for m in (1, 2, 3):
@@ -984,8 +985,18 @@ class TestEnclosure:
         assert report.metadata["truncation"] == n
         assert report.lhs == sp1.riesz_mean(sp1.negative_spectrum(matrix), 1.0)
         upper = report.metadata["lhs_upper"]
-        want = upper is not None and upper <= report.rhs * (1 + 1e-12)
+        want = upper is not None and upper <= report.rhs
         assert report.metadata["certified"] is want
+
+    def test_certified_has_no_slack(self):
+        # rhs scaled to 5e-13 below lhs_upper: inside pass's PASS_SLACK, but
+        # the continuum bound is not shown
+        report = sp1.verify_bound_h2(sp1.random_psd_potential(2, 2, 1.0, 0), 0.5, 1.0)
+        upper = report.metadata["lhs_upper"]
+        assert report.metadata["certified"] is True
+        scaled = report.with_rhs_scaled(upper * (1.0 - 5e-13) / report.rhs)
+        assert scaled.rhs < upper <= scaled.rhs * (1.0 + PASS_SLACK)
+        assert scaled.passed and scaled.metadata["certified"] is False
 
     def test_explicit_truncation_is_one_rung(self, monkeypatch):
         pot = sp1.random_psd_potential(2, 2, 1.0, 5)

@@ -324,6 +324,19 @@ class TestVerifyBound:
             report = torus.verify_bound_torus(pot, geom, gamma, n_modes=(8, 8), seed=seed)
             assert report.passed, report.to_json()
 
+    @pytest.mark.parametrize("gamma", [1.5, 2.0])
+    def test_strong_suite_above_gamma_one(self, gamma):
+        # gamma >= 3/2 is where Laptev and Weidl make the classical constant
+        # sharp; scale 3 reaches worst ratios 0.274 (gamma 1.5) and 0.271
+        # (gamma 2), so a constant 4x too small above gamma 1 fails here.
+        geom = torus.TorusGeometry((1.0, 1.0))
+        worst = 0.0
+        for seed in range(8):
+            report = torus.verify_bound_torus(torus.ScalarPotentialD.random(2, 1, 3.0, seed), geom, gamma, seed=seed)
+            assert report.passed and report.metadata["truncation"] == [14, 14], report.to_json()
+            worst = max(worst, report.ratio)
+        assert worst > 0.26
+
     @staticmethod
     def _assert_spectrum(v_2d, geom, n_modes, eigs, case):
         """The torus lhs and negative count of V on the box n_modes are those of the spectrum eigs."""
