@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .special import (
-    log_gamma,
     semiclassical_constant,
     product_identity_check,
     lt_to_orthonormal_constant,
@@ -25,7 +24,6 @@ from .reports import BoundReport, ConvergenceError
 from .spectral1d import (
     MatrixPotential,
     EigenReport,
-    constant_potential,
     random_psd_potential,
     trace_power_integral,
     assemble_h1,
@@ -48,7 +46,6 @@ from .torus import (
     BetaSelection,
     ScalarPotentialD,
     choose_betas,
-    lt_constant_bound,
     assemble_torus_operator,
     potential_power_integral,
     verify_bound_torus,

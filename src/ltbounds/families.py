@@ -68,9 +68,6 @@ class OrthonormalFamily:
     def zero_mean(self) -> bool:
         return not np.any(self.coeffs[:, self.band, :])
 
-    def gram_defect(self) -> float:
-        return float(_gram_defect(self.coeffs[None])[0])
-
 
 # The stacked layers below take the coefficients of several families of one
 # shape with a leading stack axis, (S, n_members, 2*band+1, m_dim), one per

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -72,12 +71,13 @@ class BoundReport:
         """Rebuild the report with the right-hand side multiplied by factor.
 
         Fault-injection hook: factor < 1 deliberately weakens the bound so a
-        harness can demonstrate that it detects violations.
+        harness can demonstrate that it detects violations.  metadata
+        rhs_scale is the product of every factor applied so far.
         """
         if factor <= 0:
             raise ValueError("rhs scale factor must be > 0")
         meta = dict(self.metadata)
-        meta["rhs_scale"] = factor
+        meta["rhs_scale"] = meta.get("rhs_scale", 1.0) * factor
         return BoundReport.build(self.lhs, self.rhs * factor, self.constant_used, **meta)
 
     def to_dict(self) -> dict:
@@ -90,6 +90,3 @@ class BoundReport:
         }
         out.update(self.metadata)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)

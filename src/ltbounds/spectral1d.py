@@ -43,7 +43,6 @@ from .reports import BoundReport, _check_doubling
 __all__ = [
     "MatrixPotential",
     "EigenReport",
-    "constant_potential",
     "random_psd_potential",
     "trace_power_integral",
     "assemble_h1",
@@ -175,13 +174,6 @@ class EigenReport:
     """Magnitudes of the negative eigenvalues, sorted descending."""
 
     negatives: tuple
-
-
-def constant_potential(value: float, m_dim: int = 1) -> MatrixPotential:
-    """Scalar-multiple-of-identity potential V(x) = value * I."""
-    if value < 0:
-        raise ValueError("constant potential must be >= 0")
-    return MatrixPotential((value * np.eye(m_dim, dtype=complex))[None])
 
 
 def _psd_coeffs(d: int, m_dim: int, band: int, scale: float, seeds) -> np.ndarray:

@@ -24,14 +24,13 @@ import numpy as np
 from . import interp
 from .reports import BoundReport
 from .spectral1d import MatrixPotential, _check_gamma, _lattice_bound, _lattice_operator
-from .spectral1d import _lt_constant, _power_integral, _psd_coeffs, negative_spectrum
+from .spectral1d import _power_integral, _psd_coeffs, negative_spectrum
 
 __all__ = [
     "TorusGeometry",
     "BetaSelection",
     "ScalarPotentialD",
     "choose_betas",
-    "lt_constant_bound",
     "assemble_torus_operator",
     "potential_power_integral",
     "verify_bound_torus",
@@ -109,12 +108,6 @@ def choose_betas(geom: TorusGeometry) -> BetaSelection:
     return BetaSelection(betas=(beta,) * (geom.d - 1), delta=delta, constant_factor=factor, in_unit_regime=unit)
 
 
-def lt_constant_bound(gamma: float, sel: BetaSelection, d: int) -> float:
-    """(pi/sqrt3)^d * K-factor * semiclassical constant in dimension d."""
-    _check_gamma(gamma)
-    return _lt_constant(gamma, sel.constant_factor, d)
-
-
 class ScalarPotentialD(MatrixPotential):
     """Real scalar potential on the d-torus: a MatrixPotential with 1x1
     blocks, whose exact adjoint pairing makes V real."""
@@ -123,12 +116,6 @@ class ScalarPotentialD(MatrixPotential):
         super().__post_init__()
         if self.m_dim != 1:
             raise ValueError("a torus potential has 1x1 coefficient blocks")
-
-    @classmethod
-    def constant(cls, d: int, value: float) -> "ScalarPotentialD":
-        if value < 0:
-            raise ValueError("constant potential must be >= 0")
-        return cls(np.full((1,) * (d + 2), value, dtype=complex))
 
     @classmethod
     def random(cls, d: int, band: int, scale: float, seed: int) -> "ScalarPotentialD":

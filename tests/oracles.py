@@ -50,6 +50,12 @@ def dense_grid_max(fn, lo: float, hi: float, n: int) -> tuple[float, float]:
     return float(grid[i]), float(vals[i])
 
 
+def constant_coeffs(value: float, d: int = 1, m_dim: int = 1) -> np.ndarray:
+    """Coefficients of the constant potential V = value * I on the d-dimensional
+    lattice: a single (m_dim, m_dim) block, at k = 0."""
+    return (value * np.eye(m_dim, dtype=complex)).reshape((1,) * d + (m_dim, m_dim))
+
+
 def h1_constant_potential_eigs(v: float, alpha: float, beta: float, n_max: int) -> np.ndarray:
     """Exact spectrum of -d^2/dx^2 + a^2 b - v on modes |k| <= n_max."""
     k = np.arange(-n_max, n_max + 1, dtype=float)

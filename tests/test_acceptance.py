@@ -15,7 +15,7 @@ from ltbounds import attractor, families, interp, special, spectral1d, torus
 from ltbounds.attractor import FlowParams
 from ltbounds.cli import main as cli_main
 
-from oracles import f_series, g_series
+from oracles import constant_coeffs, f_series, g_series
 
 
 def _report(n: int, text: str) -> None:
@@ -41,7 +41,7 @@ def test_c02_constant_identities():
 
     sel = torus.choose_betas(torus.TorusGeometry((1.0, 1.0)))
     assert sel.in_unit_regime
-    bound2 = torus.lt_constant_bound(1.0, sel, 2)
+    bound2 = spectral1d._lt_constant(1.0, sel.constant_factor, 2)
     assert abs(bound2 - math.pi / 24.0) <= 1e-12 * bound2
 
     ortho = special.lt_to_orthonormal_constant(math.pi / 24.0, 2)
@@ -100,7 +100,7 @@ def test_c05_closed_form_vs_series():
 def test_c06_one_dimensional_spectral_bounds():
     t0 = time.perf_counter()
     # exact constant-potential enumerations
-    pot2 = spectral1d.constant_potential(2.0)
+    pot2 = spectral1d.MatrixPotential(constant_coeffs(2.0))
     rep_h1 = spectral1d.verify_bound_h1(pot2, 1.0, 1.0, 1.0, n_max=32)
     assert rep_h1.lhs == 1.0 and rep_h1.passed
     rep_h2 = spectral1d.verify_bound_h2(pot2, 0.0, 1.0, n_max=32)
@@ -118,7 +118,7 @@ def test_c06_one_dimensional_spectral_bounds():
         rep = spectral1d.verify_bound_h1(
             pot, 1.0, betas[seed % 3], gamma, n_max=pot.bands[0] + 32, seed=seed
         )
-        assert rep.passed and rep.ratio <= 1.0 and rep.metadata["certified"], rep.to_json()
+        assert rep.passed and rep.ratio <= 1.0 and rep.metadata["certified"], rep.to_dict()
         worst = max(worst, rep.ratio)
     for seed in range(50):
         m_dim = 1 + seed % 3
@@ -128,7 +128,7 @@ def test_c06_one_dimensional_spectral_bounds():
         rep = spectral1d.verify_bound_h2(
             pot, deltas[seed % 3], gamma, n_max=pot.bands[0] + 32, seed=seed
         )
-        assert rep.passed and rep.ratio <= 1.0 and rep.metadata["certified"], rep.to_json()
+        assert rep.passed and rep.ratio <= 1.0 and rep.metadata["certified"], rep.to_dict()
         worst = max(worst, rep.ratio)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -138,7 +138,7 @@ def test_c06_one_dimensional_spectral_bounds():
 
 def test_c07_torus_bounds():
     t0 = time.perf_counter()
-    const_pot = torus.ScalarPotentialD.constant(2, 2.0)
+    const_pot = torus.ScalarPotentialD(constant_coeffs(2.0, d=2))
     geom_square = torus.TorusGeometry((1.0, 1.0))
     rep = torus.verify_bound_torus(const_pot, geom_square, 1.0)
     assert rep.lhs == 2.0
@@ -150,11 +150,11 @@ def test_c07_torus_bounds():
         geom = torus.TorusGeometry((alpha1, 1.0))
         for gamma in (1.0, 2.0):
             rep = torus.verify_bound_torus(const_pot, geom, gamma)
-            assert rep.passed, rep.to_json()
+            assert rep.passed, rep.to_dict()
             for seed in range(10):
                 pot = torus.ScalarPotentialD.random(2, 1, 1.0, seed)
                 rep = torus.verify_bound_torus(pot, geom, gamma, seed=seed)
-                assert rep.passed, rep.to_json()
+                assert rep.passed, rep.to_dict()
                 worst = max(worst, rep.ratio)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
@@ -224,7 +224,7 @@ def test_c11_one_bound_state_well():
         w = (alpha / 2.0) * math.sqrt(0.75) / np.cosh(math.pi * k * alpha / 2.0)
         v = spectral1d._autocorrelation(w.astype(complex)[None, :, None, None])[0]
         rep = spectral1d.verify_bound_h1(spectral1d.MatrixPotential(v), alpha, 0.05, 1.0)
-        assert rep.metadata["certified"] is True and rep.metadata["negative_count"] == 1, rep.to_json()
+        assert rep.metadata["certified"] is True and rep.metadata["negative_count"] == 1, rep.to_dict()
         ratios.append(rep.ratio)
     limit = 2.0 / math.pi
     assert ratios[0] < ratios[1] < ratios[2] < limit

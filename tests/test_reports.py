@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -44,9 +43,14 @@ class TestBoundReport:
         with pytest.raises(ValueError):
             rep.with_rhs_scaled(0.0)
 
+    def test_chained_rhs_scaling_records_the_product(self):
+        scaled = BoundReport.build(1.0, 10.0, constant_used=1.0).with_rhs_scaled(2.0).with_rhs_scaled(3.0)
+        assert scaled.rhs == 60.0
+        assert scaled.metadata["rhs_scale"] == 6.0
+
     def test_json_pass_key(self):
         rep = BoundReport.build(1.0, 2.0, constant_used=0.5, gamma=1.5)
-        payload = json.loads(rep.to_json())
+        payload = rep.to_dict()
         assert payload["pass"] is True
         assert payload["gamma"] == 1.5
 

@@ -10,36 +10,6 @@ from ltbounds import special
 from oracles import lattice_sum
 
 
-class TestLogGamma:
-    def test_exact_values(self):
-        assert special.log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert special.log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-        assert special.log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            special.log_gamma(0.0)
-        with pytest.raises(ValueError):
-            special.log_gamma(-2.5)
-
-    def test_integer_factorials(self):
-        # ln Gamma(n) = ln (n-1)!, with the factorial evaluated exactly.
-        for n in range(2, 101, 7):
-            exact = math.log(math.factorial(n - 1))
-            assert special.log_gamma(float(n)) == pytest.approx(exact, rel=1e-12)
-
-    def test_half_integers(self):
-        # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
-        for n in range(0, 40, 5):
-            exact = (
-                math.log(math.factorial(2 * n))
-                + 0.5 * math.log(math.pi)
-                - n * math.log(4.0)
-                - math.log(math.factorial(n))
-            )
-            assert special.log_gamma(n + 0.5) == pytest.approx(exact, rel=1e-12)
-
-
 class TestSemiclassicalConstant:
     def test_reference_values(self):
         assert special.semiclassical_constant(1, 1) == pytest.approx(2.0 / (3.0 * math.pi), rel=1e-13)

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -10,6 +9,7 @@ from ltbounds import torus
 from ltbounds.reports import PASS_SLACK, ConvergenceError
 
 from oracles import (
+    constant_coeffs,
     direct_sum_on_grid,
     galerkin_loop,
     h1_constant_potential_eigs,
@@ -232,7 +232,7 @@ class TestGeneratorParity:
 
 class TestTracePowerIntegral:
     def test_constant_scalar(self):
-        pot = sp1.constant_potential(2.0)
+        pot = sp1.MatrixPotential(constant_coeffs(2.0))
         val = sp1._power_integral(pot.coeffs[None], 1.5, TWO_PI, (8,))[0]
         assert val == pytest.approx(TWO_PI * 2.0**1.5, rel=1e-14)
 
@@ -293,7 +293,7 @@ class TestTracePowerIntegral:
             sp1._power_integral(pot.coeffs[None], 1.5, TWO_PI, (4,))[0]
 
     def test_power_validation(self):
-        pot = sp1.constant_potential(1.0)
+        pot = sp1.MatrixPotential(constant_coeffs(1.0))
         with pytest.raises(ValueError):
             sp1.trace_power_integral(pot, 0.5, TWO_PI)
 
@@ -359,13 +359,13 @@ class TestGridEvaluation:
 
 class TestAssembly:
     def test_h1_constant_scalar_diagonal(self):
-        pot = sp1.constant_potential(1.7)
+        pot = sp1.MatrixPotential(constant_coeffs(1.7))
         a = sp1.assemble_h1(pot, 1.0, 1.0, 6)
         eigs = np.linalg.eigvalsh(a)
         assert np.allclose(eigs, h1_constant_potential_eigs(1.7, 1.0, 1.0, 6), atol=1e-13)
 
     def test_h1_zero_potential_positive(self):
-        pot = sp1.constant_potential(0.0, m_dim=2)
+        pot = sp1.MatrixPotential(constant_coeffs(0.0, m_dim=2))
         a = sp1.assemble_h1(pot, 0.5, 0.3, 4)
         assert float(np.min(np.linalg.eigvalsh(a))) >= 0.5**2 * 0.3 - 1e-14
 
@@ -402,13 +402,13 @@ class TestAssembly:
         assert np.array_equal(a, want)
 
     def test_h2_constant_scalar_diagonal(self):
-        pot = sp1.constant_potential(2.3)
+        pot = sp1.MatrixPotential(constant_coeffs(2.3))
         a = sp1.assemble_h2(pot, 0.0, 5)
         eigs = np.linalg.eigvalsh(a)
         assert np.allclose(eigs, h2_constant_potential_eigs(2.3, 0.0, 5), atol=1e-13)
 
     def test_h2_zero_potential_gap(self):
-        pot = sp1.constant_potential(0.0, m_dim=3)
+        pot = sp1.MatrixPotential(constant_coeffs(0.0, m_dim=3))
         a = sp1.assemble_h2(pot, 0.8, 4)
         assert float(np.min(np.linalg.eigvalsh(a))) >= 1.0 - 0.8 - 1e-14
 
@@ -421,7 +421,7 @@ class TestAssembly:
             sp1.assemble_h2(pot, 0.5, 4)
 
     def test_h2_mode_count_excludes_zero(self):
-        pot = sp1.constant_potential(1.0, m_dim=2)
+        pot = sp1.MatrixPotential(constant_coeffs(1.0, m_dim=2))
         a = sp1.assemble_h2(pot, 0.1, 7)
         assert a.shape == (2 * 2 * 7, 2 * 2 * 7)
 
@@ -570,7 +570,7 @@ class TestLatticePlan:
     def test_memo_is_bounded(self):
         size = sp1._PLAN_MEMO_SIZE
         assert sp1._lattice_plan.cache_info().maxsize == size
-        pot = sp1.constant_potential(1.0)
+        pot = sp1.MatrixPotential(constant_coeffs(1.0))
         for n in range(1, 1 + 2 * size):
             sp1._lattice_operator(pot, (1.0,), 0.5, (n,), False)
         assert sp1._lattice_plan.cache_info().currsize == size
@@ -614,7 +614,7 @@ class TestPairingAndBudget:
             sp1.MatrixPotential(coeffs)
 
     def test_row_budget_counts_matrix_blocks(self, monkeypatch):
-        pot = sp1.constant_potential(1.0, m_dim=2)
+        pot = sp1.MatrixPotential(constant_coeffs(1.0, m_dim=2))
         monkeypatch.setattr(sp1, "ROW_BUDGET", 2 * 2 * 7)
         assert sp1.assemble_h2(pot, 0.1, 7).shape == (28, 28)
         with pytest.raises(ValueError, match="budget"):
@@ -633,7 +633,7 @@ class TestPairingAndBudget:
 
     def test_band_zero_enclosure_pads_one_ring(self, monkeypatch):
         # the 11-row box |k| <= 5 of a band-0 potential is enclosed on |k| <= 6
-        pot = sp1.constant_potential(1.0)
+        pot = sp1.MatrixPotential(constant_coeffs(1.0))
         monkeypatch.setattr(sp1, "ROW_BUDGET", 12)
         assert sp1.assemble_h1(pot, 1.0, 0.5, 5).shape == (11, 11)
         with pytest.raises(ValueError, match="Galerkin size 13 exceeds"):
@@ -653,7 +653,7 @@ class TestPairingAndBudget:
 class TestForms:
     @pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (0.25, 0.3), (0.3, 0.7)])
     def test_add_weights_are_the_h1_diagonal(self, alpha, beta):
-        pot = sp1.constant_potential(0.0)
+        pot = sp1.MatrixPotential(constant_coeffs(0.0))
         for band in range(6):
             want = np.diag(sp1.assemble_h1(pot, alpha, beta, band)).real
             assert np.array_equal(sp1._form("add", beta, alpha).weights(band), want)
@@ -681,12 +681,12 @@ class TestNegativeSpectrum:
         assert rep.negatives == (1.0,)
 
     def test_zero_potential_empty(self):
-        pot = sp1.constant_potential(0.0)
+        pot = sp1.MatrixPotential(constant_coeffs(0.0))
         rep = sp1.negative_spectrum(sp1.assemble_h1(pot, 1.0, 1.0, 4))
         assert rep.negatives == ()
 
     def test_constant_two_modes(self):
-        pot = sp1.constant_potential(2.0)
+        pot = sp1.MatrixPotential(constant_coeffs(2.0))
         rep = sp1.negative_spectrum(sp1.assemble_h2(pot, 0.0, 4))
         assert rep.negatives == (1.0, 1.0)
 
@@ -765,7 +765,7 @@ def _assert_zero_certified(report):
 
 class TestVerifyH1:
     def test_constant_enumeration(self):
-        pot = sp1.constant_potential(2.0)
+        pot = sp1.MatrixPotential(constant_coeffs(2.0))
         report = sp1.verify_bound_h1(pot, 1.0, 1.0, 1.0, n_max=8)
         # only the k = 0 mode dips below zero: eigenvalue 1 - 2 = -1
         assert report.lhs == 1.0
@@ -774,7 +774,7 @@ class TestVerifyH1:
         assert report.passed
 
     def test_zero_potential(self):
-        pot = sp1.constant_potential(0.0)
+        pot = sp1.MatrixPotential(constant_coeffs(0.0))
         report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0, n_max=4)
         assert report.lhs == 0.0 and report.rhs == 0.0
         assert report.ratio == 0.0 and report.passed
@@ -786,13 +786,13 @@ class TestVerifyH1:
         for seed in range(20):
             pot = sp1.random_psd_potential(2, 2, 1.0, seed)
             report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0, seed=seed)
-            assert report.passed, report.to_json()
+            assert report.passed, report.to_dict()
             assert report.ratio <= 1.0
 
 
 class TestVerifyH2:
     def test_constant_enumeration(self):
-        pot = sp1.constant_potential(2.0)
+        pot = sp1.MatrixPotential(constant_coeffs(2.0))
         report = sp1.verify_bound_h2(pot, 0.0, 1.0, n_max=8)
         assert report.lhs == 2.0
         expected_rhs = (math.pi / math.sqrt(3.0)) * (2.0 / (3.0 * math.pi)) * TWO_PI * 2.0**1.5
@@ -800,7 +800,7 @@ class TestVerifyH2:
         assert report.passed
 
     def test_trivial_high_delta(self):
-        pot = sp1.constant_potential(0.0)
+        pot = sp1.MatrixPotential(constant_coeffs(0.0))
         report = sp1.verify_bound_h2(pot, 0.839, 1.0, n_max=4)
         assert report.lhs == 0.0 and report.passed
 
@@ -812,7 +812,7 @@ class TestVerifyH2:
             gamma = (1.0, 1.5, 2.0)[i % 3]
             pot = sp1.random_psd_potential(3, 2, 1.0, seed)
             report = sp1.verify_bound_h2(pot, 0.5, gamma, seed=seed)
-            assert report.passed, report.to_json()
+            assert report.passed, report.to_dict()
 
 
 class TestEnclosure:
@@ -821,7 +821,7 @@ class TestEnclosure:
     @pytest.mark.parametrize("m_dim", [1, 2])
     @pytest.mark.parametrize("value", [0.0, 0.7, 2.0, 9.5])
     def test_constant_potential_upper_equals_lower_exactly(self, m_dim, value):
-        pot = sp1.constant_potential(value, m_dim)
+        pot = sp1.MatrixPotential(constant_coeffs(value, m_dim=m_dim))
         for report in (sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0), sp1.verify_bound_h2(pot, 0.5, 1.5),
                        sp1.verify_bound_h1(pot, 0.5, 0.2, 2.0, n_max=6)):
             assert report.metadata["lhs_upper"] == report.lhs
@@ -1068,9 +1068,9 @@ class TestStructuralInvariants:
             assert sp1.verify_bound_h2(pot, 0.1, gamma).passed
 
     def test_report_json_fields(self):
-        pot = sp1.constant_potential(2.0)
+        pot = sp1.MatrixPotential(constant_coeffs(2.0))
         report = sp1.verify_bound_h2(pot, 0.0, 1.0, n_max=6, seed=4)
-        payload = json.loads(report.to_json())
+        payload = report.to_dict()
         for key in ("lhs", "rhs", "ratio", "pass", "gamma", "truncation", "seed"):
             assert key in payload
         assert payload["seed"] == 4

@@ -88,6 +88,10 @@ MUTANTS = (
            "out, _spare.matrix = None, None", (f"{_WORKSPACE}::test_verification_reuses_its_matrix",)),
     Mutant("process-global-spare", _TORUS, "_spare = threading.local()", "_spare = type('Slot', (), {})()",
            (f"{_WORKSPACE}::test_a_thread_never_refills_another_threads_spare",)),
+    # K1 = 1 is proved at beta_star + tol only: one tol below it, g exceeds 1
+    Mutant("beta-below-threshold", _TORUS, "beta = interp.beta_star(_THRESHOLD_TOL) + _THRESHOLD_TOL",
+           "beta = interp.beta_star(_THRESHOLD_TOL) - _THRESHOLD_TOL",
+           ("tests/test_unit_regime.py::test_k1_is_one_at_the_working_beta",)),
     # wrong constants that a closed form pins: c07's constant potential, c09's formulas
     Mutant("torus-constant-quartered", _TORUS, _TORUS_RHS,
            "potential, rep, gamma, 0.25 * sel.constant_factor, integral,",

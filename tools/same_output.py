@@ -1,0 +1,168 @@
+"""Run one fixed list of CLI commands on this checkout and on a git revision,
+and compare their outputs byte for byte.
+
+    python3 tools/same_output.py REV [--expect-moved NAME ...]
+
+REV's `src` is exported with `git archive` (local git only) into a temporary
+directory, which is removed on exit.  Each named command of COMMANDS runs as
+`python -m ltbounds ARGS` with PYTHONPATH set to one tree's `src`, in its own
+empty temporary working directory.  A command's output is its exit code,
+stdout, stderr and every file it leaves in that directory (`--out`).
+
+The tool prints one line per command and exits 1 when an output differs and
+the command's name is not given to --expect-moved.  For each differing JSON
+or CSV document it also prints the largest relative change of each numeric
+field, lists flattened to `[]`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_TORUS = "verify --kind torus"
+_BENCH_TORUS = f"{_TORUS} --d 2 --band 2 --seeds 4"
+
+# (name, arguments after `ltbounds`)
+COMMANDS = (
+    # README.md's examples, in order
+    ("readme-constants", "constants --gamma 1 --d 2"),
+    ("readme-thresholds", "thresholds --tol 1e-5"),
+    ("readme-k1-curve", "k-curve --which k1 --min 0.01 --max 0.5 -n 50 --out k1.csv"),
+    ("readme-h2", "verify --kind h2 --seeds 20 --gamma 1"),
+    ("readme-torus", f"{_TORUS} --d 2 --alpha 0.25 --seeds 10 --band 1"),
+    ("readme-trace2", "verify --kind trace2 --m-dim 3 --band 3 --seeds 12"),
+    ("readme-rhs-scale", "verify --kind h2 --seeds 5 --rhs-scale 0.01"),
+    ("readme-attractor", "attractor --formula elongated --nu 1e-3 --mu 1 --length 1 --grad-g 1"),
+    # bench/reference.json's commands
+    ("bench-thresholds", "thresholds"),
+    ("bench-k1-curve", "k-curve --which k1"),
+    ("bench-k2-curve", "k-curve --which k2"),
+    *((f"bench-{kind}", f"verify --kind {kind} --seeds 12") for kind in ("h1", "h2", "trace1", "trace2")),
+    ("bench-torus-weak-alpha-1", f"{_BENCH_TORUS} --scale 1 --alpha 1"),
+    ("bench-torus-weak-alpha-0.5", f"{_BENCH_TORUS} --scale 1 --alpha 0.5"),
+    ("bench-torus-strong", f"{_BENCH_TORUS} --scale 3 --alpha 1"),
+    # every kind at the CLI's defaults, and torus batches
+    *((f"default-{kind}", f"verify --kind {kind}") for kind in ("h1", "h2", "torus", "trace1", "trace2")),
+    *((f"torus-{n}-seeds", f"{_TORUS} --seeds {n}") for n in (1, 3, 20)),
+    # usage errors: exit 2 with one stderr line
+    ("usage-d-4", f"{_TORUS} --d 4"),
+    ("usage-d-7", f"{_TORUS} --d 7"),
+    ("usage-gamma-0.5", f"{_TORUS} --gamma 0.5"),
+    ("usage-band-minus-1", f"{_TORUS} --band -1"),
+    ("usage-alpha-2", f"{_TORUS} --alpha 2"),
+    ("usage-d-3-band-0", f"{_TORUS} --d 3 --band 0 --scale 0.3"),
+)
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write REV's `src` under dest, from this repository's git."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+
+
+def run(tree: Path, args: str) -> dict:
+    """One command's output on a tree: {"exit", "stdout", "stderr", "file NAME"...} as bytes."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    with tempfile.TemporaryDirectory(prefix="same-output-") as cwd:
+        proc = subprocess.run([sys.executable, "-m", "ltbounds", *shlex.split(args)],
+                              cwd=cwd, env=env, capture_output=True)
+        out = {"exit": str(proc.returncode).encode(), "stdout": proc.stdout, "stderr": proc.stderr}
+        for path in sorted(Path(cwd).iterdir()):
+            out[f"file {path.name}"] = path.read_bytes()
+    return out
+
+
+def _numbers(text: bytes) -> dict:
+    """Numeric leaves of a JSON or CSV document, as {field: [values in order]}; {} for other text."""
+    fields = {}
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        rows = list(csv.reader(io.StringIO(text.decode(errors="replace"))))
+        if len(rows) < 2 or any(len(row) != len(rows[0]) for row in rows):
+            return {}
+        doc = {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
+
+    def walk(node, field):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{field}.{key}" if field else key)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value, f"{field}[]")
+        elif not isinstance(node, bool):
+            try:
+                value = float(node)
+            except (TypeError, ValueError):
+                return
+            fields.setdefault(field, []).append(value)
+
+    walk(doc, "")
+    return fields
+
+
+def relative_changes(old: bytes, new: bytes) -> dict:
+    """The largest relative change of each numeric field present in both documents."""
+    changes = {}
+    before, after = _numbers(old), _numbers(new)
+    for field in before.keys() & after.keys():
+        pairs = zip(before[field], after[field])
+        changes[field] = max((abs(b - a) / max(abs(a), abs(b)) if a != b else 0.0 for a, b in pairs), default=0.0)
+    return changes
+
+
+def compare(parent: dict, change: dict, expect_moved) -> int:
+    """Print one line per command of the two output sets; 1 if a difference is not expected."""
+    unexpected = 0
+    for name in parent:
+        moved = [key for key in parent[name].keys() | change[name].keys()
+                 if parent[name].get(key) != change[name].get(key)]
+        if not moved:
+            print(f"{name}: same")
+            continue
+        expected = name in expect_moved
+        unexpected += not expected
+        print(f"{name}: differs in {', '.join(sorted(moved))}{' (expected)' if expected else ''}")
+        for key in sorted(moved):
+            changes = relative_changes(parent[name].get(key, b""), change[name].get(key, b""))
+            for field, rel in sorted(changes.items()):
+                if rel:
+                    print(f"  {key} {field}: {rel:.3g}")
+    print(f"{len(parent)} commands, {unexpected} differ unexpectedly")
+    return 1 if unexpected else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("rev", help="the git revision to compare this checkout against")
+    parser.add_argument("--expect-moved", action="append", default=[], metavar="NAME",
+                        help="a command whose output may differ (repeatable)")
+    args = parser.parse_args(argv)
+    names = [name for name, _ in COMMANDS]
+    for name in args.expect_moved:
+        if name not in names:
+            parser.error(f"--expect-moved {name}: no such command")
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="same-output-rev-") as tmp:
+        export(args.rev, Path(tmp))
+        parent = {name: run(Path(tmp), cmd) for name, cmd in COMMANDS}
+    change = {name: run(ROOT, cmd) for name, cmd in COMMANDS}
+    code = compare(parent, change, args.expect_moved)
+    print(f"wall time {time.perf_counter() - t0:.1f} s")
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())
