@@ -262,10 +262,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, ValueError, ArithmeticError, ConvergenceError) as exc:
+    except (OSError, ValueError, ArithmeticError, MemoryError, ConvergenceError) as exc:
         # OSError: an unreadable config file or an unwritable --out.
         # ArithmeticError: inputs whose arithmetic overflows or divides by an
         # underflowed zero, e.g. attractor --mu 1e-300
+        # MemoryError: a request no allocation can hold, e.g. k-curve -n 10**17
         return _fail_usage(str(exc))
 
 

@@ -52,22 +52,6 @@ class OrthonormalFamily:
         if self.coeffs.ndim != 3 or self.coeffs.shape[1] % 2 == 0:
             raise ValueError(f"coeffs shape {self.coeffs.shape} is not (n_members, 2b+1, m_dim)")
 
-    @property
-    def n_members(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def band(self) -> int:
-        return (self.coeffs.shape[1] - 1) // 2
-
-    @property
-    def m_dim(self) -> int:
-        return self.coeffs.shape[2]
-
-    @property
-    def zero_mean(self) -> bool:
-        return not np.any(self.coeffs[:, self.band, :])
-
 
 # The stacked layers below take the coefficients of several families of one
 # shape with a leading stack axis, (S, n_members, 2*band+1, m_dim), one per

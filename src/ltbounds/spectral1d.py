@@ -106,10 +106,6 @@ class MatrixPotential:
     def m_dim(self) -> int:
         return self.coeffs.shape[-1]
 
-    def values_on_grid(self, nodes) -> np.ndarray:
-        """V on the uniform phase grid with nodes[j] points on axis j; shape (*nodes, m, m)."""
-        return _values_on_grid(self.coeffs[None], nodes)[0]
-
     def validate(self) -> None:
         """Assert finite, pointwise positive semidefinite values on a phase
         grid of max(ceil(512^(1/d)), 4 nodes per mode) points per axis."""
@@ -126,14 +122,13 @@ class MatrixPotential:
 def _values_on_grid(coeffs: np.ndarray, nodes) -> np.ndarray:
     """Each potential's values on the phase grid of nodes[j] points per axis; shape (S, *nodes, m, m).
 
-    Axis by axis, sum_k c_k exp(2 pi i k j / n) at the n nodes is every
-    (N/n)-th value of the unnormalised inverse FFT of the c_k placed at index
-    k mod N, with N the least multiple of n >= 2b+1.  Each transform runs
-    along a contiguous last axis, one per potential, so an entry's values are
-    bitwise those it gets alone on a stack of one.
+    Axis by axis, sum_k c_k exp(2 pi i k j / n) at the n >= 2b+1 nodes is the
+    unnormalised inverse FFT of the c_k placed at index k mod n.  Each
+    transform runs along a contiguous last axis, one per potential, so an
+    entry's values are bitwise those it gets alone on a stack of one.
     """
-    if min(nodes) < 1:
-        raise ValueError(f"a grid needs at least one node per axis, got {tuple(nodes)}")
+    if any(n < w for n, w in zip(nodes, coeffs.shape[1:-2])):
+        raise ValueError(f"a grid needs 2b+1 nodes per axis, got {tuple(nodes)} for widths {coeffs.shape[1:-2]}")
     if math.prod(nodes) * coeffs.shape[-1] ** 2 > ROW_BUDGET**2:  # no more entries than the largest matrix
         raise ValueError(f"a grid of {math.prod(nodes)} nodes exceeds the dense budget")
     out = np.moveaxis(coeffs, (-2, -1), (1, 2))  # (S, m, m, lattice axes)
@@ -142,10 +137,10 @@ def _values_on_grid(coeffs: np.ndarray, nodes) -> np.ndarray:
             lattice = np.moveaxis(out, 3, -1)
             *rest, width = lattice.shape
             b = width // 2
-            padded = np.zeros((*rest, n * -(-width // n)), complex)  # the least multiple of n >= 2b+1
+            padded = np.zeros((*rest, n), complex)
             padded[..., :b + 1] = lattice[..., b:]
-            padded[..., padded.shape[-1] - b:] = lattice[..., :b]
-            out = np.fft.ifft(padded, axis=-1, norm="forward")[..., ::padded.shape[-1] // n]
+            padded[..., n - b:] = lattice[..., :b]
+            out = np.fft.ifft(padded, axis=-1, norm="forward")
     return np.moveaxis(out, (1, 2), (-2, -1))
 
 
@@ -173,7 +168,7 @@ def _validate(coeffs: np.ndarray) -> None:
 class EigenReport:
     """Magnitudes of the negative eigenvalues, sorted descending."""
 
-    negatives: tuple
+    negatives: np.ndarray
 
 
 def _psd_coeffs(d: int, m_dim: int, band: int, scale: float, seeds) -> np.ndarray:
@@ -541,7 +536,9 @@ def negative_spectrum(matrix: np.ndarray) -> EigenReport:
     evs = np.linalg.eigvalsh(matrix)
     cut = _EIG_CUT_REL * scale
     # eigvalsh is ascending, so the magnitudes come out descending
-    return EigenReport(negatives=tuple(float(v) for v in -evs[evs < -cut]))
+    negatives = -evs[evs < -cut]
+    negatives.flags.writeable = False
+    return EigenReport(negatives=negatives)
 
 
 def _check_gamma(gamma: float) -> None:

@@ -100,6 +100,13 @@ class TestKCurve:
         assert out == ""
         assert "k2 curve failed monotonicity" in err
 
+    def test_a_curve_no_allocation_can_hold_exits_2(self, capsys):
+        # 10^17 float64 values are 8e17 bytes, past any 64-bit address space,
+        # so numpy's allocation fails at once and touches no page
+        code, out, err = run(capsys, "k-curve", "-n", "100000000000000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.splitlines() == [err.strip()]
+
     def test_file_output(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"
         code, out, _ = run(capsys, "k-curve", "-n", "3", "--min", "0.1", "--max", "0.3",

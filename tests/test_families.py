@@ -29,7 +29,7 @@ class TestRandomFamily:
 
     def test_zero_mean_coefficients_vanish(self):
         fam = families.random_orthonormal_family(4, 3, 4, True, 8)
-        assert np.all(fam.coeffs[:, fam.band, :] == 0.0)
+        assert np.all(fam.coeffs[:, 4, :] == 0.0)  # k = 0 of band 4
         assert families._gram_defect(fam.coeffs[None])[0] <= 1e-12
 
     def test_deterministic(self):
@@ -52,8 +52,8 @@ class TestRandomFamily:
         # a budget of 6^2 entries: the density of 4 members of band 2 in
         # m = 1 pads to 9 * 4 = 36 of them, its blocks of m = 6 take 1 * 6^2
         monkeypatch.setattr(spectral1d, "ROW_BUDGET", 6)
-        assert families.random_orthonormal_family(4, 1, 2, False, 0).n_members == 4
-        assert families.random_orthonormal_family(0, 6, 0, False, 0).m_dim == 6
+        assert families.random_orthonormal_family(4, 1, 2, False, 0).coeffs.shape == (4, 5, 1)
+        assert families.random_orthonormal_family(0, 6, 0, False, 0).coeffs.shape == (0, 1, 6)
         # 2 members of band 2 in m = 2 pass the family's check (9 * 2 * 2 = 36
         # entries), but the density's grid of 6 * 2 + 1 nodes holds 13 * 2^2
         with pytest.raises(ValueError, match="a grid of 13 nodes exceeds"):
@@ -87,18 +87,18 @@ class TestDensityAndKinetic:
 
     def test_trace_of_u_integrates_to_n(self):
         fam = families.random_orthonormal_family(4, 2, 3, False, 21)
-        n = 8 * (2 * fam.band + 1)
+        n = 8 * fam.coeffs.shape[1]
         x = np.arange(n) * (TWO_PI / n)
         vals = family_values(fam.coeffs, 1.0, x)
         u = np.einsum("nxa,nxb->xab", vals, vals.conj())
         tr = np.einsum("xaa->x", u).real
-        assert TWO_PI / n * np.sum(tr) == pytest.approx(fam.n_members, rel=1e-12)
+        assert TWO_PI / n * np.sum(tr) == pytest.approx(len(fam.coeffs), rel=1e-12)
 
     def test_scalar_specialization_matches_density_cube(self):
         # For M = 1 the matrix trace collapses to the scalar density cubed.
         fam = families.random_orthonormal_family(3, 1, 3, True, 33)
         rho3, _ = families.density_and_kinetic(fam, 0.25, "subtract")
-        n = 16 * (2 * fam.band + 1)
+        n = 16 * fam.coeffs.shape[1]
         x = np.arange(n) * (TWO_PI / n)
         vals = family_values(fam.coeffs, 1.0, x)[:, :, 0]
         rho = np.sum(np.abs(vals) ** 2, axis=0)
@@ -205,11 +205,11 @@ class TestVerifyTrace2:
         coeffs = np.zeros((1, 3, 1), dtype=complex)
         coeffs[0, 1, 0] = 1.0  # the constant member, whose mean is not zero
         constant = families.OrthonormalFamily(coeffs)
-        assert not constant.zero_mean
+        assert np.any(constant.coeffs[:, 1, :])
         with pytest.raises(ValueError, match="zero-mean"):
             families.verify_trace2(constant, 0.0)
         fam = cos_sin_family()
-        assert fam.zero_mean
+        assert not np.any(fam.coeffs[:, 1, :])
         assert families.verify_trace2(fam, 0.0).passed
 
     def test_randomized_suite(self):
@@ -230,12 +230,12 @@ class TestVerifyTrace2:
         # bound valid (suborthonormal families do not increase constants).
         fam = families.random_orthonormal_family(4, 2, 3, True, 77)
         rng = np.random.default_rng(5)
-        flat = fam.coeffs.reshape(fam.n_members, -1)
+        flat = fam.coeffs.reshape(len(fam.coeffs), -1)
         dim = flat.shape[1]
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim // 2)) + 1j * rng.standard_normal((dim, dim // 2)))
         projector = q @ q.conj().T
         projected = (flat @ projector).reshape(fam.coeffs.shape)
-        projected[:, fam.band, :] = 0.0  # keep the zero-mean constraint exact
+        projected[:, 3, :] = 0.0  # keep the zero-mean constraint exact (k = 0 of band 3)
         sub = families.OrthonormalFamily(projected)
         for beta in (0.0, 0.5, 0.839):
             assert families.verify_trace2(sub, beta).passed

@@ -49,13 +49,13 @@ class TestRandomPotential:
     def test_band_zero_is_constant(self):
         pot = sp1.random_psd_potential(1, 0, 0.7, 5)
         assert pot.bands[0] == 0
-        vals = pot.values_on_grid((17,))[:, 0, 0]
+        vals = sp1._values_on_grid(pot.coeffs[None], (17,))[0, :, 0, 0]
         assert np.allclose(vals, vals[0])
         assert vals[0].real > 0.0
 
     def test_pointwise_psd(self):
         pot = sp1.random_psd_potential(2, 2, 1.0, 42)
-        evs = np.linalg.eigvalsh(pot.values_on_grid((512,)))
+        evs = np.linalg.eigvalsh(sp1._values_on_grid(pot.coeffs[None], (512,))[0])
         assert float(np.min(evs)) >= -1e-10 * max(1.0, float(np.max(evs)))
 
     def test_band_doubles(self):
@@ -277,7 +277,7 @@ class TestTracePowerIntegral:
         (coarse, passed), = pairs
         assert passed == refined
         # the coarse rule read off the refined pass is the rule on its own grid
-        evs = np.clip(sp1._block_eigvalsh(pot.values_on_grid(nodes)), 0.0, None)
+        evs = np.clip(sp1._block_eigvalsh(evaluate(pot.coeffs[None], nodes)[0]), 0.0, None)
         separate = 3.0 / math.prod(nodes) * float(np.sum(evs**p))
         assert coarse == pytest.approx(separate, rel=1e-15, abs=0.0)
 
@@ -301,12 +301,11 @@ class TestTracePowerIntegral:
 _GRID_BANDS = (2, 1, 3)
 
 
-def _grid_cases():
-    """(d, m, nodes) with bands _GRID_BANDS[:d]: 1, 2, 2b, 2b+1, 2b+2 and
-    4(2b+1)+1 nodes on every axis, the first three below 2b+1, where the
-    transform of length N > n is decimated."""
+def _grid_cases(rejected: bool):
+    """(d, m, nodes) with bands _GRID_BANDS[:d]: 2b+1, 2b+2 and 4(2b+1)+1
+    nodes on every axis, after 2b nodes, which is rejected, if `rejected`."""
     for d in (1, 2, 3):
-        counts = [(1, 2, 2 * b, 2 * b + 1, 2 * b + 2, 4 * (2 * b + 1) + 1) for b in _GRID_BANDS[:d]]
+        counts = [(2 * b, 2 * b + 1, 2 * b + 2, 4 * (2 * b + 1) + 1)[not rejected:] for b in _GRID_BANDS[:d]]
         for m in (1, 2, 3):
             for nodes in zip(*counts):
                 yield d, m, nodes
@@ -319,15 +318,27 @@ def _grid_coeffs(d, m):
 
 
 class TestGridEvaluation:
-    @pytest.mark.parametrize("d, m, nodes", list(_grid_cases()))
+    @pytest.mark.parametrize("d, m, nodes", list(_grid_cases(rejected=True)))
     def test_matches_the_direct_sum(self, d, m, nodes):
         coeffs = _grid_coeffs(d, m)
+        if nodes[0] == 2 * _GRID_BANDS[0]:
+            with pytest.raises(ValueError, match=r"^a grid needs 2b\+1 nodes per axis"):
+                sp1._values_on_grid(coeffs, nodes)
+            return
         want = direct_sum_on_grid(coeffs, nodes)
         got = sp1._values_on_grid(coeffs, nodes)
         assert got.shape == want.shape == (3, *nodes, m, m)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        if nodes == coeffs.shape[1:-2]:
+            # 2b+1 nodes need no padding: the grid is bitwise the inverse
+            # FFTs of the centred coefficients, axis by axis
+            lattice = tuple(range(1, d + 1))
+            plain = np.fft.ifftshift(coeffs, axes=lattice)
+            for axis in lattice:
+                plain = np.fft.ifft(plain, axis=axis, norm="forward")
+            assert np.array_equal(got, plain)
 
-    @pytest.mark.parametrize("d, m, nodes", list(_grid_cases()))
+    @pytest.mark.parametrize("d, m, nodes", list(_grid_cases(rejected=False)))
     def test_each_entry_is_bitwise_its_stack_of_one(self, d, m, nodes):
         coeffs = _grid_coeffs(d, m)
         stack = sp1._values_on_grid(coeffs, nodes)
@@ -338,23 +349,23 @@ class TestGridEvaluation:
     @pytest.mark.parametrize("m_dim", [1, 2])
     def test_potential_values_at_every_node_count(self, m_dim):
         pot = sp1.random_psd_potential(m_dim, 2, 1.0, 3)
-        for n in range(1, 4 * (2 * pot.bands[0] + 1) + 2):
-            want = direct_sum_on_grid(pot.coeffs[None], (n,))[0]
-            assert np.max(np.abs(pot.values_on_grid((n,)) - want)) <= 1e-13 * np.max(np.abs(want))
-        with pytest.raises(ValueError, match="at least one node per axis"):
-            pot.values_on_grid((0,))
+        width = 2 * pot.bands[0] + 1
+        for n in range(width, 4 * width + 2):
+            want = direct_sum_on_grid(pot.coeffs[None], (n,))
+            assert np.max(np.abs(sp1._values_on_grid(pot.coeffs[None], (n,)) - want)) <= 1e-13 * np.max(np.abs(want))
+        with pytest.raises(ValueError, match=r"^a grid needs 2b\+1 nodes per axis, got \(8,\) for widths \(9,\)$"):
+            sp1._values_on_grid(pot.coeffs[None], (width - 1,))
 
     def test_grid_over_the_budget_is_rejected(self, monkeypatch):
         # a grid holds nodes * m^2 entries, at most ROW_BUDGET^2
         monkeypatch.setattr(sp1, "ROW_BUDGET", 40)
         for m_dim, nodes in ((1, 1600), (2, 400)):
-            pot = sp1.MatrixPotential(sp1._psd_coeffs(1, m_dim, 1, 1.0, [0])[0])
-            assert pot.values_on_grid((nodes,)).shape == (nodes, m_dim, m_dim)
+            coeffs = sp1._psd_coeffs(1, m_dim, 1, 1.0, [0])
+            assert sp1._values_on_grid(coeffs, (nodes,)).shape == (1, nodes, m_dim, m_dim)
             with pytest.raises(ValueError, match=f"^a grid of {nodes + 1} nodes exceeds the dense budget$"):
-                pot.values_on_grid((nodes + 1,))
-        pot = sp1.MatrixPotential(sp1._psd_coeffs(2, 1, 1, 1.0, [0])[0])
+                sp1._values_on_grid(coeffs, (nodes + 1,))
         with pytest.raises(ValueError, match="^a grid of 1681 nodes exceeds the dense budget$"):
-            pot.values_on_grid((41, 41))
+            sp1._values_on_grid(sp1._psd_coeffs(2, 1, 1, 1.0, [0]), (41, 41))
 
 
 class TestAssembly:
@@ -678,17 +689,23 @@ class TestForms:
 class TestNegativeSpectrum:
     def test_simple_diagonal(self):
         rep = sp1.negative_spectrum(np.diag([-1.0, 0.0, 2.0]))
-        assert rep.negatives == (1.0,)
+        assert rep.negatives.tolist() == [1.0]
+
+    def test_magnitudes_are_a_read_only_float64_array(self):
+        rep = sp1.negative_spectrum(np.diag([-3.0, -1.0, 2.0]))
+        assert rep.negatives.dtype == np.float64 and rep.negatives.tolist() == [3.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            rep.negatives[0] = 0.0
 
     def test_zero_potential_empty(self):
         pot = sp1.MatrixPotential(constant_coeffs(0.0))
         rep = sp1.negative_spectrum(sp1.assemble_h1(pot, 1.0, 1.0, 4))
-        assert rep.negatives == ()
+        assert rep.negatives.tolist() == []
 
     def test_constant_two_modes(self):
         pot = sp1.MatrixPotential(constant_coeffs(2.0))
         rep = sp1.negative_spectrum(sp1.assemble_h2(pot, 0.0, 4))
-        assert rep.negatives == (1.0, 1.0)
+        assert rep.negatives.tolist() == [1.0, 1.0]
 
     def test_sorted_descending_positive(self):
         pot = sp1.random_psd_potential(2, 2, 2.0, 17)
@@ -732,14 +749,14 @@ class TestNegativeSpectrum:
             cut = sp1._EIG_CUT_REL * float(np.max(np.abs(a)))
             below, at = -np.nextafter(cut, np.inf), -cut
             monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([below, at, 0.0]))
-            assert sp1.negative_spectrum(a).negatives == (-below,)
+            assert sp1.negative_spectrum(a).negatives.tolist() == [-below]
 
     def test_zero_real_matrices_have_no_negatives(self):
         for zero in (np.zeros((3, 3)), np.full((3, 3), -0.0)):
-            assert sp1.negative_spectrum(zero).negatives == ()
+            assert sp1.negative_spectrum(zero).negatives.tolist() == []
 
     def test_empty_matrix(self):
-        assert sp1.negative_spectrum(np.zeros((0, 0))).negatives == ()
+        assert sp1.negative_spectrum(np.zeros((0, 0))).negatives.tolist() == []
 
 
 class TestRieszMean:

@@ -101,14 +101,14 @@ class TestConstantBound:
 class TestScalarPotential:
     def test_constant(self):
         pot = torus.ScalarPotentialD(constant_coeffs(2.0, d=2))
-        vals = pot.values_on_grid((4, 4))[..., 0, 0].real
+        vals = spectral1d._values_on_grid(pot.coeffs[None], (4, 4))[0, ..., 0, 0].real
         assert np.allclose(vals, 2.0)
 
     def test_random_nonnegative_and_symmetric(self):
         pot = torus.ScalarPotentialD.random(2, 2, 1.0, 7)
         assert pot.bands == (4, 4)
         pot.validate()
-        vals = pot.values_on_grid((40, 40))[..., 0, 0].real
+        vals = spectral1d._values_on_grid(pot.coeffs[None], (40, 40))[0, ..., 0, 0].real
         assert float(vals.min()) >= -1e-10 * max(1.0, float(vals.max()))
 
     def test_unpaired_coefficients_rejected_on_construction(self):
@@ -159,7 +159,7 @@ class TestScalarPotential:
         geom = torus.TorusGeometry((0.5, 1.0))
 
         def rectangle(n):
-            vals = np.clip(pot.values_on_grid((n, n))[..., 0, 0].real, 0.0, None)
+            vals = np.clip(spectral1d._values_on_grid(pot.coeffs[None], (n, n))[0, ..., 0, 0].real, 0.0, None)
             return geom.volume / n**2 * float(np.sum(vals**2.5))
 
         got = torus.potential_power_integral(pot, geom, 2.5)  # 80 nodes per axis

@@ -77,13 +77,18 @@ def _bisect(beta: float) -> tuple:
     return "proved", pieces, worst
 
 
+def _tail_constant(beta):
+    """c = 2 / (1 - e^(-2 pi sqrt(beta))) for an interval beta: coth x <= 1 + c e^(-2x)
+    for x >= pi sqrt(beta), with equality at pi sqrt(beta)."""
+    return 2 / (1 - iv.exp(-2 * iv.pi * iv.sqrt(beta)))
+
+
 def _tail_proved(beta: float) -> bool:
     """The closed-form tail bound: g(., beta) <= 1 on [LAM_TAIL, inf)."""
     with _digits():
         b_iv = iv.mpf(beta)
         t = LAM_TAIL + b_iv
-        c = 2 / (1 - iv.exp(-2 * iv.pi * iv.sqrt(b_iv)))
-        return (2 * t * c * iv.exp(-2 * iv.pi * iv.sqrt(t))).b <= b_iv.a
+        return (2 * t * _tail_constant(b_iv) * iv.exp(-2 * iv.pi * iv.sqrt(t))).b <= b_iv.a
 
 
 def test_k1_is_one_at_the_working_beta():
@@ -97,3 +102,15 @@ def test_one_tol_below_the_threshold_g_exceeds_1():
     beta = interp.beta_star(torus._THRESHOLD_TOL) - torus._THRESHOLD_TOL
     result = _bisect(beta)
     assert result[0] == "above", result
+
+
+def test_tail_constant_bounds_coth():
+    # coth x - 1 - c e^(-2x) is 0 at pi sqrt(beta) and negative beyond; an
+    # interval that lies wholly above 0 disproves the bound (half of c gives
+    # about 0.36 at pi sqrt(beta))
+    beta = torus.choose_betas(torus.TorusGeometry((1.0, 1.0))).betas[0]
+    with _digits():
+        b_iv = iv.mpf(beta)
+        for x in (iv.pi * iv.sqrt(b_iv), 2 * iv.pi * iv.sqrt(b_iv)):
+            excess = _coth(x) - 1 - _tail_constant(b_iv) * iv.exp(-2 * x)
+            assert excess.a <= 0, (x, excess)

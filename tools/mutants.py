@@ -92,6 +92,10 @@ MUTANTS = (
     Mutant("beta-below-threshold", _TORUS, "beta = interp.beta_star(_THRESHOLD_TOL) + _THRESHOLD_TOL",
            "beta = interp.beta_star(_THRESHOLD_TOL) - _THRESHOLD_TOL",
            ("tests/test_unit_regime.py::test_k1_is_one_at_the_working_beta",)),
+    # half the tail constant, which coth x <= 1 + c e^(-2x) pins at x = pi sqrt(beta)
+    Mutant("tail-constant-halved", "tests/test_unit_regime.py",
+           "return 2 / (1 - iv.exp(-2 * iv.pi * iv.sqrt(beta)))", "return 1 / (1 - iv.exp(-2 * iv.pi * iv.sqrt(beta)))",
+           ("tests/test_unit_regime.py::test_tail_constant_bounds_coth",)),
     # wrong constants that a closed form pins: c07's constant potential, c09's formulas
     Mutant("torus-constant-quartered", _TORUS, _TORUS_RHS,
            "potential, rep, gamma, 0.25 * sel.constant_factor, integral,",

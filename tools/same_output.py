@@ -1,9 +1,12 @@
-"""Run one fixed list of CLI commands on this checkout and on a git revision,
+"""Run one list of CLI commands on this checkout and on a git revision,
 and compare their outputs byte for byte.
 
     python3 tools/same_output.py REV [--expect-moved NAME ...]
 
-REV's `src` is exported with `git archive` (local git only) into a temporary
+COMMANDS holds README.md's `ltbounds` lines and every command of
+bench/reference.json, both read from this checkout, then every verify kind
+at its defaults, torus batches and torus usage errors.  REV's `src` is
+exported with `git archive` (local git only) into a temporary
 directory, which is removed on exit.  Each named command of COMMANDS runs as
 `python -m ltbounds ARGS` with PYTHONPATH set to one tree's `src`, in its own
 empty temporary working directory.  A command's output is its exit code,
@@ -22,6 +25,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -32,27 +36,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 _TORUS = "verify --kind torus"
-_BENCH_TORUS = f"{_TORUS} --d 2 --band 2 --seeds 4"
+
+
+def _readme_commands() -> list:
+    """README.md's `ltbounds` lines, with shell comments stripped, in file order."""
+    lines = re.findall(r"^ltbounds (.*)$", (ROOT / "README.md").read_text(), flags=re.MULTILINE)
+    return [(f"readme-{i}", shlex.join(shlex.split(line, comments=True))) for i, line in enumerate(lines, 1)]
+
+
+def _reference_commands() -> list:
+    """Every command key of bench/reference.json, per workload in file order."""
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+    return [(f"bench-{workload}-{i}", command)
+            for workload, commands in reference.items() for i, command in enumerate(commands, 1)]
+
 
 # (name, arguments after `ltbounds`)
 COMMANDS = (
-    # README.md's examples, in order
-    ("readme-constants", "constants --gamma 1 --d 2"),
-    ("readme-thresholds", "thresholds --tol 1e-5"),
-    ("readme-k1-curve", "k-curve --which k1 --min 0.01 --max 0.5 -n 50 --out k1.csv"),
-    ("readme-h2", "verify --kind h2 --seeds 20 --gamma 1"),
-    ("readme-torus", f"{_TORUS} --d 2 --alpha 0.25 --seeds 10 --band 1"),
-    ("readme-trace2", "verify --kind trace2 --m-dim 3 --band 3 --seeds 12"),
-    ("readme-rhs-scale", "verify --kind h2 --seeds 5 --rhs-scale 0.01"),
-    ("readme-attractor", "attractor --formula elongated --nu 1e-3 --mu 1 --length 1 --grad-g 1"),
-    # bench/reference.json's commands
-    ("bench-thresholds", "thresholds"),
-    ("bench-k1-curve", "k-curve --which k1"),
-    ("bench-k2-curve", "k-curve --which k2"),
-    *((f"bench-{kind}", f"verify --kind {kind} --seeds 12") for kind in ("h1", "h2", "trace1", "trace2")),
-    ("bench-torus-weak-alpha-1", f"{_BENCH_TORUS} --scale 1 --alpha 1"),
-    ("bench-torus-weak-alpha-0.5", f"{_BENCH_TORUS} --scale 1 --alpha 0.5"),
-    ("bench-torus-strong", f"{_BENCH_TORUS} --scale 3 --alpha 1"),
+    *_readme_commands(),
+    *_reference_commands(),
     # every kind at the CLI's defaults, and torus batches
     *((f"default-{kind}", f"verify --kind {kind}") for kind in ("h1", "h2", "torus", "trace1", "trace2")),
     *((f"torus-{n}-seeds", f"{_TORUS} --seeds {n}") for n in (1, 3, 20)),
