@@ -301,14 +301,24 @@ class TestTracePowerIntegral:
 _GRID_BANDS = (2, 1, 3)
 
 
-def _grid_cases(rejected: bool):
-    """(d, m, nodes) with bands _GRID_BANDS[:d]: 2b+1, 2b+2 and 4(2b+1)+1
-    nodes on every axis, after 2b nodes, which is rejected, if `rejected`."""
+def _grid_cases(counts):
+    """(d, m, nodes) with bands _GRID_BANDS[:d] and counts(2b+1)[i] nodes on
+    every axis, for each i."""
     for d in (1, 2, 3):
-        counts = [(2 * b, 2 * b + 1, 2 * b + 2, 4 * (2 * b + 1) + 1)[not rejected:] for b in _GRID_BANDS[:d]]
+        per_axis = [counts(2 * b + 1) for b in _GRID_BANDS[:d]]
         for m in (1, 2, 3):
-            for nodes in zip(*counts):
+            for nodes in zip(*per_axis):
                 yield d, m, nodes
+
+
+def _with_rejected(w):
+    """1, 2 and 2b nodes, below 2b+1 = w and rejected, then w, w+1 and 4w+1."""
+    return 1, 2, w - 1, w, w + 1, 4 * w + 1
+
+
+def _accepted(w):
+    """Odd and even counts from w = 2b+1 on, at and past 2w."""
+    return w, w + 1, 2 * w, 2 * w + 1, 4 * w, 4 * w + 1
 
 
 def _grid_coeffs(d, m):
@@ -318,10 +328,10 @@ def _grid_coeffs(d, m):
 
 
 class TestGridEvaluation:
-    @pytest.mark.parametrize("d, m, nodes", list(_grid_cases(rejected=True)))
+    @pytest.mark.parametrize("d, m, nodes", list(_grid_cases(_with_rejected)))
     def test_matches_the_direct_sum(self, d, m, nodes):
         coeffs = _grid_coeffs(d, m)
-        if nodes[0] == 2 * _GRID_BANDS[0]:
+        if any(n < w for n, w in zip(nodes, coeffs.shape[1:-2])):
             with pytest.raises(ValueError, match=r"^a grid needs 2b\+1 nodes per axis"):
                 sp1._values_on_grid(coeffs, nodes)
             return
@@ -338,7 +348,7 @@ class TestGridEvaluation:
                 plain = np.fft.ifft(plain, axis=axis, norm="forward")
             assert np.array_equal(got, plain)
 
-    @pytest.mark.parametrize("d, m, nodes", list(_grid_cases(rejected=False)))
+    @pytest.mark.parametrize("d, m, nodes", list(_grid_cases(_accepted)))
     def test_each_entry_is_bitwise_its_stack_of_one(self, d, m, nodes):
         coeffs = _grid_coeffs(d, m)
         stack = sp1._values_on_grid(coeffs, nodes)
