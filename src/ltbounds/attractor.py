@@ -45,11 +45,11 @@ class FlowParams:
     aspect: float = 1.0
 
     def __post_init__(self):
-        if self.nu <= 0 or self.mu <= 0 or self.length <= 0:
+        if not (self.nu > 0 and self.mu > 0 and self.length > 0):
             raise ValueError("nu, mu and length must be positive")
         if not 0.0 < self.aspect <= 1.0:
             raise ValueError("aspect ratio must lie in (0, 1]")
-        if self.grad_g_norm < 0:
+        if not self.grad_g_norm >= 0:
             raise ValueError("forcing norm cannot be negative")
 
 
@@ -60,7 +60,7 @@ def dim_bound_square(params: FlowParams, c_lt: float = 1.5) -> float:
     The first branch wins in the small-viscosity limit, the second for weak
     forcing on a small box.  Valid on the square torus only (aspect 1).
     """
-    if c_lt <= 0:
+    if not c_lt > 0:
         raise ValueError("c_lt must be positive")
     if params.aspect != 1.0:
         raise ValidityError(f"aspect={params.aspect} is not 1; the square-torus estimate does not apply")
@@ -77,7 +77,7 @@ def dim_bound_elongated(params: FlowParams, c_q: float = 6.0) -> float:
     nu <= 8 mu L^2 (the hypothesis of the underlying trace estimate); outside
     that region no bound is claimed and ValidityError is raised.
     """
-    if c_q <= 0:
+    if not c_q > 0:
         raise ValueError("c_q must be positive")
     if params.nu > 8.0 * params.mu * params.length**2:
         raise ValidityError(

@@ -124,14 +124,14 @@ def _verify_batch(kind: str, args, seeds) -> list:
         return [torus.verify_bound_torus(torus.ScalarPotentialD.random(args.d, args.band, args.scale, seed),
                                          geom, args.gamma, seed=seed) for seed in seeds]
     if kind in ("h1", "h2"):
-        pots = spectral1d._random_psd_potentials(args.m_dim, args.band, args.scale, seeds)
+        pots = spectral1d.random_psd_potential(args.m_dim, args.band, args.scale, seeds)
         if kind == "h1":
-            return spectral1d._verify_h1(pots, args.alpha, args.beta, args.gamma, None, seeds)
-        return spectral1d._verify_h2(pots, args.delta, args.gamma, None, seeds)
-    fams = families._random_families(args.family_size, args.m_dim, args.band, kind == "trace2", seeds)
+            return spectral1d.verify_bound_h1(pots, args.alpha, args.beta, args.gamma, seeds=seeds)
+        return spectral1d.verify_bound_h2(pots, args.delta, args.gamma, seeds=seeds)
+    fams = families.random_orthonormal_family(args.family_size, args.m_dim, args.band, kind == "trace2", seeds)
     if kind == "trace1":
-        return families._verify_trace(fams, args.beta, "add", {"alpha": args.alpha}, seeds)
-    return families._verify_trace(fams, args.delta, "subtract", {}, seeds)
+        return families.verify_trace1(fams, args.alpha, args.beta, seeds=seeds)
+    return families.verify_trace2(fams, args.delta, seeds=seeds)
 
 
 def cmd_verify(args) -> int:

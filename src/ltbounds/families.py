@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spectral1d
 from .reports import BoundReport
-from .spectral1d import _autocorrelation, _block_eigvalsh, _form, _gaussian_draws, _values_on_grid
+from .spectral1d import _autocorrelation, _block_eigvalsh, _form, _gaussian_draws, _seeds_of, _values_on_grid
 
 __all__ = [
     "OrthonormalFamily",
@@ -53,9 +53,9 @@ class OrthonormalFamily:
             raise ValueError(f"coeffs shape {self.coeffs.shape} is not (n_members, 2b+1, m_dim)")
 
 
-# The stacked layers below take the coefficients of several families of one
-# shape with a leading stack axis, (S, n_members, 2*band+1, m_dim), one per
-# seed of a CLI batch, and give per-family results in stack order, each
+# The functions below work on several families of one shape at once, one
+# per seed of a CLI batch, as one stack of coefficients (S, n_members,
+# 2*band+1, m_dim), and give per-family results in stack order, each
 # bitwise the family's result alone on a stack of one.
 
 
@@ -72,24 +72,15 @@ def _check_entries(n_members: int, m_dim: int, band: int) -> None:
         raise ValueError(f"a family of {n_members} members exceeds the dense budget")
 
 
-def random_orthonormal_family(
-    n_members: int,
-    m_dim: int,
-    band: int,
-    zero_mean: bool,
-    seed: int,
-) -> OrthonormalFamily:
-    """Gaussian coefficients orthonormalized by QR in coefficient space.
+def random_orthonormal_family(n_members: int, m_dim: int, band: int, zero_mean: bool, seeds) -> list:
+    """Random orthonormal families, one per seed and deterministic per seed:
+    Gaussian coefficients orthonormalized by QR in coefficient space, drawn
+    as one stack.
 
     With zero_mean the k = 0 coefficients are excluded from the working
     space, so they come out exactly zero.  A rank-deficient draw (numerically
     impossible, but cheap to guard) raises RuntimeError.
     """
-    return OrthonormalFamily(_random_families(n_members, m_dim, band, zero_mean, [seed])[0])
-
-
-def _random_families(n_members: int, m_dim: int, band: int, zero_mean: bool, seeds) -> np.ndarray:
-    """The coefficients of random_orthonormal_family for each seed, as one stack."""
     capacity = m_dim * (2 * band if zero_mean else 2 * band + 1)
     if n_members < 0 or n_members > capacity:
         raise ValueError(f"cannot fit {n_members} orthonormal members in dimension {capacity}")
@@ -105,25 +96,18 @@ def _random_families(n_members: int, m_dim: int, band: int, zero_mean: bool, see
     for defect in _gram_defect(coeffs):
         if defect > 1e-12:
             raise AssertionError(f"Gram defect {defect:.3e} exceeds 1e-12")
-    return coeffs
+    return [OrthonormalFamily(c) for c in coeffs]
 
 
-def density_and_kinetic(
-    fam: OrthonormalFamily, beta: float, mode: str, alpha: float = 1.0
-) -> tuple[float, float]:
-    """(integral of Tr[U(x,x)^3] over the period 2pi/alpha, kinetic form).
+def density_and_kinetic(families, beta: float, mode: str, alpha: float = 1.0) -> tuple:
+    """(integral of Tr[U(x,x)^3] over the period 2pi/alpha, kinetic form) of
+    each family of one shape: an array of integrals and a list of forms.
 
     Both are exact sums: the kinetic form by Parseval, the integral as the
     rectangle rule on 6b + 1 nodes for the degree-6b polynomial Tr U^3.
     """
-    lhs, kinetic = _density_and_kinetic(fam.coeffs[None], beta, mode, alpha)
-    return float(lhs[0]), kinetic[0]
-
-
-def _density_and_kinetic(coeffs: np.ndarray, beta: float, mode: str, alpha: float = 1.0) -> tuple:
-    """density_and_kinetic of each family of the stack: an array of
-    integrals and a list of kinetic forms."""
     form = _form(mode, beta, alpha)
+    coeffs = np.stack([fam.coeffs for fam in families])
     n_members, width, m_dim = coeffs.shape[1:]
     band = (width - 1) // 2
     if form.projected and np.any(coeffs[:, :, band, :]):
@@ -141,13 +125,14 @@ def _density_and_kinetic(coeffs: np.ndarray, beta: float, mode: str, alpha: floa
     return lhs, [float(np.einsum("k,nkj->", weights, square).real) for square in squares]
 
 
-def _verify_trace(coeffs, beta, mode, params, seeds) -> list:
-    # Shared body of the trace verifiers for a stack of families and their
+def _verify_trace(families, beta, mode, params, seeds) -> list:
+    # Shared body of the trace verifiers for families of one shape and their
     # seeds; params (alpha for the add form) reach the form, the density and
     # the metadata.
-    lhs, kinetic = _density_and_kinetic(coeffs, beta, mode, **params)
+    seeds = _seeds_of(families, seeds)
+    lhs, kinetic = density_and_kinetic(families, beta, mode, **params)
     k_const = _form(mode, beta, **params).solve_k().value
-    n_members, width, m_dim = coeffs.shape[1:]
+    n_members, width, m_dim = families[0].coeffs.shape
     meta = {
         "kind": f"trace_{mode}",
         "beta": beta,
@@ -163,15 +148,16 @@ def _verify_trace(coeffs, beta, mode, params, seeds) -> list:
     return reports
 
 
-def verify_trace1(fam: OrthonormalFamily, alpha: float, beta: float, seed: int | None = None) -> BoundReport:
+def verify_trace1(families, alpha: float, beta: float, seeds=None) -> list:
     """Cubed-density trace bound with the mass-added kinetic form and K1^2,
-    on the period 2pi/alpha."""
-    return _verify_trace(fam.coeffs[None], beta, "add", {"alpha": alpha}, [seed])[0]
+    on the period 2pi/alpha: one BoundReport per family (of one shape) and
+    its seed, which adds a "seed" field unless None."""
+    return _verify_trace(families, beta, "add", {"alpha": alpha}, seeds)
 
 
-def verify_trace2(fam: OrthonormalFamily, beta: float, seed: int | None = None) -> BoundReport:
+def verify_trace2(families, beta: float, seeds=None) -> list:
     """Zero-mean mirror of :func:`verify_trace1` on period 2pi, with K2(beta)^2."""
-    return _verify_trace(fam.coeffs[None], beta, "subtract", {}, [seed])[0]
+    return _verify_trace(families, beta, "subtract", {}, seeds)
 
 
 def verify_interpolation(

@@ -51,7 +51,7 @@ def semiclassical_constant(gamma: float, d: int) -> float:
     This is the classical constant appearing in Weyl-type bounds on Riesz
     means of negative eigenvalues in dimension d.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if d < 1 or d != int(d):
         raise ValueError(f"d must be a positive integer, got {d}")
@@ -68,7 +68,7 @@ def product_identity_check(gamma: float, d: int) -> tuple[float, float]:
     Returns (product of the d one-dimensional factors, direct d-dimensional
     value).  The two agree to ~1e-12 relative; callers assert this.
     """
-    if gamma < 1:
+    if not gamma >= 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     if d < 1 or d != int(d):
         raise ValueError(f"d must be a positive integer, got {d}")
@@ -81,7 +81,7 @@ def product_identity_check(gamma: float, d: int) -> tuple[float, float]:
 def lt_to_orthonormal_constant(lt_constant: float, d: int) -> float:
     """Convert a 1-moment eigenvalue-bound constant into the equivalent
     orthonormal-family constant: (2/d) (1+d/2)^(1+2/d) L^(2/d)."""
-    if lt_constant <= 0:
+    if not lt_constant > 0:
         raise ValueError(f"lt_constant must be > 0, got {lt_constant}")
     if d < 1 or d != int(d):
         raise ValueError(f"d must be a positive integer, got {d}")

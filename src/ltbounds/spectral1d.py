@@ -191,7 +191,7 @@ def _gaussian_draws(shape: tuple, seeds) -> np.ndarray:
 
 def _check_psd_params(d: int, m_dim: int, band: int, scale: float) -> None:
     """Reject the parameters of :func:`_psd_coeffs` before it does any work."""
-    if d < 1 or m_dim < 1 or band < 0 or scale <= 0:
+    if d < 1 or m_dim < 1 or band < 0 or not scale > 0:
         raise ValueError("invalid potential parameters")
     # V's band 2*band needs a Galerkin matrix within the row budget; rejected before V's grid is built
     _check_rows((2 * band,) * d, m_dim, projected=band > 0)
@@ -272,14 +272,10 @@ def _power_integral(coeffs: np.ndarray, p: float, volume: float, nodes) -> np.nd
     return refined
 
 
-def random_psd_potential(m_dim: int, band: int, scale: float, seed: int) -> MatrixPotential:
-    """Random pointwise-PSD 1D potential V = W W^H, deterministic per seed;
-    W has band `band` and coefficient standard deviation `scale`."""
-    return _random_psd_potentials(m_dim, band, scale, [seed])[0]
-
-
-def _random_psd_potentials(m_dim: int, band: int, scale: float, seeds) -> list:
-    """random_psd_potential of each seed, drawn and validated as one stack."""
+def random_psd_potential(m_dim: int, band: int, scale: float, seeds) -> list:
+    """Random pointwise-PSD 1D potentials V = W W^H, one per seed and
+    deterministic per seed, drawn and validated as one stack; W has band
+    `band` and coefficient standard deviation `scale`."""
     coeffs = _psd_coeffs(1, m_dim, band, scale, seeds)
     potentials = [MatrixPotential(c) for c in coeffs]
     _validate(coeffs)
@@ -292,10 +288,11 @@ def _quad_grid_1d(potential: MatrixPotential) -> int:
     return 32 * (2 * potential.bands[0] + 1)
 
 
-def trace_power_integral(potential: MatrixPotential, p: float, period: float) -> float:
-    """Integral of Tr V_+^p over one period of a 1D potential, on 32 nodes
-    per mode refined by doubling."""
-    return float(_power_integral(potential.coeffs[None], p, period, (_quad_grid_1d(potential),))[0])
+def trace_power_integral(potentials, p: float, period: float) -> np.ndarray:
+    """Integral of Tr V_+^p over one period of each 1D potential of one
+    shape, on 32 nodes per mode refined by doubling, as one stack."""
+    coeffs = np.stack([potential.coeffs for potential in potentials])
+    return _power_integral(coeffs, p, period, (_quad_grid_1d(potentials[0]),))
 
 
 def _check_rows(n_modes, m_dim: int, projected: bool) -> None:
@@ -576,6 +573,15 @@ def _lattice_bound(potential, rep, gamma, k_factor, integral, quadrature, seed, 
     return BoundReport.build(lhs, const * integral, constant_used=const, **meta)
 
 
+def _seeds_of(items, seeds) -> list:
+    """The seed of each item (potential or family), None for each without
+    seeds.  No items, or seeds of another length, raise ValueError, since
+    zip would silently drop the reports past the shorter list."""
+    if not len(items) or (seeds is not None and len(seeds) != len(items)):
+        raise ValueError(f"need one seed per item and at least one item, got {len(items)} items")
+    return [None] * len(items) if seeds is None else seeds
+
+
 def _verify_1d(which, beta, alpha, potentials, gamma, n_max, seeds, /, **params) -> list:
     # Shared body of the h1 and h2 verifiers, for potentials of one shape
     # and their seeds, on the period 2pi/alpha.  The rhs quadratures run
@@ -584,14 +590,14 @@ def _verify_1d(which, beta, alpha, potentials, gamma, n_max, seeds, /, **params)
     # in turn climbs its ladder (only n_max when it is given): each
     # truncation is enclosed from both sides, and the first whose sides agree
     # to _GAP_REL relative decides, else the ladder's top rung.
+    seeds = _seeds_of(potentials, seeds)
     _check_gamma(gamma)
     form = _form(which, beta, alpha)
     _check_1d(potentials[0])
-    coeffs = np.stack([potential.coeffs for potential in potentials])
-    grid = _quad_grid_1d(potentials[0])
-    integrals = _power_integral(coeffs, gamma + 0.5, 2.0 * math.pi / alpha, (grid,))
+    integrals = trace_power_integral(potentials, gamma + 0.5, 2.0 * math.pi / alpha)
+    sup_bounds = _sup_bound(np.stack([potential.coeffs for potential in potentials]))
     reports = []
-    for potential, integral, s, seed in zip(potentials, integrals, _sup_bound(coeffs), seeds):
+    for potential, integral, s, seed in zip(potentials, integrals, sup_bounds, seeds):
         for n in form.truncations(potential, s) if n_max is None else [n_max]:
             lower, upper = form.enclosure(potential, n, s)
             rep = negative_spectrum(lower)
@@ -599,32 +605,16 @@ def _verify_1d(which, beta, alpha, potentials, gamma, n_max, seeds, /, **params)
             if lhs_upper is not None and lhs_upper - riesz_mean(rep, gamma) <= _GAP_REL * lhs_upper:
                 break
         reports.append(_lattice_bound(
-            potential, rep, gamma, form.solve_k().value, float(integral), grid, seed,
+            potential, rep, gamma, form.solve_k().value, float(integral), _quad_grid_1d(potential), seed,
             **params, truncation=n, lhs_upper=lhs_upper, m_dim=potential.m_dim,
             band=potential.bands[0],
         ))
     return reports
 
 
-def _verify_h1(potentials, alpha, beta, gamma, n_max, seeds) -> list:
-    """verify_bound_h1 of each potential and its seed."""
-    return _verify_1d("add", beta, alpha, potentials, gamma, n_max, seeds, operator="h1", alpha=alpha, beta=beta)
-
-
-def _verify_h2(potentials, delta, gamma, n_max, seeds) -> list:
-    """verify_bound_h2 of each potential and its seed."""
-    return _verify_1d("subtract", delta, 1.0, potentials, gamma, n_max, seeds, operator="h2", delta=delta)
-
-
-def verify_bound_h1(
-    potential: MatrixPotential,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    n_max: int | None = None,
-    seed: int | None = None,
-) -> BoundReport:
-    """Check the Riesz-mean bound for the mass-added operator.
+def verify_bound_h1(potentials, alpha: float, beta: float, gamma: float, n_max: int | None = None, seeds=None) -> list:
+    """Check the Riesz-mean bound for the mass-added operator, one
+    BoundReport per potential (of one shape) and its seed.
 
     lhs: gamma-moment of the Galerkin negative spectrum (a lower bound on
     the continuum moment); lhs_upper: the moment of the upper matrix of
@@ -632,16 +622,12 @@ def verify_bound_h1(
     (pi/sqrt3) K1(beta) L_cl(gamma,1) times the trace integral of
     V^(gamma+1/2).  By default the truncation is the first rung of
     _Form.truncations whose two sides agree to 1e-12 relative, else b + 32.
+    seeds, one entry per potential, adds a "seed" field to each report
+    whose entry is not None.
     """
-    return _verify_h1([potential], alpha, beta, gamma, n_max, [seed])[0]
+    return _verify_1d("add", beta, alpha, potentials, gamma, n_max, seeds, operator="h1", alpha=alpha, beta=beta)
 
 
-def verify_bound_h2(
-    potential: MatrixPotential,
-    delta: float,
-    gamma: float,
-    n_max: int | None = None,
-    seed: int | None = None,
-) -> BoundReport:
+def verify_bound_h2(potentials, delta: float, gamma: float, n_max: int | None = None, seeds=None) -> list:
     """Mass-subtracted mirror of :func:`verify_bound_h1`, with K2(delta)."""
-    return _verify_h2([potential], delta, gamma, n_max, [seed])[0]
+    return _verify_1d("subtract", delta, 1.0, potentials, gamma, n_max, seeds, operator="h2", delta=delta)

@@ -54,7 +54,7 @@ class TorusGeometry:
         object.__setattr__(self, "alphas", a)
         if len(a) < 2:
             raise ValueError("torus geometry needs d >= 2")
-        if any(v <= 0 for v in a):
+        if any(not v > 0 for v in a):
             raise ValueError("period ratios must be positive")
         if any(x > y + 1e-15 for x, y in zip(a, a[1:])):
             raise ValueError("period ratios must be non-decreasing")

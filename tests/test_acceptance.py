@@ -101,9 +101,9 @@ def test_c06_one_dimensional_spectral_bounds():
     t0 = time.perf_counter()
     # exact constant-potential enumerations
     pot2 = spectral1d.MatrixPotential(constant_coeffs(2.0))
-    rep_h1 = spectral1d.verify_bound_h1(pot2, 1.0, 1.0, 1.0, n_max=32)
+    rep_h1 = spectral1d.verify_bound_h1([pot2], 1.0, 1.0, 1.0, n_max=32)[0]
     assert rep_h1.lhs == 1.0 and rep_h1.passed
-    rep_h2 = spectral1d.verify_bound_h2(pot2, 0.0, 1.0, n_max=32)
+    rep_h2 = spectral1d.verify_bound_h2([pot2], 0.0, 1.0, n_max=32)[0]
     assert rep_h2.lhs == 2.0 and rep_h2.passed
 
     gammas = (1.0, 1.5, 2.0)
@@ -114,20 +114,20 @@ def test_c06_one_dimensional_spectral_bounds():
         m_dim = 1 + seed % 3
         band = 1 + seed % 2  # stored band 2 or 4 after squaring
         gamma = gammas[seed % 3]
-        pot = spectral1d.random_psd_potential(m_dim, band, 1.0, seed)
+        pot = spectral1d.random_psd_potential(m_dim, band, 1.0, [seed])[0]
         rep = spectral1d.verify_bound_h1(
-            pot, 1.0, betas[seed % 3], gamma, n_max=pot.bands[0] + 32, seed=seed
-        )
+            [pot], 1.0, betas[seed % 3], gamma, n_max=pot.bands[0] + 32, seeds=[seed]
+        )[0]
         assert rep.passed and rep.ratio <= 1.0 and rep.metadata["certified"], rep.to_dict()
         worst = max(worst, rep.ratio)
     for seed in range(50):
         m_dim = 1 + seed % 3
         band = 1 + seed % 2
         gamma = gammas[seed % 3]
-        pot = spectral1d.random_psd_potential(m_dim, band, 1.0, 1000 + seed)
+        pot = spectral1d.random_psd_potential(m_dim, band, 1.0, [1000 + seed])[0]
         rep = spectral1d.verify_bound_h2(
-            pot, deltas[seed % 3], gamma, n_max=pot.bands[0] + 32, seed=seed
-        )
+            [pot], deltas[seed % 3], gamma, n_max=pot.bands[0] + 32, seeds=[seed]
+        )[0]
         assert rep.passed and rep.ratio <= 1.0 and rep.metadata["certified"], rep.to_dict()
         worst = max(worst, rep.ratio)
     elapsed = time.perf_counter() - t0
@@ -169,7 +169,7 @@ def test_c08_trace_inequalities():
     coeffs[1, 2, 0] = -1j * r
     coeffs[1, 0, 0] = 1j * r
     fam = families.OrthonormalFamily(coeffs)
-    rep = families.verify_trace2(fam, 0.0)
+    rep = families.verify_trace2([fam], 0.0)[0]
     assert abs(rep.lhs - 2.0 / math.pi**2) <= 1e-10
     assert rep.rhs == pytest.approx(2.0, rel=1e-12)
 
@@ -177,10 +177,10 @@ def test_c08_trace_inequalities():
         n = 1 + seed % 4
         m = 1 + seed % 3
         band = 1 + seed % 4
-        fam1 = families.random_orthonormal_family(n, m, band, False, seed)
-        assert families.verify_trace1(fam1, 1.0, 0.05 + 0.2 * (seed % 5), seed=seed).passed
-        fam2 = families.random_orthonormal_family(n, m, band, True, 500 + seed)
-        assert families.verify_trace2(fam2, 0.1 * (seed % 9), seed=seed).passed
+        fam1 = families.random_orthonormal_family(n, m, band, False, [seed])
+        assert families.verify_trace1(fam1, 1.0, 0.05 + 0.2 * (seed % 5), seeds=[seed])[0].passed
+        fam2 = families.random_orthonormal_family(n, m, band, True, [500 + seed])
+        assert families.verify_trace2(fam2, 0.1 * (seed % 9), seeds=[seed])[0].passed
     _report(8, "closed-form trace example exact; 100 random families pass both bounds")
 
 
@@ -223,7 +223,7 @@ def test_c11_one_bound_state_well():
         k = np.arange(-w_band, w_band + 1)
         w = (alpha / 2.0) * math.sqrt(0.75) / np.cosh(math.pi * k * alpha / 2.0)
         v = spectral1d._autocorrelation(w.astype(complex)[None, :, None, None])[0]
-        rep = spectral1d.verify_bound_h1(spectral1d.MatrixPotential(v), alpha, 0.05, 1.0)
+        rep = spectral1d.verify_bound_h1([spectral1d.MatrixPotential(v)], alpha, 0.05, 1.0)[0]
         assert rep.metadata["certified"] is True and rep.metadata["negative_count"] == 1, rep.to_dict()
         ratios.append(rep.ratio)
     limit = 2.0 / math.pi

@@ -21,6 +21,10 @@ class TestFlowParams:
             FlowParams(nu=1.0, mu=1.0, length=1.0, grad_g_norm=-1.0)
         with pytest.raises(ValueError):
             FlowParams(nu=1.0, mu=1.0, length=1.0, grad_g_norm=1.0, aspect=1.5)
+        with pytest.raises(ValueError, match="must be positive"):
+            FlowParams(nu=math.nan, mu=1.0, length=1.0, grad_g_norm=1.0)
+        with pytest.raises(ValueError, match="cannot be negative"):
+            FlowParams(nu=1.0, mu=1.0, length=1.0, grad_g_norm=math.nan)
 
 
 class TestSquareBound:
@@ -55,6 +59,11 @@ class TestSquareBound:
         big = attractor.dim_bound_square(params(grad=100.0))
         assert attractor.dim_bound_square(params(grad=200.0)) == pytest.approx(2 * big, rel=1e-12)
 
+    @pytest.mark.parametrize("c_lt", [0.0, -1.0, math.nan])
+    def test_constant_must_be_positive(self, c_lt):
+        with pytest.raises(ValueError, match="c_lt must be positive"):
+            attractor.dim_bound_square(params(), c_lt=c_lt)
+
     def test_square_torus_only(self):
         # the aspect-uniform estimate is the elongated one
         for aspect in (0.25, 1.0 - 1e-12):
@@ -84,6 +93,11 @@ class TestElongatedBound:
         assert 0.5 * c_p + math.sqrt(c_p * c_q) == pytest.approx(
             math.pi / 12.0 + math.sqrt(math.pi), rel=1e-14
         )
+
+    @pytest.mark.parametrize("c_q", [0.0, -1.0, math.nan])
+    def test_constant_must_be_positive(self, c_q):
+        with pytest.raises(ValueError, match="c_q must be positive"):
+            attractor.dim_bound_elongated(params(), c_q=c_q)
 
     def test_validity_guard(self):
         with pytest.raises(attractor.ValidityError):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltbounds import __version__, cli, interp, spectral1d, torus
+from ltbounds import __version__, cli, families, interp, spectral1d, torus
 from ltbounds.cli import main
 
 
@@ -385,6 +385,24 @@ class TestVerify:
         assert all(main for _, main in calls)
         assert sum(stacks) == 40 and max(stacks) == cli._BATCH
 
+    @pytest.mark.parametrize("kind", ["h1", "h2", "trace1", "trace2"])
+    def test_1d_kinds_run_through_the_public_functions(self, capsys, monkeypatch, kind):
+        # one call of each per stack: 40 seeds are stacks of 16, 16 and 8.
+        # A draw's stack is its seeds, the others' their first argument.
+        if kind in ("h1", "h2"):
+            module, names = spectral1d, ("random_psd_potential", "trace_power_integral", f"verify_bound_{kind}")
+        else:
+            module, names = families, ("random_orthonormal_family", "density_and_kinetic", f"verify_{kind}")
+        stacks = {name: [] for name in names}
+        for name in names:
+            def recording(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                stacks[_name].append(len(args[-1] if _name.startswith("random_") else args[0]))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+        assert run(capsys, "verify", "--kind", kind, "--seeds", "40")[0] == 0
+        assert stacks == {name: [16, 16, 8] for name in names}
+
     def test_large_seeds_are_stacked_fewer_at_a_time(self, capsys, monkeypatch):
         # a default h2 seed holds at most 2 * 64 * 9 * 2 = 2,304 entries in one stacked array
         stacks = []
@@ -428,6 +446,44 @@ class TestVerify:
         for kind in ("h1", "trace2"):
             assert run(capsys, "verify", "--kind", kind, "--seeds", "12")[0] == 0
         assert solved == [0.5, 0.5]
+
+
+def _draw(kind, seeds):
+    """The potentials or families of the seeds, at the CLI's defaults."""
+    if kind in ("h1", "h2"):
+        return spectral1d.random_psd_potential(2, 2, 1.0, seeds)
+    return families.random_orthonormal_family(3, 2, 2, kind == "trace2", seeds)
+
+
+# each 1D kind's verifier at the CLI's defaults
+VERIFIERS = {
+    "h1": lambda items, seeds: spectral1d.verify_bound_h1(items, 1.0, 0.5, 1.0, seeds=seeds),
+    "h2": lambda items, seeds: spectral1d.verify_bound_h2(items, 0.5, 1.0, seeds=seeds),
+    "trace1": lambda items, seeds: families.verify_trace1(items, 1.0, 0.5, seeds=seeds),
+    "trace2": lambda items, seeds: families.verify_trace2(items, 0.5, seeds=seeds),
+}
+
+
+@pytest.mark.parametrize("kind", list(VERIFIERS))
+class TestPublicVerifierSeeds:
+    def test_seeds_of_another_length_or_no_items_raise(self, kind):
+        items = _draw(kind, [5, 6])
+        for seeds in ([5], [5, 6, 7], []):
+            with pytest.raises(ValueError, match="one seed per item"):
+                VERIFIERS[kind](items, seeds)
+        with pytest.raises(ValueError, match="at least one item"):
+            VERIFIERS[kind]([], None)
+
+    def test_no_seeds_add_no_seed_field(self, kind):
+        reports = VERIFIERS[kind](_draw(kind, [5, 6]), None)
+        assert len(reports) == 2 and all("seed" not in rep.to_dict() for rep in reports)
+
+    def test_a_list_of_one_gives_the_clis_report(self, capsys, kind):
+        code, out, _ = run(capsys, "verify", "--kind", kind, "--seeds", "1", "--seed-base", "6")
+        assert code == 0
+        want, = json.loads(out)["reports"]
+        got, = VERIFIERS[kind](_draw(kind, [6]), [6])
+        assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def _options(command, flags, required=None):

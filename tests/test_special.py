@@ -21,6 +21,10 @@ class TestSemiclassicalConstant:
             special.semiclassical_constant(-0.5, 1)
         with pytest.raises(ValueError):
             special.semiclassical_constant(1.0, 0)
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            special.semiclassical_constant(math.nan, 2)
+        with pytest.raises(ValueError, match="gamma must be >= 1"):
+            special.product_identity_check(math.nan, 2)
 
     @given(
         gamma=st.floats(min_value=0.0, max_value=10.0),
@@ -52,6 +56,8 @@ class TestOrthonormalConstant:
             special.lt_to_orthonormal_constant(0.0, 2)
         with pytest.raises(ValueError):
             special.lt_to_orthonormal_constant(1.0, 0)
+        with pytest.raises(ValueError, match="lt_constant must be > 0"):
+            special.lt_to_orthonormal_constant(math.nan, 2)
 
 
 def _dense_points() -> list[float]:

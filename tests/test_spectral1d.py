@@ -40,31 +40,31 @@ def _hermitized_conjugation(pot, unitary):
 
 class TestRandomPotential:
     def test_deterministic(self):
-        a = sp1.random_psd_potential(2, 2, 1.0, 42)
-        b = sp1.random_psd_potential(2, 2, 1.0, 42)
+        a = sp1.random_psd_potential(2, 2, 1.0, [42])[0]
+        b = sp1.random_psd_potential(2, 2, 1.0, [42])[0]
         assert np.array_equal(a.coeffs, b.coeffs)
-        c = sp1.random_psd_potential(2, 2, 1.0, 43)
+        c = sp1.random_psd_potential(2, 2, 1.0, [43])[0]
         assert not np.array_equal(a.coeffs, c.coeffs)
 
     def test_band_zero_is_constant(self):
-        pot = sp1.random_psd_potential(1, 0, 0.7, 5)
+        pot = sp1.random_psd_potential(1, 0, 0.7, [5])[0]
         assert pot.bands[0] == 0
         vals = sp1._values_on_grid(pot.coeffs[None], (17,))[0, :, 0, 0]
         assert np.allclose(vals, vals[0])
         assert vals[0].real > 0.0
 
     def test_pointwise_psd(self):
-        pot = sp1.random_psd_potential(2, 2, 1.0, 42)
+        pot = sp1.random_psd_potential(2, 2, 1.0, [42])[0]
         evs = np.linalg.eigvalsh(sp1._values_on_grid(pot.coeffs[None], (512,))[0])
         assert float(np.min(evs)) >= -1e-10 * max(1.0, float(np.max(evs)))
 
     def test_band_doubles(self):
-        pot = sp1.random_psd_potential(3, 4, 0.5, 0)
+        pot = sp1.random_psd_potential(3, 4, 0.5, [0])[0]
         assert pot.bands[0] == 8
         assert pot.coeffs.shape == (17, 3, 3)
 
     def test_exact_adjoint_pairs(self):
-        pot = sp1.random_psd_potential(3, 3, 1.0, 11)
+        pot = sp1.random_psd_potential(3, 3, 1.0, [11])[0]
         b = pot.bands[0]
         for k in range(1, b + 1):
             assert np.array_equal(pot.coeffs[-k + b], pot.coeffs[k + b].conj().T)
@@ -115,9 +115,12 @@ class TestRandomPotential:
 
     def test_validation_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            sp1.random_psd_potential(0, 1, 1.0, 0)
+            sp1.random_psd_potential(0, 1, 1.0, [0])
         with pytest.raises(ValueError):
-            sp1.random_psd_potential(1, 1, 0.0, 0)
+            sp1.random_psd_potential(1, 1, 0.0, [0])
+        # rejected by the guard, before the draw's autocorrelation warns
+        with pytest.raises(ValueError, match="invalid potential parameters"):
+            sp1.random_psd_potential(2, 1, math.nan, [0])
 
 
 def _assert_parity(got, want):
@@ -245,18 +248,18 @@ class TestTracePowerIntegral:
             assert val == pytest.approx(TWO_PI * (0.5**p + 3.0**p), rel=1e-13)
 
     def test_grid_doubling_stable(self):
-        pot = sp1.random_psd_potential(2, 3, 1.0, 3)
-        a = sp1.trace_power_integral(pot, 1.5, TWO_PI)
+        pot = sp1.random_psd_potential(2, 3, 1.0, [3])[0]
+        a = sp1.trace_power_integral([pot], 1.5, TWO_PI)[0]
         b = sp1._power_integral(pot.coeffs[None], 1.5, TWO_PI, (64 * (2 * pot.bands[0] + 1),))[0]
         assert a == pytest.approx(b, rel=1e-8)
 
     def test_convergence_flag_fires_on_coarse_grid(self):
         # seed 0 has a near-degenerate eigenvalue branch; at 8x oversampling
         # the fractional-power kink still moves the integral above the flag.
-        pot = sp1.random_psd_potential(2, 2, 1.0, 0)
+        pot = sp1.random_psd_potential(2, 2, 1.0, [0])[0]
         with pytest.raises(ConvergenceError):
             sp1._power_integral(pot.coeffs[None], 1.5, TWO_PI, (8 * (2 * pot.bands[0] + 1),))[0]
-        sp1.trace_power_integral(pot, 1.5, TWO_PI)  # default grid is fine
+        sp1.trace_power_integral([pot], 1.5, TWO_PI)  # default grid is fine
 
     @pytest.mark.parametrize("d, m_dim", [(1, 1), (1, 2), (1, 3), (2, 1)])
     def test_one_grid_evaluation_per_call(self, monkeypatch, d, m_dim):
@@ -288,14 +291,14 @@ class TestTracePowerIntegral:
             assert np.array_equal(coarse, fine[::2])
 
     def test_grid_minimum_enforced(self):
-        pot = sp1.random_psd_potential(1, 2, 1.0, 1)
+        pot = sp1.random_psd_potential(1, 2, 1.0, [1])[0]
         with pytest.raises(ValueError):
             sp1._power_integral(pot.coeffs[None], 1.5, TWO_PI, (4,))[0]
 
     def test_power_validation(self):
         pot = sp1.MatrixPotential(constant_coeffs(1.0))
         with pytest.raises(ValueError):
-            sp1.trace_power_integral(pot, 0.5, TWO_PI)
+            sp1.trace_power_integral([pot], 0.5, TWO_PI)
 
 
 _GRID_BANDS = (2, 1, 3)
@@ -358,7 +361,7 @@ class TestGridEvaluation:
 
     @pytest.mark.parametrize("m_dim", [1, 2])
     def test_potential_values_at_every_node_count(self, m_dim):
-        pot = sp1.random_psd_potential(m_dim, 2, 1.0, 3)
+        pot = sp1.random_psd_potential(m_dim, 2, 1.0, [3])[0]
         width = 2 * pot.bands[0] + 1
         for n in range(width, 4 * width + 2):
             want = direct_sum_on_grid(pot.coeffs[None], (n,))
@@ -391,12 +394,12 @@ class TestAssembly:
         assert float(np.min(np.linalg.eigvalsh(a))) >= 0.5**2 * 0.3 - 1e-14
 
     def test_h1_exact_hermiticity(self):
-        pot = sp1.random_psd_potential(2, 3, 1.0, 9)
+        pot = sp1.random_psd_potential(2, 3, 1.0, [9])[0]
         a = sp1.assemble_h1(pot, 1.0, 0.5, pot.bands[0] + 8)
         assert float(np.max(np.abs(a - a.conj().T))) == 0.0
 
     def test_h1_size_and_truncation_check(self):
-        pot = sp1.random_psd_potential(2, 1, 1.0, 0)
+        pot = sp1.random_psd_potential(2, 1, 1.0, [0])[0]
         a = sp1.assemble_h1(pot, 1.0, 1.0, 5)
         assert a.shape == (2 * 11, 2 * 11)
         with pytest.raises(ValueError):
@@ -405,7 +408,7 @@ class TestAssembly:
     @pytest.mark.parametrize("m_dim", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_h1_matches_loop_oracle(self, m_dim, alpha):
-        pot = sp1.random_psd_potential(m_dim, 1, 1.0, 11)
+        pot = sp1.random_psd_potential(m_dim, 1, 1.0, [11])[0]
         ks = np.arange(-6, 7)
         kinetic = alpha * alpha * (ks.astype(float) ** 2 + 0.3)
         want = galerkin_loop(ks[:, None], kinetic, pot.coeffs, np.ones(len(ks), bool))
@@ -414,7 +417,7 @@ class TestAssembly:
         assert np.array_equal(a, want)
 
     def test_h2_matches_loop_oracle(self):
-        pot = sp1.random_psd_potential(2, 1, 1.0, 12)
+        pot = sp1.random_psd_potential(2, 1, 1.0, [12])[0]
         ks = np.concatenate([np.arange(-6, 0), np.arange(1, 7)])
         kinetic = ks.astype(float) ** 2 - 0.4
         want = galerkin_loop(ks[:, None], kinetic, pot.coeffs, np.ones(len(ks), bool))
@@ -560,7 +563,7 @@ class TestLatticePlan:
 
     def test_potentials_of_one_shape_keep_their_own_values(self):
         form = sp1._form("add", 0.5)
-        pots = [sp1.random_psd_potential(2, 2, 1.0, seed) for seed in (0, 1)]
+        pots = sp1.random_psd_potential(2, 2, 1.0, [0, 1])
         s = max(sp1._sup_bound(pot.coeffs[None])[0] for pot in pots)
         first = [form.enclosure(pot, 10, s) for pot in pots]
         sp1._lattice_plan.cache_clear()
@@ -608,10 +611,10 @@ class TestGammaCheckedFirst:
 
     @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.999])
     def test_verifiers_reject_gamma_below_one(self, gamma):
-        pot = sp1.random_psd_potential(2, 1, 1.0, 0)
+        pot = sp1.random_psd_potential(2, 1, 1.0, [0])[0]
         calls = [
-            lambda: sp1.verify_bound_h1(pot, 1.0, 0.5, gamma),
-            lambda: sp1.verify_bound_h2(pot, 0.5, gamma),
+            lambda: sp1.verify_bound_h1([pot], 1.0, 0.5, gamma)[0],
+            lambda: sp1.verify_bound_h2([pot], 0.5, gamma)[0],
             lambda: torus.verify_bound_torus(
                 torus.ScalarPotentialD.random(2, 1, 1.0, 0), torus.TorusGeometry((1.0, 1.0)), gamma
             ),
@@ -646,7 +649,7 @@ class TestPairingAndBudget:
 
     def test_enclosure_box_counts_against_the_budget(self, monkeypatch):
         # V's band 2: the 22-row box |k| <= 5 is enclosed on the 30-row box |k| <= 7
-        pot = sp1.random_psd_potential(2, 1, 1.0, 0)
+        pot = sp1.random_psd_potential(2, 1, 1.0, [0])[0]
         monkeypatch.setattr(sp1, "ROW_BUDGET", 29)
         assert sp1.assemble_h1(pot, 1.0, 0.5, 5).shape == (22, 22)
         with pytest.raises(ValueError, match="Galerkin size 30 exceeds"):
@@ -668,7 +671,7 @@ class TestPairingAndBudget:
         # V's band 2b needs at least 2 * 2b projected rows per component in 1D
         monkeypatch.setattr(sp1, "ROW_BUDGET", 2 * 2 * 3 * 2 - 1)
         with pytest.raises(ValueError, match="Galerkin size 24 exceeds"):
-            sp1.random_psd_potential(2, 3, 1.0, 0)
+            sp1.random_psd_potential(2, 3, 1.0, [0])
 
 
 class TestForms:
@@ -718,7 +721,7 @@ class TestNegativeSpectrum:
         assert rep.negatives.tolist() == [1.0, 1.0]
 
     def test_sorted_descending_positive(self):
-        pot = sp1.random_psd_potential(2, 2, 2.0, 17)
+        pot = sp1.random_psd_potential(2, 2, 2.0, [17])[0]
         rep = sp1.negative_spectrum(sp1.assemble_h2(pot, 0.5, 20))
         vals = rep.negatives
         assert all(v > 0 for v in vals)
@@ -793,7 +796,7 @@ def _assert_zero_certified(report):
 class TestVerifyH1:
     def test_constant_enumeration(self):
         pot = sp1.MatrixPotential(constant_coeffs(2.0))
-        report = sp1.verify_bound_h1(pot, 1.0, 1.0, 1.0, n_max=8)
+        report = sp1.verify_bound_h1([pot], 1.0, 1.0, 1.0, n_max=8)[0]
         # only the k = 0 mode dips below zero: eigenvalue 1 - 2 = -1
         assert report.lhs == 1.0
         expected_rhs = (math.pi / math.sqrt(3.0)) * (2.0 / (3.0 * math.pi)) * TWO_PI * 2.0**1.5
@@ -802,17 +805,18 @@ class TestVerifyH1:
 
     def test_zero_potential(self):
         pot = sp1.MatrixPotential(constant_coeffs(0.0))
-        report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0, n_max=4)
+        report = sp1.verify_bound_h1([pot], 1.0, 0.5, 1.0, n_max=4)[0]
         assert report.lhs == 0.0 and report.rhs == 0.0
         assert report.ratio == 0.0 and report.passed
 
     def test_zero_width_potential(self):
-        _assert_zero_certified(sp1.verify_bound_h1(sp1.MatrixPotential(np.zeros((3, 0, 0), complex)), 1.0, 0.5, 1.0))
+        empty = sp1.MatrixPotential(np.zeros((3, 0, 0), complex))
+        _assert_zero_certified(sp1.verify_bound_h1([empty], 1.0, 0.5, 1.0)[0])
 
     def test_random_suite(self):
         for seed in range(20):
-            pot = sp1.random_psd_potential(2, 2, 1.0, seed)
-            report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0, seed=seed)
+            pot = sp1.random_psd_potential(2, 2, 1.0, [seed])[0]
+            report = sp1.verify_bound_h1([pot], 1.0, 0.5, 1.0, seeds=[seed])[0]
             assert report.passed, report.to_dict()
             assert report.ratio <= 1.0
 
@@ -820,7 +824,7 @@ class TestVerifyH1:
 class TestVerifyH2:
     def test_constant_enumeration(self):
         pot = sp1.MatrixPotential(constant_coeffs(2.0))
-        report = sp1.verify_bound_h2(pot, 0.0, 1.0, n_max=8)
+        report = sp1.verify_bound_h2([pot], 0.0, 1.0, n_max=8)[0]
         assert report.lhs == 2.0
         expected_rhs = (math.pi / math.sqrt(3.0)) * (2.0 / (3.0 * math.pi)) * TWO_PI * 2.0**1.5
         assert report.rhs == pytest.approx(expected_rhs, rel=1e-12)
@@ -828,17 +832,18 @@ class TestVerifyH2:
 
     def test_trivial_high_delta(self):
         pot = sp1.MatrixPotential(constant_coeffs(0.0))
-        report = sp1.verify_bound_h2(pot, 0.839, 1.0, n_max=4)
+        report = sp1.verify_bound_h2([pot], 0.839, 1.0, n_max=4)[0]
         assert report.lhs == 0.0 and report.passed
 
     def test_zero_width_potential(self):
-        _assert_zero_certified(sp1.verify_bound_h2(sp1.MatrixPotential(np.zeros((3, 0, 0), complex)), 0.5, 1.0))
+        empty = sp1.MatrixPotential(np.zeros((3, 0, 0), complex))
+        _assert_zero_certified(sp1.verify_bound_h2([empty], 0.5, 1.0)[0])
 
     def test_random_suite(self):
         for i, seed in enumerate(range(20)):
             gamma = (1.0, 1.5, 2.0)[i % 3]
-            pot = sp1.random_psd_potential(3, 2, 1.0, seed)
-            report = sp1.verify_bound_h2(pot, 0.5, gamma, seed=seed)
+            pot = sp1.random_psd_potential(3, 2, 1.0, [seed])[0]
+            report = sp1.verify_bound_h2([pot], 0.5, gamma, seeds=[seed])[0]
             assert report.passed, report.to_dict()
 
 
@@ -849,8 +854,8 @@ class TestEnclosure:
     @pytest.mark.parametrize("value", [0.0, 0.7, 2.0, 9.5])
     def test_constant_potential_upper_equals_lower_exactly(self, m_dim, value):
         pot = sp1.MatrixPotential(constant_coeffs(value, m_dim=m_dim))
-        for report in (sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0), sp1.verify_bound_h2(pot, 0.5, 1.5),
-                       sp1.verify_bound_h1(pot, 0.5, 0.2, 2.0, n_max=6)):
+        for report in (sp1.verify_bound_h1([pot], 1.0, 0.5, 1.0)[0], sp1.verify_bound_h2([pot], 0.5, 1.5)[0],
+                       sp1.verify_bound_h1([pot], 0.5, 0.2, 2.0, n_max=6)[0]):
             assert report.metadata["lhs_upper"] == report.lhs
             assert report.metadata["certified"] is True
 
@@ -860,7 +865,7 @@ class TestEnclosure:
         # the lower matrix of the padded scatter is the one of the box alone
         which, beta, alpha = self.FORMS[name]
         form = sp1._form(which, beta, alpha)
-        pot = sp1.random_psd_potential(m_dim, 2, 1.0, 40 + m_dim)
+        pot = sp1.random_psd_potential(m_dim, 2, 1.0, [40 + m_dim])[0]
         for n in (pot.bands[0], pot.bands[0] + 5):
             lower, upper = form.enclosure(pot, n, sp1._sup_bound(pot.coeffs[None])[0])
             want, none = form.enclosure(pot, n)
@@ -936,8 +941,8 @@ class TestEnclosure:
         """Random potentials, and random ones with phase-aligned coefficients:
         those peak at x = 0, where a scalar one reaches s = sum_k |V_k|."""
         for seed in range(6):
-            args = (m_dim, 1 + seed % 2, 0.5 + 0.5 * (seed % 3), seed)
-            yield sp1.random_psd_potential(*args), (1.0, 1.5, 2.0)[seed % 3]
+            args = (m_dim, 1 + seed % 2, 0.5 + 0.5 * (seed % 3), [seed])
+            yield sp1.random_psd_potential(*args)[0], (1.0, 1.5, 2.0)[seed % 3]
             w = np.abs(np.random.default_rng(seed).standard_normal((2 * args[1] + 1, m_dim, m_dim)))
             pot = sp1.MatrixPotential(sp1._autocorrelation(args[2] * w.astype(complex)[None])[0])
             pot.validate()
@@ -972,42 +977,42 @@ class TestEnclosure:
         assert checked >= 24
 
     def test_no_upper_bound_below_the_analytic_truncation(self):
-        pot = sp1.random_psd_potential(2, 2, 1.0, 0)
+        pot = sp1.random_psd_potential(2, 2, 1.0, [0])[0]
         s = sp1._sup_bound(pot.coeffs[None])[0]
         form = sp1._form("add", 0.5, 1.0)
         n0 = form.truncations(pot, s)[0] - 12
         assert (n0 + 1) ** 2 + 0.5 > s >= n0**2 + 0.5
         assert form.enclosure(pot, n0 - 1, s)[1] is None
         assert form.enclosure(pot, n0, s)[1] is not None
-        report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0, n_max=n0 - 1)
+        report = sp1.verify_bound_h1([pot], 1.0, 0.5, 1.0, n_max=n0 - 1)[0]
         assert report.metadata["lhs_upper"] is None and report.metadata["certified"] is False
 
     def test_default_truncation_is_the_first_enclosing_rung(self):
         for seed in range(8):
-            pot = sp1.random_psd_potential(2, 2, 1.0, seed)
+            pot = sp1.random_psd_potential(2, 2, 1.0, [seed])[0]
             form = sp1._form("subtract", 0.5)
             rungs = form.truncations(pot, sp1._sup_bound(pot.coeffs[None])[0])
             assert rungs[-1] == pot.bands[0] + 32 and np.all(np.diff(rungs[:-1]) == 4)
-            report = sp1.verify_bound_h2(pot, 0.5, 1.0)
+            report = sp1.verify_bound_h2([pot], 0.5, 1.0)[0]
             n = report.metadata["truncation"]
             for tried in rungs[: rungs.index(n)]:
                 matrices = form.enclosure(pot, tried, sp1._sup_bound(pot.coeffs[None])[0])
                 lower, upper = (sp1.riesz_mean(sp1.negative_spectrum(x), 1.0) for x in matrices)
                 assert upper - lower > 1e-12 * upper
-            explicit = sp1.verify_bound_h2(pot, 0.5, 1.0, n_max=n)
+            explicit = sp1.verify_bound_h2([pot], 0.5, 1.0, n_max=n)[0]
             assert explicit.to_dict() == report.to_dict()
             assert report.metadata["lhs_upper"] - report.lhs <= 1e-12 * report.metadata["lhs_upper"]
             assert report.metadata["certified"] is True
 
     @pytest.mark.parametrize("operator", ["h1", "h2"])
     def test_strong_coupling_keeps_the_top_rung_lhs_bitwise(self, operator):
-        pot = sp1.random_psd_potential(2, 2, 10.0, 3)
+        pot = sp1.random_psd_potential(2, 2, 10.0, [3])[0]
         n = pot.bands[0] + 32
         if operator == "h1":
-            report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0)
+            report = sp1.verify_bound_h1([pot], 1.0, 0.5, 1.0)[0]
             matrix = sp1.assemble_h1(pot, 1.0, 0.5, n)
         else:
-            report = sp1.verify_bound_h2(pot, 0.5, 1.0)
+            report = sp1.verify_bound_h2([pot], 0.5, 1.0)[0]
             matrix = sp1.assemble_h2(pot, 0.5, n)
         assert report.metadata["truncation"] == n
         assert report.lhs == sp1.riesz_mean(sp1.negative_spectrum(matrix), 1.0)
@@ -1018,7 +1023,7 @@ class TestEnclosure:
     def test_certified_has_no_slack(self):
         # rhs scaled to 5e-13 below lhs_upper: inside pass's PASS_SLACK, but
         # the continuum bound is not shown
-        report = sp1.verify_bound_h2(sp1.random_psd_potential(2, 2, 1.0, 0), 0.5, 1.0)
+        report = sp1.verify_bound_h2(sp1.random_psd_potential(2, 2, 1.0, [0]), 0.5, 1.0)[0]
         upper = report.metadata["lhs_upper"]
         assert report.metadata["certified"] is True
         scaled = report.with_rhs_scaled(upper * (1.0 - 5e-13) / report.rhs)
@@ -1026,12 +1031,12 @@ class TestEnclosure:
         assert scaled.passed and scaled.metadata["certified"] is False
 
     def test_explicit_truncation_is_one_rung(self, monkeypatch):
-        pot = sp1.random_psd_potential(2, 2, 1.0, 5)
+        pot = sp1.random_psd_potential(2, 2, 1.0, [5])[0]
         calls = []
         enclosure = sp1._Form.enclosure
         monkeypatch.setattr(sp1._Form, "enclosure",
                             lambda self, p, n, s=None: calls.append(n) or enclosure(self, p, n, s))
-        report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.0, n_max=9)
+        report = sp1.verify_bound_h1([pot], 1.0, 0.5, 1.0, n_max=9)[0]
         assert calls == [9] and report.metadata["truncation"] == 9
         assert report.lhs == sp1.riesz_mean(
             sp1.negative_spectrum(sp1.assemble_h1(pot, 1.0, 0.5, 9)), 1.0)
@@ -1046,14 +1051,14 @@ class TestSemiclassicalLimit:
     @pytest.mark.parametrize("operator, tol", [("h1", 5e-4), ("h2", 2e-2)])
     def test_ratio_approaches_the_weyl_limit(self, operator, tol):
         for seed in (0, 1):
-            w = sp1.random_psd_potential(1, 1, 1.0, seed)
+            w = sp1.random_psd_potential(1, 1, 1.0, [seed])[0]
             ratios = []
             for lam, n in self.LAMBDAS:
                 pot = sp1.MatrixPotential(lam * w.coeffs)
                 if operator == "h1":
-                    report = sp1.verify_bound_h1(pot, 1.0, 0.5, 1.5, n_max=n)
+                    report = sp1.verify_bound_h1([pot], 1.0, 0.5, 1.5, n_max=n)[0]
                 else:
-                    report = sp1.verify_bound_h2(pot, 0.5, 1.5, n_max=n)
+                    report = sp1.verify_bound_h2([pot], 0.5, 1.5, n_max=n)[0]
                 ratios.append(report.ratio)
             assert ratios == sorted(ratios), (seed, ratios)
             assert abs(ratios[-1] / (math.sqrt(3.0) / math.pi) - 1.0) <= tol, (seed, ratios)
@@ -1061,7 +1066,7 @@ class TestSemiclassicalLimit:
 
 class TestStructuralInvariants:
     def test_rayleigh_ritz_monotonicity(self):
-        pot = sp1.random_psd_potential(2, 2, 1.5, 23)
+        pot = sp1.random_psd_potential(2, 2, 1.5, [23])[0]
         means = []
         b = pot.bands[0]
         for n in (b + 4, 2 * (b + 4), 4 * (b + 4)):
@@ -1071,7 +1076,7 @@ class TestStructuralInvariants:
         assert means[1] <= means[2] + 1e-12
 
     def test_truncation_convergence(self):
-        pot = sp1.random_psd_potential(2, 3, 1.0, 31)
+        pot = sp1.random_psd_potential(2, 3, 1.0, [31])[0]
         n = pot.bands[0] + 32
         rep_a = sp1.negative_spectrum(sp1.assemble_h2(pot, 0.2, n))
         rep_b = sp1.negative_spectrum(sp1.assemble_h2(pot, 0.2, 2 * n))
@@ -1079,7 +1084,7 @@ class TestStructuralInvariants:
         assert a == pytest.approx(b, rel=1e-8)
 
     def test_gauge_invariance(self):
-        pot = sp1.random_psd_potential(3, 2, 1.0, 7)
+        pot = sp1.random_psd_potential(3, 2, 1.0, [7])[0]
         q, _ = np.linalg.qr(
             np.random.default_rng(99).standard_normal((3, 3))
             + 1j * np.random.default_rng(98).standard_normal((3, 3))
@@ -1090,13 +1095,13 @@ class TestStructuralInvariants:
         assert np.allclose(eig_a, eig_b, atol=1e-10)
 
     def test_gamma_lifting_consistency(self):
-        pot = sp1.random_psd_potential(2, 3, 1.5, 13)
+        pot = sp1.random_psd_potential(2, 3, 1.5, [13])[0]
         for gamma in (1.0, 1.25, 1.5, 2.0):
-            assert sp1.verify_bound_h2(pot, 0.1, gamma).passed
+            assert sp1.verify_bound_h2([pot], 0.1, gamma)[0].passed
 
     def test_report_json_fields(self):
         pot = sp1.MatrixPotential(constant_coeffs(2.0))
-        report = sp1.verify_bound_h2(pot, 0.0, 1.0, n_max=6, seed=4)
+        report = sp1.verify_bound_h2([pot], 0.0, 1.0, n_max=6, seeds=[4])[0]
         payload = report.to_dict()
         for key in ("lhs", "rhs", "ratio", "pass", "gamma", "truncation", "seed"):
             assert key in payload

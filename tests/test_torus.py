@@ -28,6 +28,8 @@ class TestGeometry:
             torus.TorusGeometry((0.5, 0.9))  # last ratio must be 1
         with pytest.raises(ValueError):
             torus.TorusGeometry((-0.5, 1.0))
+        with pytest.raises(ValueError, match="period ratios must be positive"):
+            torus.TorusGeometry((math.nan, 1.0))
 
 
 class TestChooseBetas:

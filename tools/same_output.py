@@ -5,9 +5,9 @@ and compare their outputs byte for byte.
 
 COMMANDS holds README.md's `ltbounds` lines and every command of
 bench/reference.json, both read from this checkout, then every verify kind
-at its defaults, torus batches and torus usage errors.  REV's `src` is
-exported with `git archive` (local git only) into a temporary
-directory, which is removed on exit.  Each named command of COMMANDS runs as
+at its defaults, torus batches, 1D batches that span two stacks and torus
+usage errors.  REV's `src` is exported with `git archive` (local git only)
+into a temporary directory, which is removed on exit.  Each named command of COMMANDS runs as
 `python -m ltbounds ARGS` with PYTHONPATH set to one tree's `src`, in its own
 empty temporary working directory.  A command's output is its exit code,
 stdout, stderr and every file it leaves in that directory (`--out`).
@@ -58,6 +58,9 @@ COMMANDS = (
     # every kind at the CLI's defaults, and torus batches
     *((f"default-{kind}", f"verify --kind {kind}") for kind in ("h1", "h2", "torus", "trace1", "trace2")),
     *((f"torus-{n}-seeds", f"{_TORUS} --seeds {n}") for n in (1, 3, 20)),
+    # 20 seeds cross the CLI's stack of 16 for every 1D kind; h2 at m = 1 takes the real cos/sin form
+    *((f"{kind}-20-seeds", f"verify --kind {kind} --seeds 20") for kind in ("h1", "trace1", "trace2")),
+    ("h2-m-dim-1-20-seeds", "verify --kind h2 --m-dim 1 --seeds 20"),
     # usage errors: exit 2 with one stderr line
     ("usage-d-4", f"{_TORUS} --d 4"),
     ("usage-d-7", f"{_TORUS} --d 7"),
