@@ -89,10 +89,11 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-# Seeds per stack of a 1D batch.  A stack saves numpy's per-call overhead,
+# Seeds per stack of a batch.  A stack saves numpy's per-call overhead,
 # which 16 seeds already spread thin (32 gained under 3% on 64 trace1
 # seeds), and a default h1 stack of 16 holds about 0.6 MB; the bench's
-# 12-seed commands run as one stack.
+# 12-seed commands run as one stack.  16 torus seeds of band 18 (d = 2, the
+# widest the row budget admits) peak at 57 MB, beside one 0.7 GB matrix.
 _BATCH = 16
 # Entries a stack may hold in one array.  A seed's largest stacked array
 # has at most m max(512 m, 64 (4b+1) m, (4b+1) n) entries: its PSD sample
@@ -108,21 +109,19 @@ def _batch_size(args) -> int:
 
 
 def _verify_batch(kind: str, args, seeds) -> list:
-    """The reports of consecutive seeds, in seed order.  A 1D kind draws,
-    validates and integrates the seeds as one stack, then runs each seed's
-    truncation ladder and report in turn; the torus verifies one seed at a
-    time, since its refilled matrix must stay the only n x n array."""
+    """The reports of consecutive seeds, in seed order, from one call of
+    each public list function: the seeds are drawn and validated as one
+    stack, then each seed's eigensolves and report run in turn."""
     if kind == "torus":
         geom = torus.TorusGeometry((args.alpha,) * (args.d - 1) + (1.0,))
         # The default truncation follows from the band alone, so its size is
-        # checked before any potential is built.  The checks that reject these
-        # flags first (the potential's parameters and band cover, then gamma)
-        # keep their order.
+        # checked before any potential is built, after the checks that reject
+        # these flags first: the potential's parameters and band cover, then gamma.
         spectral1d._check_psd_params(args.d, 1, args.band, args.scale)
         spectral1d._check_gamma(args.gamma)
         spectral1d._check_rows(torus._default_modes((2 * args.band,) * args.d), 1, projected=True)
-        return [torus.verify_bound_torus(torus.ScalarPotentialD.random(args.d, args.band, args.scale, seed),
-                                         geom, args.gamma, seed=seed) for seed in seeds]
+        pots = torus.ScalarPotentialD.random(args.d, args.band, args.scale, seeds)
+        return torus.verify_bound_torus(pots, geom, args.gamma, seeds=seeds)
     if kind in ("h1", "h2"):
         pots = spectral1d.random_psd_potential(args.m_dim, args.band, args.scale, seeds)
         if kind == "h1":
@@ -137,6 +136,8 @@ def _verify_batch(kind: str, args, seeds) -> list:
 def cmd_verify(args) -> int:
     if args.seeds < 1:
         return _fail_usage("--seeds must be >= 1")
+    if args.seed_base < 0:
+        return _fail_usage("--seed-base must be >= 0")
     if args.rhs_scale <= 0:
         return _fail_usage("--rhs-scale must be > 0")
 

@@ -106,11 +106,6 @@ class MatrixPotential:
     def m_dim(self) -> int:
         return self.coeffs.shape[-1]
 
-    def validate(self) -> None:
-        """Assert finite, pointwise positive semidefinite values on a phase
-        grid of max(ceil(512^(1/d)), 4 nodes per mode) points per axis."""
-        _validate(self.coeffs[None])
-
 
 # The stacked layers below take coefficient arrays with a leading stack axis,
 # one entry per potential (one per seed of a CLI batch), shape
@@ -145,8 +140,9 @@ def _values_on_grid(coeffs: np.ndarray, nodes) -> np.ndarray:
 
 
 def _validate(coeffs: np.ndarray) -> None:
-    """MatrixPotential.validate of each potential of the stack, sampled by
-    one _values_on_grid (an inverse FFT per axis) of the whole stack."""
+    """Assert finite, pointwise positive semidefinite values for each
+    potential of the stack, on a phase grid of max(ceil(512^(1/d)), 4 nodes
+    per mode) points per axis: one _values_on_grid of the whole stack."""
     per_axis = math.ceil(_PSD_SAMPLES ** (1.0 / (coeffs.ndim - 3)))
     values = _values_on_grid(coeffs, [max(per_axis, 4 * w) for w in coeffs.shape[1:-2]])
     # An overflowed grid holds inf and NaN, which pass every comparison

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interp
-from .reports import BoundReport
 from .spectral1d import MatrixPotential, _check_gamma, _lattice_bound, _lattice_operator
-from .spectral1d import _power_integral, _psd_coeffs, negative_spectrum
+from .spectral1d import _power_integral, _psd_coeffs, _seeds_of, _validate, negative_spectrum
 
 __all__ = [
     "TorusGeometry",
@@ -118,11 +117,15 @@ class ScalarPotentialD(MatrixPotential):
             raise ValueError("a torus potential has 1x1 coefficient blocks")
 
     @classmethod
-    def random(cls, d: int, band: int, scale: float, seed: int) -> "ScalarPotentialD":
-        """V = |w|^2 for a random band-limited w; output band doubles."""
-        pot = cls(_psd_coeffs(d, 1, band, scale, [seed])[0])
-        pot.validate()
-        return pot
+    def random(cls, d: int, band: int, scale: float, seeds=None, *, seed: int | None = None) -> list:
+        """Random potentials V = |w|^2 for band-limited w, one per seed and
+        deterministic per seed, drawn and validated as one stack; V's band
+        is 2 * band.  seed=s, the single-seed spelling that the benchmark's
+        wrapper test still calls, is seeds=[s]."""
+        coeffs = _psd_coeffs(d, 1, band, scale, seeds if seed is None else [seed])
+        potentials = [cls(c) for c in coeffs]
+        _validate(coeffs)
+        return potentials
 
 
 def _check_dimension(potential: ScalarPotentialD, geom: TorusGeometry) -> None:
@@ -162,27 +165,26 @@ def _default_modes(bands) -> tuple:
     return tuple(b + 12 for b in bands)
 
 
-def verify_bound_torus(
-    potential: ScalarPotentialD,
-    geom: TorusGeometry,
-    gamma: float,
-    n_modes=None,
-    seed: int | None = None,
-) -> BoundReport:
-    """Check the eigenvalue-moment bound on the projected torus operator.
+def verify_bound_torus(potentials, geom: TorusGeometry, gamma: float, n_modes=None, seeds=None) -> list:
+    """Check the eigenvalue-moment bound on the projected torus operator:
+    one BoundReport per potential, with seeds as in verify_bound_h1.
 
     lhs: gamma-moment of the Galerkin negative spectrum (lower bound);
-    rhs: unit-regime-aware constant times int V^(gamma + d/2).
-    """
+    rhs: unit-regime-aware constant times int V^(gamma + d/2).  Each
+    potential is assembled into the refilled matrix, solved and integrated
+    before the next, so that matrix stays the only n x n array."""
+    seeds = _seeds_of(potentials, seeds)
     _check_gamma(gamma)
-    if n_modes is None:
-        n_modes = _default_modes(potential.bands)
     sel = choose_betas(geom)
-    matrix = assemble_torus_operator(potential, geom, n_modes)
-    rep, _spare.matrix = negative_spectrum(matrix), matrix  # no other reference to it is left
-    integral = potential_power_integral(potential, geom, gamma + 0.5 * geom.d)
-    return _lattice_bound(
-        potential, rep, gamma, sel.constant_factor, integral, list(_quad_nodes(potential)), seed,
-        operator="torus", d=geom.d, alphas=list(geom.alphas), betas=list(sel.betas),
-        delta=sel.delta, unit_regime=sel.in_unit_regime, truncation=list(n_modes),
-    )
+    reports = []
+    for potential, seed in zip(potentials, seeds):
+        modes = _default_modes(potential.bands) if n_modes is None else n_modes
+        matrix = assemble_torus_operator(potential, geom, modes)
+        rep, _spare.matrix = negative_spectrum(matrix), matrix  # no caller holds it
+        integral = potential_power_integral(potential, geom, gamma + 0.5 * geom.d)
+        reports.append(_lattice_bound(
+            potential, rep, gamma, sel.constant_factor, integral, list(_quad_nodes(potential)), seed,
+            operator="torus", d=geom.d, alphas=list(geom.alphas), betas=list(sel.betas),
+            delta=sel.delta, unit_regime=sel.in_unit_regime, truncation=list(modes),
+        ))
+    return reports

@@ -140,7 +140,7 @@ def test_c07_torus_bounds():
     t0 = time.perf_counter()
     const_pot = torus.ScalarPotentialD(constant_coeffs(2.0, d=2))
     geom_square = torus.TorusGeometry((1.0, 1.0))
-    rep = torus.verify_bound_torus(const_pot, geom_square, 1.0)
+    rep = torus.verify_bound_torus([const_pot], geom_square, 1.0)[0]
     assert rep.lhs == 2.0
     assert rep.rhs == pytest.approx(2.0 * math.pi**3 / 3.0, rel=1e-10)
     assert rep.passed
@@ -149,11 +149,11 @@ def test_c07_torus_bounds():
     for alpha1 in (1.0, 0.5, 0.25):
         geom = torus.TorusGeometry((alpha1, 1.0))
         for gamma in (1.0, 2.0):
-            rep = torus.verify_bound_torus(const_pot, geom, gamma)
+            rep = torus.verify_bound_torus([const_pot], geom, gamma)[0]
             assert rep.passed, rep.to_dict()
             for seed in range(10):
-                pot = torus.ScalarPotentialD.random(2, 1, 1.0, seed)
-                rep = torus.verify_bound_torus(pot, geom, gamma, seed=seed)
+                pot = torus.ScalarPotentialD.random(2, 1, 1.0, [seed])[0]
+                rep = torus.verify_bound_torus([pot], geom, gamma, seeds=[seed])[0]
                 assert rep.passed, rep.to_dict()
                 worst = max(worst, rep.ratio)
     elapsed = time.perf_counter() - t0

@@ -359,6 +359,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--kind", kind, "--band", "3", "--seeds", "1")
         assert (code, err) == (2, "error: a grid of 832 nodes exceeds the dense budget\n")
 
+    @pytest.mark.parametrize("kind", cli.VERIFY_KINDS)
+    def test_negative_seed_base_exits_2_before_any_draw(self, capsys, monkeypatch, kind):
+        # numpy's default_rng would reject it with its own message
+        def refuse(seed):
+            raise AssertionError("a seed was drawn")
+
+        monkeypatch.setattr("numpy.random.default_rng", refuse)
+        argv = ["verify", "--kind", kind, "--seed-base", "-5", "--seeds", "2"]
+        assert run(capsys, *argv) == (2, "", "error: --seed-base must be >= 0\n")
+
     def test_seeds_run_in_order_on_the_main_thread(self, capsys, monkeypatch):
         # BLAS threads are the only parallelism: a seed pool on top of them
         # oversubscribes the cores.  The 1D kinds stack consecutive seeds, at
@@ -385,23 +395,30 @@ class TestVerify:
         assert all(main for _, main in calls)
         assert sum(stacks) == 40 and max(stacks) == cli._BATCH
 
-    @pytest.mark.parametrize("kind", ["h1", "h2", "trace1", "trace2"])
+    @pytest.mark.parametrize("kind", ["h1", "h2", "trace1", "trace2", "torus"])
     def test_1d_kinds_run_through_the_public_functions(self, capsys, monkeypatch, kind):
-        # one call of each per stack: 40 seeds are stacks of 16, 16 and 8.
-        # A draw's stack is its seeds, the others' their first argument.
+        # one call of each per stack: 40 seeds are stacks of 16, 16 and 8,
+        # and 20 torus seeds stacks of 16 and 4.  A draw's stack is its
+        # seeds, the others' their first argument.
         if kind in ("h1", "h2"):
             module, names = spectral1d, ("random_psd_potential", "trace_power_integral", f"verify_bound_{kind}")
+        elif kind == "torus":
+            module, names = torus, ("ScalarPotentialD.random", "verify_bound_torus")
         else:
             module, names = families, ("random_orthonormal_family", "density_and_kinetic", f"verify_{kind}")
+        seeds, want = (20, [16, 4]) if kind == "torus" else (40, [16, 16, 8])
         stacks = {name: [] for name in names}
         for name in names:
-            def recording(*args, _name=name, _fn=getattr(module, name), **kwargs):
-                stacks[_name].append(len(args[-1] if _name.startswith("random_") else args[0]))
+            owner, _, attr = name.rpartition(".")
+            owner = getattr(module, owner) if owner else module
+
+            def recording(*args, _name=name, _fn=getattr(owner, attr), **kwargs):
+                stacks[_name].append(len(args[-1] if "random" in _name else args[0]))
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, recording)
-        assert run(capsys, "verify", "--kind", kind, "--seeds", "40")[0] == 0
-        assert stacks == {name: [16, 16, 8] for name in names}
+            monkeypatch.setattr(owner, attr, recording)
+        assert run(capsys, "verify", "--kind", kind, "--seeds", str(seeds))[0] == 0
+        assert stacks == {name: want for name in names}
 
     def test_large_seeds_are_stacked_fewer_at_a_time(self, capsys, monkeypatch):
         # a default h2 seed holds at most 2 * 64 * 9 * 2 = 2,304 entries in one stacked array
@@ -452,13 +469,16 @@ def _draw(kind, seeds):
     """The potentials or families of the seeds, at the CLI's defaults."""
     if kind in ("h1", "h2"):
         return spectral1d.random_psd_potential(2, 2, 1.0, seeds)
+    if kind == "torus":
+        return torus.ScalarPotentialD.random(2, 2, 1.0, seeds)
     return families.random_orthonormal_family(3, 2, 2, kind == "trace2", seeds)
 
 
-# each 1D kind's verifier at the CLI's defaults
+# each kind's verifier at the CLI's defaults
 VERIFIERS = {
     "h1": lambda items, seeds: spectral1d.verify_bound_h1(items, 1.0, 0.5, 1.0, seeds=seeds),
     "h2": lambda items, seeds: spectral1d.verify_bound_h2(items, 0.5, 1.0, seeds=seeds),
+    "torus": lambda items, seeds: torus.verify_bound_torus(items, torus.TorusGeometry((1.0, 1.0)), 1.0, seeds=seeds),
     "trace1": lambda items, seeds: families.verify_trace1(items, 1.0, 0.5, seeds=seeds),
     "trace2": lambda items, seeds: families.verify_trace2(items, 0.5, seeds=seeds),
 }

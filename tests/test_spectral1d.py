@@ -73,7 +73,7 @@ class TestRandomPotential:
         coeffs = np.array([0.5, 0.0, 0.5], dtype=complex).reshape(3, 1, 1)  # V = cos(theta)
         pot = sp1.MatrixPotential(coeffs)
         with pytest.raises(ValueError, match="PSD"):
-            pot.validate()
+            sp1._validate(pot.coeffs[None])
 
     @pytest.mark.parametrize("m_dim", [2, 3])
     def test_validate_rejects_a_small_negative_dip_in_a_block(self, m_dim):
@@ -93,16 +93,16 @@ class TestRandomPotential:
             pot = _hermitized_conjugation(sp1.MatrixPotential(coeffs), unitary)
             if rejected:
                 with pytest.raises(ValueError, match="PSD"):
-                    pot.validate()
+                    sp1._validate(pot.coeffs[None])
             else:
-                pot.validate()
+                sp1._validate(pot.coeffs[None])
 
     def test_validate_rejects_values_that_overflow_on_the_grid(self):
         # V = 1e308 (1 + 2 cos theta): finite coefficients whose grid values
         # overflow to inf and NaN, which no PSD comparison catches
         pot = sp1.MatrixPotential(np.full((3, 1, 1), 1e308, dtype=complex))
         with pytest.raises(ValueError, match="overflows on its sample grid"):
-            pot.validate()
+            sp1._validate(pot.coeffs[None])
 
     def test_non_finite_coefficients_rejected_first(self):
         coeffs = np.array([np.nan, 1.0, 0.9], dtype=complex).reshape(3, 1, 1)  # also unpaired
@@ -111,7 +111,7 @@ class TestRandomPotential:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_zero_width_blocks_validate(self, d):
-        sp1.MatrixPotential(np.zeros((3,) * d + (0, 0), complex)).validate()
+        sp1._validate(sp1.MatrixPotential(np.zeros((3,) * d + (0, 0), complex)).coeffs[None])
 
     def test_validation_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -573,6 +573,14 @@ class TestLatticePlan:
             assert np.array_equal(lower, lower_again) and np.array_equal(upper, upper_again)
         assert not np.array_equal(first[0][0], first[1][0])
 
+    @pytest.mark.parametrize("d, band", [(2, 2), (3, 1)])
+    def test_a_stacked_torus_draw_is_its_single_draws_bitwise(self, d, band):
+        seeds = list(range(20))
+        stacked = torus.ScalarPotentialD.random(d, band, 1.0, seeds)
+        for seed, pot in zip(seeds, stacked):
+            alone, = torus.ScalarPotentialD.random(d, band, 1.0, [seed])
+            assert pot.coeffs.tobytes() == alone.coeffs.tobytes(), seed
+
     def test_plan_arrays_are_read_only(self):
         box, ring, a, b = sp1._lattice_plan((9,), 1, (12,), True, True)
         for terms in (a, b):
@@ -583,7 +591,7 @@ class TestLatticePlan:
                 x[...] = 0
 
     def test_geometries_of_one_shape_share_one_plan(self):
-        pot = torus.ScalarPotentialD.random(2, 2, 1.0, 0)
+        pot = torus.ScalarPotentialD.random(2, 2, 1.0, [0])[0]
         sp1._lattice_plan.cache_clear()
         built = [torus.assemble_torus_operator(pot, torus.TorusGeometry((alpha, 1.0)), (16, 16))
                  for alpha in (1.0, 0.5)]
@@ -616,7 +624,7 @@ class TestGammaCheckedFirst:
             lambda: sp1.verify_bound_h1([pot], 1.0, 0.5, gamma)[0],
             lambda: sp1.verify_bound_h2([pot], 0.5, gamma)[0],
             lambda: torus.verify_bound_torus(
-                torus.ScalarPotentialD.random(2, 1, 1.0, 0), torus.TorusGeometry((1.0, 1.0)), gamma
+                torus.ScalarPotentialD.random(2, 1, 1.0, [0]), torus.TorusGeometry((1.0, 1.0)), gamma
             ),
         ]
         for call in calls:
@@ -878,7 +886,7 @@ class TestEnclosure:
     @pytest.mark.parametrize("case", list(TORUS))
     def test_torus_box_block_is_the_galerkin_matrix_bitwise(self, case):
         alphas, n_modes = self.TORUS[case]
-        pot = torus.ScalarPotentialD.random(2, 1, 0.5, 7)
+        pot = torus.ScalarPotentialD.random(2, 1, 0.5, [7])[0]
         lower, upper = sp1._lattice_operator(pot, alphas, 0.0, n_modes, True, sp1._sup_bound(pot.coeffs[None])[0])
         want = torus.assemble_torus_operator(pot, torus.TorusGeometry(alphas), n_modes)
         assert upper is not None and lower.dtype == want.dtype == np.float64
@@ -888,7 +896,7 @@ class TestEnclosure:
     def test_torus_lower_of_a_larger_box_stays_below_the_upper_bound(self, case):
         # the 2-torus mirror of the 1D test below, in the real form
         alphas, n_modes = self.TORUS[case]
-        pot = torus.ScalarPotentialD.random(2, 1, 0.5, 7)
+        pot = torus.ScalarPotentialD.random(2, 1, 0.5, [7])[0]
         _, upper = sp1._lattice_operator(pot, alphas, 0.0, n_modes, True, sp1._sup_bound(pot.coeffs[None])[0])
         larger = torus.assemble_torus_operator(pot, torus.TorusGeometry(alphas), [n + 6 for n in n_modes])
         ev_upper = np.minimum(np.linalg.eigvalsh(upper), 0.0)
@@ -909,7 +917,7 @@ class TestEnclosure:
         # A - B (diag K_ring - s)^-1 B^H on the box padded by max(b_j, 1),
         # from the pair-loop Galerkin matrix, folded into the real form
         band, scale, seed, alphas, n_modes = self.TORUS_UPPER[case]
-        pot = torus.ScalarPotentialD.random(2, band, scale, seed)
+        pot = torus.ScalarPotentialD.random(2, band, scale, [seed])[0]
         s = sp1._sup_bound(pot.coeffs[None])[0]
         padded = [n + max(b, 1) for n, b in zip(n_modes, pot.bands)]
         mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in padded], indexing="ij")
@@ -927,7 +935,7 @@ class TestEnclosure:
     def test_torus_upper_exists_exactly_when_the_long_axis_ring_outweighs_s(self):
         # alpha = (1/2, 1) with n_2 = 6: the lightest mode outside the box is
         # k = (n_1 + 1, +-1), of weight (n_1 + 1)^2 / 4 + 1, for every n_1 < 12
-        pot = torus.ScalarPotentialD.random(2, 1, 0.5, 7)
+        pot = torus.ScalarPotentialD.random(2, 1, 0.5, [7])[0]
         s = sp1._sup_bound(pot.coeffs[None])[0]
         found = set()
         for n in range(2, 12, 2):
@@ -945,7 +953,7 @@ class TestEnclosure:
             yield sp1.random_psd_potential(*args)[0], (1.0, 1.5, 2.0)[seed % 3]
             w = np.abs(np.random.default_rng(seed).standard_normal((2 * args[1] + 1, m_dim, m_dim)))
             pot = sp1.MatrixPotential(sp1._autocorrelation(args[2] * w.astype(complex)[None])[0])
-            pot.validate()
+            sp1._validate(pot.coeffs[None])
             yield pot, (1.0, 1.5, 2.0)[seed % 3]
 
     @pytest.mark.parametrize("name", list(FORMS))

@@ -107,9 +107,9 @@ class TestScalarPotential:
         assert np.allclose(vals, 2.0)
 
     def test_random_nonnegative_and_symmetric(self):
-        pot = torus.ScalarPotentialD.random(2, 2, 1.0, 7)
+        pot = torus.ScalarPotentialD.random(2, 2, 1.0, [7])[0]
         assert pot.bands == (4, 4)
-        pot.validate()
+        spectral1d._validate(pot.coeffs[None])
         vals = spectral1d._values_on_grid(pot.coeffs[None], (40, 40))[0, ..., 0, 0].real
         assert float(vals.min()) >= -1e-10 * max(1.0, float(vals.max()))
 
@@ -129,19 +129,19 @@ class TestScalarPotential:
         coeffs[0, 1] = coeffs[2, 1] = 0.5  # V = cos(theta_1)
         pot = torus.ScalarPotentialD(coeffs[..., None, None])
         with pytest.raises(ValueError, match="PSD"):
-            pot.validate()
+            spectral1d._validate(pot.coeffs[None])
 
     def test_sample_grid_bounded_by_the_dense_budget(self, monkeypatch):
         # validate() samples 4^5 = 1,024 nodes of the band-0 5-torus potential
         monkeypatch.setattr(spectral1d, "ROW_BUDGET", 32)
-        torus.ScalarPotentialD.random(5, 0, 1.0, 0)
+        torus.ScalarPotentialD.random(5, 0, 1.0, [0])
         monkeypatch.setattr(spectral1d, "ROW_BUDGET", 31)
         with pytest.raises(ValueError, match="budget"):
-            torus.ScalarPotentialD.random(5, 0, 1.0, 0)
+            torus.ScalarPotentialD.random(5, 0, 1.0, [0])
 
     def test_random_deterministic(self):
-        a = torus.ScalarPotentialD.random(2, 1, 1.0, 3)
-        b = torus.ScalarPotentialD.random(2, 1, 1.0, 3)
+        a = torus.ScalarPotentialD.random(2, 1, 1.0, [3])[0]
+        b = torus.ScalarPotentialD.random(2, 1, 1.0, [3])[0]
         assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_power_integral_constant(self):
@@ -151,13 +151,13 @@ class TestScalarPotential:
         assert val == pytest.approx(4.0 * math.pi**2 * 4.0, rel=1e-13)
 
     def test_power_integral_scales_with_volume(self):
-        pot = torus.ScalarPotentialD.random(2, 1, 1.0, 9)
+        pot = torus.ScalarPotentialD.random(2, 1, 1.0, [9])[0]
         small = torus.potential_power_integral(pot, torus.TorusGeometry((1.0, 1.0)), 2.0)
         big = torus.potential_power_integral(pot, torus.TorusGeometry((0.25, 1.0)), 2.0)
         assert big == pytest.approx(4.0 * small, rel=1e-12)
 
     def test_power_integral_returns_the_doubled_grid_value(self):
-        pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
+        pot = torus.ScalarPotentialD.random(2, 1, 1.0, [0])[0]
         geom = torus.TorusGeometry((0.5, 1.0))
 
         def rectangle(n):
@@ -171,7 +171,7 @@ class TestScalarPotential:
 
     def test_power_integral_rejects_grid_below_minimum(self):
         # 4 nodes per mode: 20 per axis for the band-2 potential
-        pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
+        pot = torus.ScalarPotentialD.random(2, 1, 1.0, [0])[0]
         geom = torus.TorusGeometry((1.0, 1.0))
         with pytest.raises(ValueError, match="below minimum"):
             spectral1d._power_integral(pot.coeffs[None], 2.5, geom.volume, (10, 10))[0]
@@ -180,7 +180,7 @@ class TestScalarPotential:
         # V^2.5 is not a trig polynomial; at 20 nodes per axis, the minimum
         # for the band-2 potential, its integral moves about 2e-7 (relative)
         # under grid doubling.
-        pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
+        pot = torus.ScalarPotentialD.random(2, 1, 1.0, [0])[0]
         geom = torus.TorusGeometry((1.0, 1.0))
         with pytest.raises(ConvergenceError):
             spectral1d._power_integral(pot.coeffs[None], 2.5, geom.volume, (20, 20))[0]
@@ -203,7 +203,7 @@ class TestAssembly:
 
     def test_exact_hermiticity(self):
         # real in the cos/sin basis, so Hermitian means exactly symmetric
-        pot = torus.ScalarPotentialD.random(2, 1, 1.0, 4)
+        pot = torus.ScalarPotentialD.random(2, 1, 1.0, [4])[0]
         geom = torus.TorusGeometry((0.5, 1.0))
         a = torus.assemble_torus_operator(pot, geom, (6, 6))
         assert a.dtype == np.float64
@@ -217,7 +217,7 @@ class TestAssembly:
     @pytest.mark.parametrize("projected", [False, True])
     def test_matches_loop_oracle(self, alphas, n_modes, projected):
         # projected: the paper's operator; unprojected: every box mode couples to V
-        pot = torus.ScalarPotentialD.random(len(alphas), 1, 1.0, 6)
+        pot = torus.ScalarPotentialD.random(len(alphas), 1, 1.0, [6])[0]
         mesh = np.meshgrid(*[np.arange(-n, n + 1) for n in n_modes], indexing="ij")
         modes = np.stack([g.ravel() for g in mesh], axis=-1)
         if projected:
@@ -252,7 +252,7 @@ class TestAssembly:
             torus.assemble_torus_operator(pot, geom, (10**6,) * 3)
 
     def test_q_block_does_not_change_negative_spectrum(self):
-        pot = torus.ScalarPotentialD.random(2, 1, 1.2, 15)
+        pot = torus.ScalarPotentialD.random(2, 1, 1.2, [15])[0]
         geom = torus.TorusGeometry((0.5, 1.0))
         a_p = torus.assemble_torus_operator(pot, geom, (6, 6))
         # the full box with the k_d = 0 modes uncoupled from V: the bare Laplacian there
@@ -271,12 +271,12 @@ class TestDimensionMismatch:
         "call",
         [
             lambda: torus.verify_bound_torus(
-                torus.ScalarPotentialD.random(3, 1, 1.0, 0), torus.TorusGeometry((1.0, 1.0)),
+                torus.ScalarPotentialD.random(3, 1, 1.0, [0]), torus.TorusGeometry((1.0, 1.0)),
                 1.0, n_modes=(4, 4)),
             lambda: torus.potential_power_integral(
-                torus.ScalarPotentialD.random(3, 1, 1.0, 0), torus.TorusGeometry((1.0, 1.0)), 2.0),
+                torus.ScalarPotentialD.random(3, 1, 1.0, [0])[0], torus.TorusGeometry((1.0, 1.0)), 2.0),
             lambda: torus.verify_bound_torus(
-                torus.ScalarPotentialD.random(2, 1, 1.0, 0), torus.TorusGeometry((1.0, 1.0, 1.0)),
+                torus.ScalarPotentialD.random(2, 1, 1.0, [0]), torus.TorusGeometry((1.0, 1.0, 1.0)),
                 1.0, n_modes=(3, 3, 3)),
         ],
         ids=["3d_potential_2_torus_verify", "3d_potential_2_torus_integral", "2d_potential_3_torus_verify"],
@@ -290,7 +290,7 @@ class TestVerifyBound:
     def test_constant_enumeration_case(self):
         pot = torus.ScalarPotentialD(constant_coeffs(2.0, d=2))
         geom = torus.TorusGeometry((1.0, 1.0))
-        report = torus.verify_bound_torus(pot, geom, 1.0, n_modes=(8, 8))
+        report = torus.verify_bound_torus([pot], geom, 1.0, n_modes=(8, 8))[0]
         assert report.lhs == 2.0
         assert report.rhs == pytest.approx(2.0 * math.pi**3 / 3.0, rel=1e-12)
         assert report.passed
@@ -299,25 +299,25 @@ class TestVerifyBound:
     def test_elongated_constant(self):
         pot = torus.ScalarPotentialD(constant_coeffs(2.0, d=2))
         geom = torus.TorusGeometry((0.25, 1.0))
-        report = torus.verify_bound_torus(pot, geom, 1.0, n_modes=(12, 4))
+        report = torus.verify_bound_torus([pot], geom, 1.0, n_modes=(12, 4))[0]
         # negative modes now include elongated-axis excitations
         expected_lhs = riesz_mean_of(torus_constant_potential_eigs(2.0, (0.25, 1.0), 12), 1.0)
         assert report.lhs == pytest.approx(expected_lhs, rel=1e-12)
         assert report.passed
 
     def test_alpha_robustness_fixed_potential(self):
-        pot = torus.ScalarPotentialD.random(2, 1, 1.0, 5)
+        pot = torus.ScalarPotentialD.random(2, 1, 1.0, [5])[0]
         for a1 in (1.0, 0.5, 0.25, 0.125):
             geom = torus.TorusGeometry((a1, 1.0))
-            report = torus.verify_bound_torus(pot, geom, 1.0, n_modes=(14, 8))
+            report = torus.verify_bound_torus([pot], geom, 1.0, n_modes=(14, 8))[0]
             assert report.passed, report.to_dict()
 
     def test_random_suite(self):
         for seed in range(6):
             gamma = (1.0, 2.0)[seed % 2]
-            pot = torus.ScalarPotentialD.random(2, 1, 1.0, seed)
+            pot = torus.ScalarPotentialD.random(2, 1, 1.0, [seed])[0]
             geom = torus.TorusGeometry(((0.5, 1.0)[seed % 2], 1.0))
-            report = torus.verify_bound_torus(pot, geom, gamma, n_modes=(8, 8), seed=seed)
+            report = torus.verify_bound_torus([pot], geom, gamma, n_modes=(8, 8), seeds=[seed])[0]
             assert report.passed, report.to_dict()
 
     @pytest.mark.parametrize("gamma", [1.5, 2.0])
@@ -328,7 +328,8 @@ class TestVerifyBound:
         geom = torus.TorusGeometry((1.0, 1.0))
         worst = 0.0
         for seed in range(8):
-            report = torus.verify_bound_torus(torus.ScalarPotentialD.random(2, 1, 3.0, seed), geom, gamma, seed=seed)
+            pots = torus.ScalarPotentialD.random(2, 1, 3.0, [seed])
+            report = torus.verify_bound_torus(pots, geom, gamma, seeds=[seed])[0]
             assert report.passed and report.metadata["truncation"] == [14, 14], report.to_dict()
             worst = max(worst, report.ratio)
         assert worst > 0.26
@@ -337,7 +338,7 @@ class TestVerifyBound:
     def _assert_spectrum(v_2d, geom, n_modes, eigs, case):
         """The torus lhs and negative count of V on the box n_modes are those of the spectrum eigs."""
         for gamma in (1.0, 2.0):
-            report = torus.verify_bound_torus(torus.ScalarPotentialD(v_2d), geom, gamma, n_modes=n_modes)
+            report = torus.verify_bound_torus([torus.ScalarPotentialD(v_2d)], geom, gamma, n_modes=n_modes)[0]
             want = riesz_mean_of(eigs, gamma)
             assert report.metadata["negative_count"] == np.count_nonzero(eigs < 0), (*case, gamma)
             if want == 0.0:
@@ -385,9 +386,9 @@ class TestVerifyBound:
             self._assert_spectrum(v[:, None], geom, (n_1, n), eigs, (seed, scale))
 
     def test_three_dimensional_instance(self):
-        pot = torus.ScalarPotentialD.random(3, 1, 0.8, 1)
+        pot = torus.ScalarPotentialD.random(3, 1, 0.8, [1])[0]
         geom = torus.TorusGeometry((0.5, 0.75, 1.0))
-        report = torus.verify_bound_torus(pot, geom, 1.0, n_modes=(5, 5, 5), seed=1)
+        report = torus.verify_bound_torus([pot], geom, 1.0, n_modes=(5, 5, 5), seeds=[1])[0]
         assert report.passed
         assert report.metadata["d"] == 3
         assert report.metadata["unit_regime"] is True
@@ -395,7 +396,7 @@ class TestVerifyBound:
     def test_three_dimensional_constant_enumeration(self):
         pot = torus.ScalarPotentialD(constant_coeffs(2.0, d=3))
         geom = torus.TorusGeometry((1.0, 1.0, 1.0))
-        report = torus.verify_bound_torus(pot, geom, 1.0, n_modes=(4, 4, 4))
+        report = torus.verify_bound_torus([pot], geom, 1.0, n_modes=(4, 4, 4))[0]
         expected_lhs = riesz_mean_of(
             torus_constant_potential_eigs(2.0, (1.0, 1.0, 1.0), 4), 1.0
         )
@@ -403,7 +404,7 @@ class TestVerifyBound:
         assert report.passed
 
     def test_rayleigh_ritz_monotonicity_per_axis(self):
-        pot = torus.ScalarPotentialD.random(2, 1, 1.5, 2)
+        pot = torus.ScalarPotentialD.random(2, 1, 1.5, [2])[0]
         geom = torus.TorusGeometry((0.5, 1.0))
         means = []
         for n in ((3, 3), (6, 6), (12, 12)):
@@ -415,7 +416,7 @@ class TestVerifyBound:
     def test_metadata_echo(self):
         pot = torus.ScalarPotentialD(constant_coeffs(1.0, d=2))
         geom = torus.TorusGeometry((0.5, 1.0))
-        report = torus.verify_bound_torus(pot, geom, 1.0, n_modes=(4, 4), seed=3)
+        report = torus.verify_bound_torus([pot], geom, 1.0, n_modes=(4, 4), seeds=[3])[0]
         for key in ("d", "alphas", "betas", "delta", "unit_regime", "seed"):
             assert key in report.metadata
 
@@ -427,21 +428,20 @@ class TestWorkspace:
     GEOM = torus.TorusGeometry((0.5, 1.0))
 
     def test_assembled_matrices_stay_the_callers(self):
-        pots = [torus.ScalarPotentialD.random(2, 1, 1.0, seed) for seed in (0, 1)]
-        torus.verify_bound_torus(pots[0], self.GEOM, 1.0, n_modes=(6, 6))  # leaves a spare matrix
+        pots = torus.ScalarPotentialD.random(2, 1, 1.0, [0, 1])
+        torus.verify_bound_torus(pots[:1], self.GEOM, 1.0, n_modes=(6, 6))  # leaves a spare matrix
         first, second = (torus.assemble_torus_operator(pot, self.GEOM, (6, 6)) for pot in pots)
         assert not np.shares_memory(first, second)
         kept = first.copy(), second.copy()
-        for pot in pots:
-            torus.verify_bound_torus(pot, self.GEOM, 1.0, n_modes=(6, 6))
+        torus.verify_bound_torus(pots, self.GEOM, 1.0, n_modes=(6, 6))
         assert np.array_equal(first, kept[0]) and np.array_equal(second, kept[1])
         assert not np.array_equal(first, second)
 
     def test_threads_match_sequential_reports(self):
-        pots = [torus.ScalarPotentialD.random(2, 1, 1.0 + seed, seed) for seed in range(4)]
+        pots = [torus.ScalarPotentialD.random(2, 1, 1.0 + seed, [seed])[0] for seed in range(4)]
 
         def reports(chunk):
-            return [torus.verify_bound_torus(pot, self.GEOM, 1.0, seed=i).to_dict() for i, pot in chunk]
+            return [torus.verify_bound_torus([pot], self.GEOM, 1.0, seeds=[i])[0].to_dict() for i, pot in chunk]
 
         items = list(enumerate(pots))
         want = reports(items)
@@ -456,11 +456,11 @@ class TestWorkspace:
     def test_a_thread_never_refills_another_threads_spare(self):
         # thread A leaves its spare, then thread B assembles the same box: a
         # spare held per process would hand A's matrix to B
-        pot = torus.ScalarPotentialD.random(2, 1, 1.0, 0)
+        pot = torus.ScalarPotentialD.random(2, 1, 1.0, [0])[0]
         got = {}
 
         def verify():
-            torus.verify_bound_torus(pot, self.GEOM, 1.0, n_modes=(6, 6))
+            torus.verify_bound_torus([pot], self.GEOM, 1.0, n_modes=(6, 6))
             got["spare"] = torus._spare.matrix
 
         def assemble():
@@ -478,13 +478,12 @@ class TestWorkspace:
         import resource  # POSIX only
 
         # CLI defaults: W band 2, V band 4, 1,056 rows of 8-byte entries
-        pot = torus.ScalarPotentialD.random(2, 2, 1.0, 0)
+        pot = torus.ScalarPotentialD.random(2, 2, 1.0, [0])[0]
         geom = torus.TorusGeometry((1.0, 1.0))
-        torus.verify_bound_torus(pot, geom, 1.0)  # warm-up
+        torus.verify_bound_torus([pot], geom, 1.0)  # warm-up
         calls = 3
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(calls):
-            torus.verify_bound_torus(pot, geom, 1.0)
+        torus.verify_bound_torus([pot] * calls, geom, 1.0)
         faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
         pages = 1056 * 1056 * 8 / 4096
         assert faults < pages / 4, faults
