@@ -92,20 +92,23 @@ def cmd_thresholds(args) -> int:
 # Seeds per stack of a batch.  A stack saves numpy's per-call overhead,
 # which 16 seeds already spread thin (32 gained under 3% on 64 trace1
 # seeds), and a default h1 stack of 16 holds about 0.6 MB; the bench's
-# 12-seed commands run as one stack.  16 torus seeds of band 18 (d = 2, the
-# widest the row budget admits) peak at 57 MB, beside one 0.7 GB matrix.
+# 12-seed commands run as one stack.
 _BATCH = 16
-# Entries a stack may hold in one array.  A seed's largest stacked array
+# Entries a stack may hold in one array.  A 1D seed's largest stacked array
 # has at most m max(512 m, 64 (4b+1) m, (4b+1) n) entries: its PSD sample
-# grid, its quadrature grid doubled, or a family's padded FFT.  Seeds that
-# large are stacked fewer at a time, down to one.
+# grid, its quadrature grid doubled, or a family's padded FFT; a torus
+# seed's is its PSD grid, max(ceil(512^(1/d)), 4 (4b+1))^d entries.  Seeds
+# that large are stacked fewer at a time, down to one (12 at torus band 18).
 _BATCH_ENTRIES = 1 << 20
 
 
 def _batch_size(args) -> int:
     modes = 4 * args.band + 1
-    per_seed = args.m_dim * max(512 * args.m_dim, 64 * modes * args.m_dim, modes * args.family_size)
-    return max(1, min(_BATCH, _BATCH_ENTRIES // max(per_seed, 1)))
+    if args.kind == "torus":  # in floats, which a huge d takes to inf; a d below 1 is rejected by _verify_batch
+        per_seed = math.prod(map(float, spectral1d._psd_grid((modes,) * max(args.d, 1))))
+    else:
+        per_seed = args.m_dim * max(512 * args.m_dim, 64 * modes * args.m_dim, modes * args.family_size)
+    return max(1, min(_BATCH, int(_BATCH_ENTRIES // max(per_seed, 1))))
 
 
 def _verify_batch(kind: str, args, seeds) -> list:

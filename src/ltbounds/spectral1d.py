@@ -16,10 +16,10 @@ of the negative spectrum is a lower bound on the true one, so a verified
 inequality can only fail when the continuum inequality actually fails.  On
 the box and a ring of modes around it the builder also gives an upper
 matrix: a Schur complement on the ring, whose Riesz mean bounds the true
-one from above.  The 1D verifiers use both and by default take the
-smallest truncation of a short ladder at which the two bounds agree to
-1e-12 relative.  The builder's index work runs once per shape (_lattice_plan),
-and each matrix is then one gather from V's coefficients.
+one from above.  One verifier loop (_verify_lattice) serves h1, h2 and the
+torus: by default the 1D verifiers take the smallest truncation of a short
+ladder at which the two bounds agree to 1e-12 relative; the torus solves
+one truncation, from below only.  The index work runs once per shape (_lattice_plan).
 
 The basis is the exponentials exp(i k.theta), except for a scalar V on a
 projected operator (the torus and scalar h2).  Such a V is real, and the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,8 @@ ROW_BUDGET = 10_000
 # sides of the enclosure agree to _GAP_REL relative (see _Form.truncations).
 _TOP_MARGIN = 32
 _GAP_REL = 1e-12
+# Per thread, the last verifier rung's lower matrix, refilled by the next of its shape: no fresh page faults
+_spare = threading.local()
 
 
 @dataclass(frozen=True)
@@ -139,12 +142,16 @@ def _values_on_grid(coeffs: np.ndarray, nodes) -> np.ndarray:
     return np.moveaxis(out, (1, 2), (-2, -1))
 
 
+def _psd_grid(widths) -> list:
+    """The PSD sample grid of coefficients of `widths`: max(ceil(512^(1/d)), 4 nodes per mode) per axis."""
+    per_axis = math.ceil(_PSD_SAMPLES ** (1.0 / len(widths)))
+    return [max(per_axis, 4 * w) for w in widths]
+
+
 def _validate(coeffs: np.ndarray) -> None:
     """Assert finite, pointwise positive semidefinite values for each
-    potential of the stack, on a phase grid of max(ceil(512^(1/d)), 4 nodes
-    per mode) points per axis: one _values_on_grid of the whole stack."""
-    per_axis = math.ceil(_PSD_SAMPLES ** (1.0 / (coeffs.ndim - 3)))
-    values = _values_on_grid(coeffs, [max(per_axis, 4 * w) for w in coeffs.shape[1:-2]])
+    potential of the stack on its _psd_grid, as one _values_on_grid."""
+    values = _values_on_grid(coeffs, _psd_grid(coeffs.shape[1:-2]))
     # An overflowed grid holds inf and NaN, which pass every comparison
     # below.  Every bound side integrates V, so this is the error the CLI
     # reports for any input that overflows.  The potentials below the first
@@ -551,24 +558,6 @@ def _lt_constant(gamma: float, k_factor: float, d: int) -> float:
     return (math.pi / math.sqrt(3.0)) ** d * k_factor * special.semiclassical_constant(gamma, d)
 
 
-def _lattice_bound(potential, rep, gamma, k_factor, integral, quadrature, seed, **params):
-    # Shared tail of the h1, h2 and torus verifiers: the Riesz mean of rep
-    # against the constant times `integral`, the integral of
-    # Tr V_+^(gamma + d/2) on the `quadrature` grid; params join the metadata.
-    lhs = riesz_mean(rep, gamma)
-    const = _lt_constant(gamma, k_factor, potential.d)
-    meta = {
-        "gamma": gamma,
-        **params,
-        "quadrature": quadrature,
-        "negative_count": len(rep.negatives),
-        "lhs_is_lower_bound": True,
-    }
-    if seed is not None:
-        meta["seed"] = seed
-    return BoundReport.build(lhs, const * integral, constant_used=const, **meta)
-
-
 def _seeds_of(items, seeds) -> list:
     """The seed of each item (potential or family), None for each without
     seeds.  No items, or seeds of another length, raise ValueError, since
@@ -578,34 +567,48 @@ def _seeds_of(items, seeds) -> list:
     return [None] * len(items) if seeds is None else seeds
 
 
+def _verify_lattice(potentials, seeds, integrals, sup_bounds, ladders, quadrature, gamma, k_factor, alphas, mass,
+                    projected, /, **params) -> list:
+    # The verifier loop of h1, h2 and the torus on one lattice operator.
+    # Each potential climbs its ladder: each rung is enclosed from both sides
+    # (from below only when s is None), and the first whose sides agree to
+    # _GAP_REL relative decides, else the last rung.  Only then is its rhs
+    # integral drawn from `integrals`: a generator integrates each potential
+    # after its eigensolves.
+    integrals = iter(integrals)
+    reports = []
+    for potential, seed, s, ladder in zip(potentials, seeds, sup_bounds, ladders):
+        for n in ladder:
+            # popped, so a spare of another shape is freed before this rung's eigensolve
+            lower, upper = _lattice_operator(potential, alphas, mass, np.atleast_1d(n), projected, s,
+                                             _spare.__dict__.pop("matrix", None))
+            rep, _spare.matrix = negative_spectrum(lower), lower  # no caller holds it
+            lhs_upper = None if upper is None else riesz_mean(negative_spectrum(upper), gamma)
+            if lhs_upper is not None and lhs_upper - riesz_mean(rep, gamma) <= _GAP_REL * lhs_upper:
+                break
+        const = _lt_constant(gamma, k_factor, potential.d)
+        reports.append(BoundReport.build(
+            riesz_mean(rep, gamma), const * float(next(integrals)), const, gamma=gamma, **params, truncation=n,
+            lhs_upper=lhs_upper, quadrature=quadrature(potential), negative_count=len(rep.negatives),
+            lhs_is_lower_bound=True, **({} if seed is None else {"seed": seed})))
+    return reports
+
+
 def _verify_1d(which, beta, alpha, potentials, gamma, n_max, seeds, /, **params) -> list:
-    # Shared body of the h1 and h2 verifiers, for potentials of one shape
-    # and their seeds, on the period 2pi/alpha.  The rhs quadratures run
-    # first, as one stack: they hold the grid budget check, so a band too
-    # wide for it is rejected before any eigensolve.  Then each potential
-    # in turn climbs its ladder (only n_max when it is given): each
-    # truncation is enclosed from both sides, and the first whose sides agree
-    # to _GAP_REL relative decides, else the ladder's top rung.
+    # h1 and h2 on potentials of one shape, on the period 2pi/alpha.  The rhs
+    # quadratures run first, as one stack: they hold the grid budget check,
+    # so a band too wide for it is rejected before any eigensolve.
     seeds = _seeds_of(potentials, seeds)
     _check_gamma(gamma)
     form = _form(which, beta, alpha)
     _check_1d(potentials[0])
     integrals = trace_power_integral(potentials, gamma + 0.5, 2.0 * math.pi / alpha)
     sup_bounds = _sup_bound(np.stack([potential.coeffs for potential in potentials]))
-    reports = []
-    for potential, integral, s, seed in zip(potentials, integrals, sup_bounds, seeds):
-        for n in form.truncations(potential, s) if n_max is None else [n_max]:
-            lower, upper = form.enclosure(potential, n, s)
-            rep = negative_spectrum(lower)
-            lhs_upper = None if upper is None else riesz_mean(negative_spectrum(upper), gamma)
-            if lhs_upper is not None and lhs_upper - riesz_mean(rep, gamma) <= _GAP_REL * lhs_upper:
-                break
-        reports.append(_lattice_bound(
-            potential, rep, gamma, form.solve_k().value, float(integral), _quad_grid_1d(potential), seed,
-            **params, truncation=n, lhs_upper=lhs_upper, m_dim=potential.m_dim,
-            band=potential.bands[0],
-        ))
-    return reports
+    ladders = [form.truncations(potential, s) if n_max is None else [n_max]
+               for potential, s in zip(potentials, sup_bounds)]
+    return _verify_lattice(potentials, seeds, integrals, sup_bounds, ladders, _quad_grid_1d,
+                           gamma, form.solve_k().value, (alpha,), form.mass, form.projected,
+                           **params, m_dim=potentials[0].m_dim, band=potentials[0].bands[0])
 
 
 def verify_bound_h1(potentials, alpha: float, beta: float, gamma: float, n_max: int | None = None, seeds=None) -> list:
@@ -614,7 +617,7 @@ def verify_bound_h1(potentials, alpha: float, beta: float, gamma: float, n_max: 
 
     lhs: gamma-moment of the Galerkin negative spectrum (a lower bound on
     the continuum moment); lhs_upper: the moment of the upper matrix of
-    _Form.enclosure (an upper bound on it, None without one).  rhs:
+    _lattice_operator (an upper bound on it, None without one).  rhs:
     (pi/sqrt3) K1(beta) L_cl(gamma,1) times the trace integral of
     V^(gamma+1/2).  By default the truncation is the first rung of
     _Form.truncations whose two sides agree to 1e-12 relative, else b + 32.

@@ -16,14 +16,14 @@ exactly 1 (the unit regime).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import interp
-from .spectral1d import MatrixPotential, _check_gamma, _lattice_bound, _lattice_operator
-from .spectral1d import _power_integral, _psd_coeffs, _seeds_of, _validate, negative_spectrum
+from .spectral1d import MatrixPotential, _check_gamma, _lattice_operator, _power_integral, _psd_coeffs, _seeds_of
+# negative_spectrum stays bound here, unused, because bench/worker.py wraps torus.negative_spectrum
+from .spectral1d import _validate, _verify_lattice, negative_spectrum  # noqa: F401
 
 __all__ = [
     "TorusGeometry",
@@ -37,9 +37,6 @@ __all__ = [
 
 _THRESHOLD_TOL = 1e-6
 _DELTA_CAP = 1.0 - 1e-6
-# Per thread, the matrix the last verify_bound_torus is done with, refilled by
-# the next assembly there: no fresh n x n allocation, and none of its page faults
-_spare = threading.local()
 
 
 @dataclass(frozen=True)
@@ -144,13 +141,12 @@ def assemble_torus_operator(potential: ScalarPotentialD, geom: TorusGeometry, n_
     the caller's: no later call writes to it.
     """
     _check_dimension(potential, geom)
-    out, _spare.matrix = getattr(_spare, "matrix", None), None
-    return _lattice_operator(potential, geom.alphas, 0.0, n_modes, projected=True, out=out)[0]
+    return _lattice_operator(potential, geom.alphas, 0.0, n_modes, projected=True)[0]
 
 
-def _quad_nodes(potential: ScalarPotentialD) -> tuple:
+def _quad_nodes(potential: ScalarPotentialD) -> list:
     # V^p kinks where V = 0: at gamma = 1.1, 8 nodes per mode drifted 1.6e-8
-    return tuple(16 * (2 * b + 1) for b in potential.bands)
+    return [16 * (2 * b + 1) for b in potential.bands]
 
 
 def potential_power_integral(potential: ScalarPotentialD, geom: TorusGeometry, p: float) -> float:
@@ -167,24 +163,21 @@ def _default_modes(bands) -> tuple:
 
 def verify_bound_torus(potentials, geom: TorusGeometry, gamma: float, n_modes=None, seeds=None) -> list:
     """Check the eigenvalue-moment bound on the projected torus operator:
-    one BoundReport per potential, with seeds as in verify_bound_h1.
+    one BoundReport per potential (bands may differ), with seeds as in
+    verify_bound_h1, through the h1/h2 loop (spectral1d._verify_lattice).
 
-    lhs: gamma-moment of the Galerkin negative spectrum (lower bound);
-    rhs: unit-regime-aware constant times int V^(gamma + d/2).  Each
-    potential is assembled into the refilled matrix, solved and integrated
-    before the next, so that matrix stays the only n x n array."""
+    lhs: gamma-moment of the Galerkin negative spectrum (lower bound) on the
+    one truncation n_modes, by default |k_j| <= b_j + 12; no lhs_upper, which
+    would cost a second eigensolve.  rhs: unit-regime-aware constant times
+    int V^(gamma + d/2), integrated after the eigensolve (one n x n array)."""
     seeds = _seeds_of(potentials, seeds)
     _check_gamma(gamma)
+    for potential in potentials:
+        _check_dimension(potential, geom)
     sel = choose_betas(geom)
-    reports = []
-    for potential, seed in zip(potentials, seeds):
-        modes = _default_modes(potential.bands) if n_modes is None else n_modes
-        matrix = assemble_torus_operator(potential, geom, modes)
-        rep, _spare.matrix = negative_spectrum(matrix), matrix  # no caller holds it
-        integral = potential_power_integral(potential, geom, gamma + 0.5 * geom.d)
-        reports.append(_lattice_bound(
-            potential, rep, gamma, sel.constant_factor, integral, list(_quad_nodes(potential)), seed,
-            operator="torus", d=geom.d, alphas=list(geom.alphas), betas=list(sel.betas),
-            delta=sel.delta, unit_regime=sel.in_unit_regime, truncation=list(modes),
-        ))
-    return reports
+    integrals = (potential_power_integral(potential, geom, gamma + 0.5 * geom.d) for potential in potentials)
+    ladders = [[list(_default_modes(potential.bands) if n_modes is None else n_modes)] for potential in potentials]
+    return _verify_lattice(potentials, seeds, integrals, [None] * len(potentials), ladders, _quad_nodes,
+                           gamma, sel.constant_factor, geom.alphas, 0.0, True,
+                           operator="torus", d=geom.d, alphas=list(geom.alphas), betas=list(sel.betas),
+                           delta=sel.delta, unit_regime=sel.in_unit_regime)

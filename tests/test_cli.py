@@ -434,6 +434,15 @@ class TestVerify:
         assert run(capsys, "verify", "--kind", "h2", "--seeds", "7")[0] == 0
         assert stacks == [3, 3, 1]
 
+    @pytest.mark.parametrize("flags, size", [
+        # a torus seed's PSD grid: 4 * 73 nodes per axis at band 18, 2**20 // 292**2 = 12
+        ("--kind torus --band 18", 12), ("--kind torus", 16),
+        ("--kind h1", 16), ("--kind h1 --m-dim 8 --band 10", 6),
+        ("--kind trace1", 16), ("--kind trace1 --family-size 20000", 2),
+    ])
+    def test_stack_size_follows_each_kinds_largest_array(self, flags, size):
+        assert cli._batch_size(cli._build_parser().parse_args(["verify", *flags.split()])) == size
+
     @pytest.mark.parametrize("flags", ["--kind h1", "--kind h2", "--kind h2 --m-dim 1",
                                        "--kind trace1", "--kind trace2"])
     def test_a_seeds_report_does_not_depend_on_the_other_seeds(self, capsys, flags):

@@ -48,3 +48,17 @@ def test_moved_documents_report_each_fields_largest_relative_change():
     changes = same_output.relative_changes(_CSV, csv_new)
     assert changes["beta[]"] == changes["argmax_lambda[]"] == 0.0 and 0.0 < changes["K[]"] < 2e-16
     assert same_output.relative_changes(b"error: --d 4\n", b"error: --d 5\n") == {}
+
+
+def test_added_and_removed_fields_are_named(capsys):
+    # booleans and nulls have no relative change, so only their paths show a schema move
+    old = json.dumps({"reports": [{"lhs": 0.1, "unit_regime": True}]}).encode()
+    new = json.dumps({"reports": [{"lhs": 0.1, "lhs_upper": None, "certified": False}]}).encode()
+    assert same_output.field_moves(old, new) == ["+ reports[].certified", "+ reports[].lhs_upper",
+                                                 "- reports[].unit_regime"]
+    assert same_output.relative_changes(old, new) == {"reports[].lhs": 0.0}
+    parent, change = {"a": _outputs(old, _CSV)}, {"a": _outputs(new, _CSV)}
+    assert same_output.compare(parent, change, expect_moved=("a",)) == 0
+    out = capsys.readouterr().out
+    assert "  stdout + reports[].lhs_upper\n" in out and "  stdout - reports[].unit_regime\n" in out
+    assert same_output.field_moves(_CSV, _CSV) == [] and same_output.field_moves(b"error\n", b"error 2\n") == []

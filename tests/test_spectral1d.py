@@ -1041,11 +1041,15 @@ class TestEnclosure:
     def test_explicit_truncation_is_one_rung(self, monkeypatch):
         pot = sp1.random_psd_potential(2, 2, 1.0, [5])[0]
         calls = []
-        enclosure = sp1._Form.enclosure
-        monkeypatch.setattr(sp1._Form, "enclosure",
-                            lambda self, p, n, s=None: calls.append(n) or enclosure(self, p, n, s))
+        operator = sp1._lattice_operator
+
+        def spy(potential, alphas, mass, n_modes, *args):
+            calls.append(list(n_modes))
+            return operator(potential, alphas, mass, n_modes, *args)
+
+        monkeypatch.setattr(sp1, "_lattice_operator", spy)
         report = sp1.verify_bound_h1([pot], 1.0, 0.5, 1.0, n_max=9)[0]
-        assert calls == [9] and report.metadata["truncation"] == 9
+        assert calls == [[9]] and report.metadata["truncation"] == 9
         assert report.lhs == sp1.riesz_mean(
             sp1.negative_spectrum(sp1.assemble_h1(pot, 1.0, 0.5, 9)), 1.0)
 

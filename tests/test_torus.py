@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -413,6 +414,36 @@ class TestVerifyBound:
         assert means[0] <= means[1] + 1e-12
         assert means[1] <= means[2] + 1e-12
 
+    def test_mixed_bands_report_as_alone(self):
+        # each report keeps its own truncation and quadrature grid
+        geom = torus.TorusGeometry((0.5, 1.0))
+        pots = [torus.ScalarPotentialD.random(2, band, 1.0, [band])[0] for band in (1, 2)]
+        together = torus.verify_bound_torus(pots, geom, 1.0, seeds=[1, 2])
+        assert [report.metadata["truncation"] for report in together] == [[14, 14], [16, 16]]
+        for pot, seed, report in zip(pots, (1, 2), together):
+            alone = torus.verify_bound_torus([pot], geom, 1.0, seeds=[seed])[0]
+            assert json.dumps(report.to_dict()) == json.dumps(alone.to_dict())
+
+    def test_each_potential_is_integrated_after_its_eigensolve(self, monkeypatch):
+        # integrating every potential first would hold each one's grid
+        # beside the first eigensolve
+        log = []
+        solve, integrate = spectral1d.negative_spectrum, torus.potential_power_integral
+
+        def solving(matrix):
+            log.append("solve")
+            return solve(matrix)
+
+        def integrating(*args):
+            log.append("integrate")
+            return integrate(*args)
+
+        monkeypatch.setattr(spectral1d, "negative_spectrum", solving)
+        monkeypatch.setattr(torus, "potential_power_integral", integrating)
+        pots = torus.ScalarPotentialD.random(2, 1, 1.0, [0, 1, 2])
+        torus.verify_bound_torus(pots, torus.TorusGeometry((0.5, 1.0)), 1.0, n_modes=(6, 6))
+        assert log == ["solve", "integrate"] * 3
+
     def test_metadata_echo(self):
         pot = torus.ScalarPotentialD(constant_coeffs(1.0, d=2))
         geom = torus.TorusGeometry((0.5, 1.0))
@@ -454,24 +485,21 @@ class TestWorkspace:
         assert got[0] + got[1] == want[0::2] + want[1::2]
 
     def test_a_thread_never_refills_another_threads_spare(self):
-        # thread A leaves its spare, then thread B assembles the same box: a
+        # thread A leaves its spare, then thread B verifies on the same box: a
         # spare held per process would hand A's matrix to B
         pot = torus.ScalarPotentialD.random(2, 1, 1.0, [0])[0]
-        got = {}
+        spares = []
 
         def verify():
             torus.verify_bound_torus([pot], self.GEOM, 1.0, n_modes=(6, 6))
-            got["spare"] = torus._spare.matrix
+            spares.append(spectral1d._spare.matrix)
 
-        def assemble():
-            got["matrix"] = torus.assemble_torus_operator(pot, self.GEOM, (6, 6))
-
-        for target in (verify, assemble):
-            thread = threading.Thread(target=target)
+        for _ in range(2):
+            thread = threading.Thread(target=verify)
             thread.start()
             thread.join()
-        assert got["spare"].shape == got["matrix"].shape
-        assert not np.shares_memory(got["matrix"], got["spare"])
+        assert spares[0].shape == spares[1].shape
+        assert not np.shares_memory(*spares)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="page-fault counts of Linux getrusage")
     def test_verification_reuses_its_matrix(self):

@@ -46,7 +46,7 @@ _TORUS = "src/ltbounds/torus.py"
 _REAL_FORM = "tests/test_spectral1d.py::TestRealForm"
 _SEED_INDEPENDENCE = "tests/test_cli.py::TestVerify::test_a_seeds_report_does_not_depend_on_the_other_seeds"
 _WORKSPACE = "tests/test_torus.py::TestWorkspace"
-_TORUS_RHS = "potential, rep, gamma, sel.constant_factor, integral,"
+_TORUS_K = "gamma, sel.constant_factor, geom.alphas,"
 
 MUTANTS = (
     # The real lattice plan lists the zero offset's terms first, so a diagonal
@@ -58,8 +58,7 @@ MUTANTS = (
     Mutant("buffered-block-update", _SPECTRAL1D, "np.subtract.at(a.reshape(-1), a_terms[0], values[a_terms[1]])",
            "a.reshape(-1)[a_terms[0]] -= values[a_terms[1]]", (_REAL_FORM,)),
     # the k_2 = 0 modes kept add the 1D spectrum of the long axis
-    Mutant("torus-unprojected", _TORUS, "n_modes, projected=True, out=out)",
-           "n_modes, projected=False, out=out)",
+    Mutant("torus-unprojected", _TORUS, "geom.alphas, 0.0, True,", "geom.alphas, 0.0, False,",
            ("tests/test_torus.py::TestVerifyBound::test_long_axis_potential_matches_the_1d_spectrum",)),
     Mutant("halved-s-in-d0", _SPECTRAL1D, "(coupling / (kinetic - s))", "(coupling / (kinetic - s / 2))",
            ("tests/test_spectral1d.py::TestEnclosure::test_torus_upper_matches_the_loop_schur_complement",)),
@@ -84,10 +83,13 @@ MUTANTS = (
            "return r / float(np.tanh(math.pi * r))", "return r / math.tanh(math.pi * r)",
            ("tests/test_interp.py::TestObjectives::test_float_path_is_bitwise_the_array_path",
             "tests/test_special.py")),
-    Mutant("no-refill", _TORUS, 'out, _spare.matrix = getattr(_spare, "matrix", None), None',
-           "out, _spare.matrix = None, None", (f"{_WORKSPACE}::test_verification_reuses_its_matrix",)),
-    Mutant("process-global-spare", _TORUS, "_spare = threading.local()", "_spare = type('Slot', (), {})()",
+    Mutant("no-refill", _SPECTRAL1D, '_spare.__dict__.pop("matrix", None))', "None)",
+           (f"{_WORKSPACE}::test_verification_reuses_its_matrix",)),
+    Mutant("process-global-spare", _SPECTRAL1D, "_spare = threading.local()", "_spare = type('Slot', (), {})()",
            (f"{_WORKSPACE}::test_a_thread_never_refills_another_threads_spare",)),
+    # every torus potential integrated before the first eigensolve
+    Mutant("torus-integrals-first", _TORUS, "integrals = (", "integrals = list(",
+           ("tests/test_torus.py::TestVerifyBound::test_each_potential_is_integrated_after_its_eigensolve",)),
     # K1 = 1 is proved at beta_star + tol only: one tol below it, g exceeds 1
     Mutant("beta-below-threshold", _TORUS, "beta = interp.beta_star(_THRESHOLD_TOL) + _THRESHOLD_TOL",
            "beta = interp.beta_star(_THRESHOLD_TOL) - _THRESHOLD_TOL",
@@ -97,15 +99,14 @@ MUTANTS = (
            "return 2 / (1 - iv.exp(-2 * iv.pi * iv.sqrt(beta)))", "return 1 / (1 - iv.exp(-2 * iv.pi * iv.sqrt(beta)))",
            ("tests/test_unit_regime.py::test_tail_constant_bounds_coth",)),
     # wrong constants that a closed form pins: c07's constant potential, c09's formulas
-    Mutant("torus-constant-quartered", _TORUS, _TORUS_RHS,
-           "potential, rep, gamma, 0.25 * sel.constant_factor, integral,",
+    Mutant("torus-constant-quartered", _TORUS, _TORUS_K, "gamma, 0.25 * sel.constant_factor, geom.alphas,",
            ("tests/test_acceptance.py::test_c07_torus_bounds",)),
     Mutant("c-p-quartered", "src/ltbounds/attractor.py", "C_P = math.pi / 6.0", "C_P = math.pi / 24.0",
            ("tests/test_acceptance.py::test_c09_attractor_formulas",)),
     # a torus constant 4x too small only above gamma = 1, which c07's ratios
     # (at most 0.244) let pass and the scale-3 suite (0.271-0.274) does not
-    Mutant("torus-constant-quartered-above-gamma-1", _TORUS, _TORUS_RHS,
-           "potential, rep, gamma, (0.25 if gamma > 1 else 1.0) * sel.constant_factor, integral,",
+    Mutant("torus-constant-quartered-above-gamma-1", _TORUS, _TORUS_K,
+           "gamma, (0.25 if gamma > 1 else 1.0) * sel.constant_factor, geom.alphas,",
            ("tests/test_torus.py::TestVerifyBound::test_strong_suite_above_gamma_one",)),
     # certified with pass's slack claims a continuum bound that lhs_upper exceeds
     Mutant("certified-with-slack", "src/ltbounds/reports.py", "bool(upper <= rhs)",

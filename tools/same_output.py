@@ -14,8 +14,9 @@ stdout, stderr and every file it leaves in that directory (`--out`).
 
 The tool prints one line per command and exits 1 when an output differs and
 the command's name is not given to --expect-moved.  For each differing JSON
-or CSV document it also prints the largest relative change of each numeric
-field, lists flattened to `[]`.
+or CSV document it also prints the fields only one side has (`+ FIELD` added,
+`- FIELD` removed) and the largest relative change of each numeric field,
+lists flattened to `[]`.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ def run(tree: Path, args: str) -> dict:
     return out
 
 
-def _numbers(text: bytes) -> dict:
-    """Numeric leaves of a JSON or CSV document, as {field: [values in order]}; {} for other text."""
+def _leaves(text: bytes) -> dict:
+    """Leaf values of a JSON or CSV document, as {field: [values in order]}, lists flattened to `[]`;
+    {} for other text."""
     fields = {}
     try:
         doc = json.loads(text)
@@ -107,15 +109,31 @@ def _numbers(text: bytes) -> dict:
         elif isinstance(node, list):
             for value in node:
                 walk(value, f"{field}[]")
-        elif not isinstance(node, bool):
-            try:
-                value = float(node)
-            except (TypeError, ValueError):
-                return
-            fields.setdefault(field, []).append(value)
+        else:
+            fields.setdefault(field, []).append(node)
 
     walk(doc, "")
     return fields
+
+
+def _numbers(text: bytes) -> dict:
+    """The numeric leaves of _leaves (booleans, nulls and other strings skipped); {} for other text."""
+    fields = {}
+    for field, values in _leaves(text).items():
+        for value in values:
+            try:
+                number = None if isinstance(value, bool) else float(value)
+            except (TypeError, ValueError):
+                number = None
+            if number is not None:
+                fields.setdefault(field, []).append(number)
+    return fields
+
+
+def field_moves(old: bytes, new: bytes) -> list:
+    """The leaf fields that only one of two documents has: `+ FIELD` added, then `- FIELD` removed."""
+    before, after = _leaves(old).keys(), _leaves(new).keys()
+    return [f"+ {field}" for field in sorted(after - before)] + [f"- {field}" for field in sorted(before - after)]
 
 
 def relative_changes(old: bytes, new: bytes) -> dict:
@@ -141,8 +159,10 @@ def compare(parent: dict, change: dict, expect_moved) -> int:
         unexpected += not expected
         print(f"{name}: differs in {', '.join(sorted(moved))}{' (expected)' if expected else ''}")
         for key in sorted(moved):
-            changes = relative_changes(parent[name].get(key, b""), change[name].get(key, b""))
-            for field, rel in sorted(changes.items()):
+            old, new = parent[name].get(key, b""), change[name].get(key, b"")
+            for move in field_moves(old, new):
+                print(f"  {key} {move}")
+            for field, rel in sorted(relative_changes(old, new).items()):
                 if rel:
                     print(f"  {key} {field}: {rel:.3g}")
     print(f"{len(parent)} commands, {unexpected} differ unexpectedly")
