@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -299,9 +300,14 @@ def trace_power_integral(potentials, p: float, period: float) -> np.ndarray:
 
 
 def _check_rows(n_modes, m_dim: int, projected: bool) -> None:
-    """Reject a Galerkin matrix on |k_j| <= n_j (k_d != 0 if projected) over ROW_BUDGET rows."""
-    last = 2 * n_modes[-1] + (0 if projected else 1)
-    rows = math.prod(2 * n + 1 for n in n_modes[:-1]) * last * m_dim
+    """Reject a Galerkin matrix on |k_j| <= n_j (k_d != 0 if projected) over
+    ROW_BUDGET rows.  The message gives the exact count while it fits a
+    float; past that the product stops, since a huge d makes it slow."""
+    rows = (2 * n_modes[-1] + (0 if projected else 1)) * m_dim
+    for n in n_modes[:-1]:
+        if rows > sys.float_info.max:
+            raise ValueError(f"Galerkin size over {sys.float_info.max:.1e} exceeds the dense budget {ROW_BUDGET} rows")
+        rows *= 2 * n + 1
     if rows > ROW_BUDGET:
         raise ValueError(f"Galerkin size {rows} exceeds the dense budget {ROW_BUDGET} rows")
 

@@ -8,9 +8,10 @@ constant in the final bound factorizes as
     (pi/sqrt3)^d * prod_j K1(beta_j) * K2(delta) * L_cl(gamma, d),
 
 where the auxiliary masses beta_j > 0 must keep delta = sum alpha_j^2 beta_j
-below 1.  With beta_j at the K1 threshold, delta stays below the K2
-threshold for every geometry up to d = 19, and the K-factor product is
-exactly 1 (the unit regime).
+below 1.  The verifier works in the unit regime, where the K-factor product
+is exactly 1 and the constant does not depend on the period ratios.  It
+holds for every geometry up to d = 19; choose_betas refuses the rest, which
+no verdict reaches: above d = 5 the rhs grid exceeds the dense budget.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
 ]
 
 _THRESHOLD_TOL = 1e-6
-_DELTA_CAP = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,36 +72,26 @@ class TorusGeometry:
 
 @dataclass(frozen=True)
 class BetaSelection:
-    """Auxiliary masses, their weighted sum delta, and the K-factor product."""
+    """Auxiliary masses and their weighted sum delta, in the unit regime."""
 
     betas: tuple
     delta: float
-    constant_factor: float
-    in_unit_regime: bool
-
-    def __post_init__(self):
-        if not self.delta < 1.0:
-            raise ValueError("delta must stay below 1")
-        if self.in_unit_regime and self.constant_factor != 1.0:
-            raise ValueError("unit regime implies factor exactly 1")
 
 
 def choose_betas(geom: TorusGeometry) -> BetaSelection:
-    """Pick the auxiliary masses for a geometry.
+    """Pick the auxiliary masses of a geometry in the unit regime, K1 = K2 = 1.
 
     Working values sit one bisection tolerance inside the K1 = 1 / K2 = 1
-    regions, so the unit-regime claim is conservative.  Outside the unit
-    regime the K factors are evaluated and reported; if even delta < 1 fails
-    at the threshold masses, all of them shrink uniformly until delta hits
-    the cap just below 1.
+    regions, so the unit-regime claim is conservative.  A larger delta, first
+    reached by the d = 20 square torus, raises ValueError: its constant would
+    depend on the ratios, and no torus above d = 5 fits the rhs grid budget.
     """
     beta = interp.beta_star(_THRESHOLD_TOL) + _THRESHOLD_TOL
     delta = beta * sum(a * a for a in geom.alphas[:-1])
-    unit = delta <= interp.beta_star_star(_THRESHOLD_TOL) - _THRESHOLD_TOL
-    if delta >= _DELTA_CAP:  # outside the unit regime, which ends below beta_star_star
-        beta, delta = _DELTA_CAP / delta * beta, _DELTA_CAP
-    factor = 1.0 if unit else interp.k1(beta).value ** (geom.d - 1) * interp.k2(delta).value
-    return BetaSelection(betas=(beta,) * (geom.d - 1), delta=delta, constant_factor=factor, in_unit_regime=unit)
+    limit = interp.beta_star_star(_THRESHOLD_TOL) - _THRESHOLD_TOL
+    if delta > limit:
+        raise ValueError(f"delta {delta:.6g} of a {geom.d}-torus is past the unit regime's {limit:.6g}")
+    return BetaSelection(betas=(beta,) * (geom.d - 1), delta=delta)
 
 
 class ScalarPotentialD(MatrixPotential):
@@ -168,7 +158,7 @@ def verify_bound_torus(potentials, geom: TorusGeometry, gamma: float, n_modes=No
 
     lhs: gamma-moment of the Galerkin negative spectrum (lower bound) on the
     one truncation n_modes, by default |k_j| <= b_j + 12; no lhs_upper, which
-    would cost a second eigensolve.  rhs: unit-regime-aware constant times
+    would cost a second eigensolve.  rhs: the unit-regime constant times
     int V^(gamma + d/2), integrated after the eigensolve (one n x n array)."""
     seeds = _seeds_of(potentials, seeds)
     _check_gamma(gamma)
@@ -178,6 +168,6 @@ def verify_bound_torus(potentials, geom: TorusGeometry, gamma: float, n_modes=No
     integrals = (potential_power_integral(potential, geom, gamma + 0.5 * geom.d) for potential in potentials)
     ladders = [[list(_default_modes(potential.bands) if n_modes is None else n_modes)] for potential in potentials]
     return _verify_lattice(potentials, seeds, integrals, [None] * len(potentials), ladders, _quad_nodes,
-                           gamma, sel.constant_factor, geom.alphas, 0.0, True,
+                           gamma, 1.0, geom.alphas, 0.0, True,
                            operator="torus", d=geom.d, alphas=list(geom.alphas), betas=list(sel.betas),
-                           delta=sel.delta, unit_regime=sel.in_unit_regime)
+                           delta=sel.delta, unit_regime=True)

@@ -39,9 +39,9 @@ def test_c02_constant_identities():
     lcl = special.semiclassical_constant(1, 1)
     assert abs(lcl - 2.0 / (3.0 * math.pi)) <= 1e-12 * lcl
 
-    sel = torus.choose_betas(torus.TorusGeometry((1.0, 1.0)))
-    assert sel.in_unit_regime
-    bound2 = spectral1d._lt_constant(1.0, sel.constant_factor, 2)
+    # the unit regime: delta one tolerance below the K2 threshold, constant K = 1
+    assert torus.choose_betas(torus.TorusGeometry((1.0, 1.0))).delta <= interp.beta_star_star(1e-6) - 1e-6
+    bound2 = spectral1d._lt_constant(1.0, 1.0, 2)
     assert abs(bound2 - math.pi / 24.0) <= 1e-12 * bound2
 
     ortho = special.lt_to_orthonormal_constant(math.pi / 24.0, 2)
@@ -56,13 +56,13 @@ def test_c02_constant_identities():
 
 def test_c03_unit_regime_claim():
     rng = np.random.default_rng(2024)
+    limit = interp.beta_star_star(1e-6) - 1e-6
     t0 = time.perf_counter()
     for _ in range(10_000):
         d = int(rng.integers(2, 20))
         alphas = np.clip(np.sort(rng.uniform(0.0, 1.0, size=d - 1)), 1e-9, 1.0)
         geom = torus.TorusGeometry(tuple(float(a) for a in alphas) + (1.0,))
-        sel = torus.choose_betas(geom)
-        assert sel.in_unit_regime and sel.constant_factor == 1.0
+        assert torus.choose_betas(geom).delta <= limit  # a geometry outside the unit regime raises
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(3, f"10^4 random geometries with d <= 19 all in the unit regime ({elapsed:.2f}s)")

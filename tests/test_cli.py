@@ -50,6 +50,15 @@ class TestConstants:
         assert doc["semiclassical_constant"] == pytest.approx(2.0 / (3.0 * math.pi), rel=1e-12)
         assert doc["torus_bound_constant"] == pytest.approx(2.0 / (3.0 * math.sqrt(3.0)), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", ["1", "0.5"])
+    @pytest.mark.parametrize("gamma", ["1", "1.5"])
+    def test_torus_bound_constant_is_the_verified_constant(self, capsys, alpha, gamma):
+        # every geometry the torus verifier accepts is in the unit regime
+        _, out, _ = run(capsys, "constants", "--d", "2", "--gamma", gamma)
+        constant = json.loads(out)["torus_bound_constant"]
+        _, out, _ = run(capsys, "verify", "--kind", "torus", "--seeds", "1", "--gamma", gamma, "--alpha", alpha)
+        assert json.loads(out)["reports"][0]["constant_used"] == constant
+
     def test_invalid_dimension(self, capsys):
         code, _, err = run(capsys, "constants", "--d", "0")
         assert code == 2
@@ -324,6 +333,14 @@ class TestVerify:
         # a coverable band over the budget at the default truncation keeps the late message
         code, _, err = run(capsys, *"verify --kind torus --d 3 --band 0 --seeds 1".split())
         assert (code, err) == (2, "error: Galerkin size 15000 exceeds the dense budget 10000 rows\n")
+
+    @pytest.mark.parametrize("d", ["5000", "200000"])
+    def test_huge_torus_dimension_exits_2_with_the_budget_message(self, capsys, d):
+        # the exact row count has thousands of digits, past what str() prints
+        code, out, err = run(capsys, "verify", "--kind", "torus", "--d", d)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: Galerkin size") and err.endswith("exceeds the dense budget 10000 rows\n")
 
     def test_trace_family_over_the_dense_budget_exits_2_before_the_draw(self, capsys, monkeypatch):
         # the density's FFT would pad 20,000 members to 401 x 100 modes each

@@ -33,35 +33,25 @@ class TestGeometry:
             torus.TorusGeometry((math.nan, 1.0))
 
 
+# delta must stay one bisection tolerance below the K2 threshold
+_DELTA_LIMIT = interp.beta_star_star(1e-6) - 1e-6
+
+
 class TestChooseBetas:
     def test_small_geometry_unit_regime(self):
         sel = torus.choose_betas(torus.TorusGeometry((0.5, 1.0)))
-        assert sel.in_unit_regime
-        assert sel.constant_factor == 1.0
         assert sel.delta == pytest.approx(0.25 * sel.betas[0], rel=1e-12)
-        assert sel.delta < 0.839
+        assert sel.delta <= _DELTA_LIMIT
 
     def test_d19_square_still_unit(self):
         sel = torus.choose_betas(torus.TorusGeometry((1.0,) * 19))
-        assert sel.in_unit_regime
         assert sel.delta == pytest.approx(18.0 * sel.betas[0], rel=1e-12)
-        assert sel.delta <= 0.839
+        assert sel.delta <= _DELTA_LIMIT
 
-    def test_d21_square_leaves_unit_regime(self):
-        # delta0 ~ 20 * beta_star ~ 0.89 < 1: thresholds masses kept, K2 > 1.
-        sel = torus.choose_betas(torus.TorusGeometry((1.0,) * 21))
-        assert not sel.in_unit_regime
-        assert sel.delta < 1.0
-        assert sel.constant_factor > 1.0
-
-    def test_d25_square_triggers_shrink(self):
-        # delta0 ~ 24 * beta_star > 1: all masses shrink, delta capped below 1.
-        sel = torus.choose_betas(torus.TorusGeometry((1.0,) * 25))
-        assert not sel.in_unit_regime
-        assert sel.delta < 1.0
-        assert sel.constant_factor > 1.0
-        bs = interp.beta_star(1e-6)
-        assert sel.betas[0] < bs  # shrunk below the threshold
+    def test_d20_square_leaves_the_unit_regime_and_raises(self):
+        # delta ~ 19 * beta_star ~ 0.8456, past the K2 threshold 0.83969
+        with pytest.raises(ValueError, match="past the unit regime"):
+            torus.choose_betas(torus.TorusGeometry((1.0,) * 20))
 
     def test_unit_regime_over_random_geometries(self):
         rng = np.random.default_rng(0)
@@ -70,13 +60,21 @@ class TestChooseBetas:
             alphas = np.sort(rng.uniform(0.0, 1.0, size=d - 1))
             alphas = np.clip(alphas, 1e-6, 1.0)
             geom = torus.TorusGeometry(tuple(alphas) + (1.0,))
-            assert torus.choose_betas(geom).in_unit_regime
+            assert torus.choose_betas(geom).delta <= _DELTA_LIMIT
+
+    def test_no_torus_verdict_exists_above_d5(self):
+        # the smallest d = 6 problem, a constant V on one mode per axis,
+        # already fails at the rhs quadrature's doubled grid (32^6 nodes)
+        pot = torus.ScalarPotentialD(constant_coeffs(1.0, d=6))
+        geom = torus.TorusGeometry((1.0,) * 6)
+        with pytest.raises(ValueError, match="^a grid of 1073741824 nodes exceeds the dense budget$"):
+            torus.verify_bound_torus([pot], geom, 1.0, n_modes=(0,) * 5 + (1,))
 
 
 class TestConstantBound:
     def test_two_dim_unit_value(self):
-        sel = torus.choose_betas(torus.TorusGeometry((1.0, 1.0)))
-        const = spectral1d._lt_constant(1.0, sel.constant_factor, 2)
+        assert torus.choose_betas(torus.TorusGeometry((1.0, 1.0))).delta <= _DELTA_LIMIT
+        const = spectral1d._lt_constant(1.0, 1.0, 2)
         assert const == pytest.approx(math.pi / 24.0, rel=1e-12)
 
     def test_one_dim_analogue(self):
@@ -85,10 +83,11 @@ class TestConstantBound:
     def test_matches_unit_formula_up_to_19(self):
         for d in (2, 5, 12, 19):
             sel = torus.choose_betas(torus.TorusGeometry((1.0,) * d))
+            assert sel.delta <= _DELTA_LIMIT
             expected = (math.pi / math.sqrt(3.0)) ** d * (
                 special.semiclassical_constant(1.5, d)
             )
-            const = spectral1d._lt_constant(1.5, sel.constant_factor, d)
+            const = spectral1d._lt_constant(1.5, 1.0, d)
             assert const == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("aspect", [1.0, 0.5, 0.1, 0.01])
@@ -96,8 +95,8 @@ class TestConstantBound:
         # attractor.C_P: the constant chain at gamma = 1 on the 2-torus stays
         # in the unit regime, so it does not depend on the aspect
         sel = torus.choose_betas(torus.TorusGeometry((aspect, 1.0)))
-        assert sel.in_unit_regime
-        c_p = special.lt_to_orthonormal_constant(spectral1d._lt_constant(1, sel.constant_factor, 2), 2)
+        assert sel.delta <= _DELTA_LIMIT
+        c_p = special.lt_to_orthonormal_constant(spectral1d._lt_constant(1, 1.0, 2), 2)
         assert c_p == pytest.approx(attractor.C_P, rel=1e-13)
 
 

@@ -16,7 +16,8 @@ The tool prints one line per command and exits 1 when an output differs and
 the command's name is not given to --expect-moved.  For each differing JSON
 or CSV document it also prints the fields only one side has (`+ FIELD` added,
 `- FIELD` removed) and the largest relative change of each numeric field,
-lists flattened to `[]`.
+lists flattened to `[]`.  On a pull request, CI passes one --expect-moved
+per line that the pull request adds to tools/expected_moves.txt.
 """
 
 from __future__ import annotations
