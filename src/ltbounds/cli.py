@@ -95,10 +95,10 @@ def cmd_thresholds(args) -> int:
 # 12-seed commands run as one stack.
 _BATCH = 16
 # Entries a stack may hold in one array.  A 1D seed's largest stacked array
-# has at most m max(512 m, 64 (4b+1) m, (4b+1) n) entries: its PSD sample
-# grid, its quadrature grid doubled, or a family's padded FFT; a torus
-# seed's is its PSD grid, max(ceil(512^(1/d)), 4 (4b+1))^d entries.  Seeds
-# that large are stacked fewer at a time, down to one (12 at torus band 18).
+# has at most m max(g m, (4b+1) n) entries: g nodes of its PSD sample grid or
+# of its quadrature grid doubled, or a family's padded FFT; a torus seed's is
+# its PSD grid, max(ceil(512^(1/d)), 4 (4b+1))^d entries.  Seeds that large
+# are stacked fewer at a time, down to one (12 at torus band 18).
 _BATCH_ENTRIES = 1 << 20
 
 
@@ -107,7 +107,8 @@ def _batch_size(args) -> int:
     if args.kind == "torus":  # in floats, which a huge d takes to inf; a d below 1 is rejected by _verify_batch
         per_seed = math.prod(map(float, spectral1d._psd_grid((modes,) * max(args.d, 1))))
     else:
-        per_seed = args.m_dim * max(512 * args.m_dim, 64 * modes * args.m_dim, modes * args.family_size)
+        nodes = max(*spectral1d._psd_grid((modes,)), 2 * spectral1d._QUAD_PER_MODE * modes)
+        per_seed = args.m_dim * max(nodes * args.m_dim, modes * args.family_size)
     return max(1, min(_BATCH, int(_BATCH_ENTRIES // max(per_seed, 1))))
 
 

@@ -131,7 +131,7 @@ def _verify_trace(families, beta, mode, params, seeds) -> list:
     # the metadata.
     seeds = _seeds_of(families, seeds)
     lhs, kinetic = density_and_kinetic(families, beta, mode, **params)
-    k_const = _form(mode, beta, **params).solve_k().value
+    k_const = _form(mode, beta, **params).k
     n_members, width, m_dim = families[0].coeffs.shape
     meta = {
         "kind": f"trace_{mode}",
@@ -182,7 +182,7 @@ def verify_interpolation(
     form = _form(which, beta, alpha)
     if form.projected and abs(c[band]) > 1e-12 * max(1.0, float(np.linalg.norm(c))):
         raise ValueError("the mass-subtracted form needs a zero-mean function")
-    k_const = form.solve_k().value
+    k_const = form.k
     ks = np.arange(-band, band + 1, dtype=float)
 
     period = TWO_PI / alpha

@@ -2,7 +2,8 @@
 
 One lattice operator, -sum_j alpha_j^2 d_j^2 + mass - V on the modes
 |k_j| <= n_j, optionally projected onto the modes with k_d != 0, covers
-every verifier, and one builder (_lattice_operator) makes its matrices:
+every verifier.  Each is one _Form (alphas, mass, projection, K factor),
+whose enclosure calls the one builder, _lattice_operator:
 
   * mass-added h1:       -d^2/dx^2 + a^2 b - V(x)   on L2(0, 2pi/a),
   * mass-subtracted h2:  -d^2/dx^2 - delta - P V P  on the zero-mean
@@ -16,10 +17,10 @@ of the negative spectrum is a lower bound on the true one, so a verified
 inequality can only fail when the continuum inequality actually fails.  On
 the box and a ring of modes around it the builder also gives an upper
 matrix: a Schur complement on the ring, whose Riesz mean bounds the true
-one from above.  One verifier loop (_verify_lattice) serves h1, h2 and the
-torus: by default the 1D verifiers take the smallest truncation of a short
-ladder at which the two bounds agree to 1e-12 relative; the torus solves
-one truncation, from below only.  The index work runs once per shape (_lattice_plan).
+one from above.  One verifier loop (_verify_lattice) takes any _Form: by
+default the 1D verifiers take the smallest truncation of a short ladder at
+which the two bounds agree to 1e-12 relative; the torus solves one
+truncation, from below only.  The index work runs once per shape (_lattice_plan).
 
 The basis is the exponentials exp(i k.theta), except for a scalar V on a
 projected operator (the torus and scalar h2).  Such a V is real, and the
@@ -58,6 +59,9 @@ __all__ = [
 
 _PSD_TOL = 1e-10
 _PSD_SAMPLES = 512
+# 1D rhs quadrature nodes per mode before doubling: fractional powers kink where an
+# eigenvalue branch grazes zero; 32 keep the random PSD ensemble's drift well under 1e-8.
+_QUAD_PER_MODE = 32
 _EIG_CUT_REL = 1e-12
 # Index plans kept per process (see _lattice_plan): a few per 1D ladder, one per torus box
 _PLAN_MEMO_SIZE = 32
@@ -287,9 +291,7 @@ def random_psd_potential(m_dim: int, band: int, scale: float, seeds) -> list:
 
 
 def _quad_grid_1d(potential: MatrixPotential) -> int:
-    # Fractional powers kink where an eigenvalue branch grazes zero; 32 nodes
-    # per mode keep the random PSD ensemble's doubling drift well under 1e-8.
-    return 32 * (2 * potential.bands[0] + 1)
+    return _QUAD_PER_MODE * (2 * potential.bands[0] + 1)
 
 
 def trace_power_integral(potentials, p: float, period: float) -> np.ndarray:
@@ -471,21 +473,25 @@ def _sup_bound(coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Form:
-    """A 1D quadratic form of h1/h2, trace1/trace2 and the interpolation check:
-    alpha^2 k^2 + mass on the modes exp(i k alpha x) of the period 2pi/alpha,
-    only k != 0 when `projected`; solve_k() gives its sharp constant."""
+    """A verifier's lattice operator sum_j (alpha_j k_j)^2 + mass - V on |k_j| <= n_j, only
+    k_d != 0 when `projected`, and the K factor k of its bound's constant (see _lt_constant):
+    alphas = (alpha,) for the 1D forms of _form, the geometry's for torus._form."""
 
-    alpha: float
+    alphas: tuple
     mass: float
     projected: bool
-    solve_k: functools.partial
+    k: float
+
+    def check(self, potential: MatrixPotential) -> None:
+        if potential.d != len(self.alphas):
+            raise ValueError(f"a {potential.d}-dimensional potential on a {len(self.alphas)}-dimensional lattice")
 
     def weights(self, band: int) -> np.ndarray:
-        """The kinetic diagonal on the modes |k| <= band, k = 0 included."""
-        return _kinetic((self.alpha,), np.arange(-band, band + 1)[:, None], self.mass)
+        """The kinetic diagonal of a 1D form on the modes |k| <= band, k = 0 included."""
+        return _kinetic(self.alphas, np.arange(-band, band + 1)[:, None], self.mass)
 
     def truncations(self, potential: MatrixPotential, s: float) -> list:
-        """The default truncation ladder n0 + 12, n0 + 16, ... below b + 32,
+        """The default 1D truncation ladder n0 + 12, n0 + 16, ... below b + 32,
         then b + 32 itself, for a band-b potential with sup ||V|| <= s.  n0 is
         the smallest n >= b whose first mode outside |k| <= n weighs more
         than s: the first truncation with an upper bound (see _lattice_operator)."""
@@ -495,16 +501,11 @@ class _Form:
         n0 = b + int(above[0]) if above.size else top
         return [*range(n0 + 12, top, 4), top]
 
-    def enclosure(self, potential: MatrixPotential, n_max: int, s: float | None = None) -> tuple:
-        """The Galerkin matrix of the form minus V on the modes |k| <= n_max,
-        and its upper matrix given s >= sup ||V|| (see _lattice_operator)."""
-        _check_1d(potential)
-        return _lattice_operator(potential, (self.alpha,), self.mass, (n_max,), self.projected, s)
-
-
-def _check_1d(potential: MatrixPotential) -> None:
-    if potential.d != 1:
-        raise ValueError("the 1D forms need a 1D potential")
+    def enclosure(self, potential: MatrixPotential, n_modes, s: float | None = None, out=None) -> tuple:
+        """The Galerkin matrix of the form on the modes |k_j| <= n_j (an int
+        n in 1D), and its upper matrix given s >= sup ||V|| (see _lattice_operator)."""
+        self.check(potential)
+        return _lattice_operator(potential, self.alphas, self.mass, np.atleast_1d(n_modes), self.projected, s, out)
 
 
 def _form(which: str, beta: float, alpha: float = 1.0) -> _Form:
@@ -513,13 +514,13 @@ def _form(which: str, beta: float, alpha: float = 1.0) -> _Form:
     if which == "add":
         if not (alpha > 0 and beta > 0):
             raise ValueError("the mass-added form needs alpha > 0 and beta > 0")
-        return _Form(alpha, alpha * alpha * beta, False, functools.partial(interp.k1, beta))
+        return _Form((alpha,), alpha * alpha * beta, False, interp.k1(beta).value)
     if which == "subtract":
         if not 0.0 <= beta < 1.0:
-            raise ValueError("the mass-subtracted form needs beta in [0, 1)")
+            raise ValueError(f"the mass-subtracted form needs delta in [0, 1), got {beta}")
         if alpha != 1.0:
             raise ValueError("the mass-subtracted form lives on period 2*pi, alpha = 1")
-        return _Form(alpha, -beta, True, functools.partial(interp.k2, beta))
+        return _Form((alpha,), -beta, True, interp.k2(beta).value)
     raise ValueError(f"expected form 'add' or 'subtract', got {which!r}")
 
 
@@ -573,9 +574,8 @@ def _seeds_of(items, seeds) -> list:
     return [None] * len(items) if seeds is None else seeds
 
 
-def _verify_lattice(potentials, seeds, integrals, sup_bounds, ladders, quadrature, gamma, k_factor, alphas, mass,
-                    projected, /, **params) -> list:
-    # The verifier loop of h1, h2 and the torus on one lattice operator.
+def _verify_lattice(form, potentials, seeds, integrals, sup_bounds, ladders, quadrature, gamma, /, **params) -> list:
+    # The verifier loop of h1, h2 and the torus on the lattice operator `form`.
     # Each potential climbs its ladder: each rung is enclosed from both sides
     # (from below only when s is None), and the first whose sides agree to
     # _GAP_REL relative decides, else the last rung.  Only then is its rhs
@@ -586,13 +586,12 @@ def _verify_lattice(potentials, seeds, integrals, sup_bounds, ladders, quadratur
     for potential, seed, s, ladder in zip(potentials, seeds, sup_bounds, ladders):
         for n in ladder:
             # popped, so a spare of another shape is freed before this rung's eigensolve
-            lower, upper = _lattice_operator(potential, alphas, mass, np.atleast_1d(n), projected, s,
-                                             _spare.__dict__.pop("matrix", None))
+            lower, upper = form.enclosure(potential, n, s, _spare.__dict__.pop("matrix", None))
             rep, _spare.matrix = negative_spectrum(lower), lower  # no caller holds it
             lhs_upper = None if upper is None else riesz_mean(negative_spectrum(upper), gamma)
             if lhs_upper is not None and lhs_upper - riesz_mean(rep, gamma) <= _GAP_REL * lhs_upper:
                 break
-        const = _lt_constant(gamma, k_factor, potential.d)
+        const = _lt_constant(gamma, form.k, potential.d)
         reports.append(BoundReport.build(
             riesz_mean(rep, gamma), const * float(next(integrals)), const, gamma=gamma, **params, truncation=n,
             lhs_upper=lhs_upper, quadrature=quadrature(potential), negative_count=len(rep.negatives),
@@ -607,13 +606,12 @@ def _verify_1d(which, beta, alpha, potentials, gamma, n_max, seeds, /, **params)
     seeds = _seeds_of(potentials, seeds)
     _check_gamma(gamma)
     form = _form(which, beta, alpha)
-    _check_1d(potentials[0])
+    form.check(potentials[0])
     integrals = trace_power_integral(potentials, gamma + 0.5, 2.0 * math.pi / alpha)
     sup_bounds = _sup_bound(np.stack([potential.coeffs for potential in potentials]))
     ladders = [form.truncations(potential, s) if n_max is None else [n_max]
                for potential, s in zip(potentials, sup_bounds)]
-    return _verify_lattice(potentials, seeds, integrals, sup_bounds, ladders, _quad_grid_1d,
-                           gamma, form.solve_k().value, (alpha,), form.mass, form.projected,
+    return _verify_lattice(form, potentials, seeds, integrals, sup_bounds, ladders, _quad_grid_1d, gamma,
                            **params, m_dim=potentials[0].m_dim, band=potentials[0].bands[0])
 
 

@@ -11,7 +11,8 @@ where the auxiliary masses beta_j > 0 must keep delta = sum alpha_j^2 beta_j
 below 1.  The verifier works in the unit regime, where the K-factor product
 is exactly 1 and the constant does not depend on the period ratios.  It
 holds for every geometry up to d = 19; choose_betas refuses the rest, which
-no verdict reaches: above d = 5 the rhs grid exceeds the dense budget.
+no verdict reaches: above d = 5 the rhs grid exceeds the dense budget.  The
+operator is the spectral1d lattice form of the geometry (_form), with K = 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interp
-from .spectral1d import MatrixPotential, _check_gamma, _lattice_operator, _power_integral, _psd_coeffs, _seeds_of
+from .spectral1d import MatrixPotential, _Form, _check_gamma, _power_integral, _psd_coeffs, _seeds_of
 # negative_spectrum stays bound here, unused, because bench/worker.py wraps torus.negative_spectrum
 from .spectral1d import _validate, _verify_lattice, negative_spectrum  # noqa: F401
 
@@ -115,9 +116,9 @@ class ScalarPotentialD(MatrixPotential):
         return potentials
 
 
-def _check_dimension(potential: ScalarPotentialD, geom: TorusGeometry) -> None:
-    if potential.d != geom.d:
-        raise ValueError(f"a {potential.d}-dimensional potential on a {geom.d}-torus")
+def _form(geom: TorusGeometry) -> _Form:
+    """The projected operator -Laplacian - P V P of the geometry, with the unit-regime K = 1."""
+    return _Form(geom.alphas, 0.0, True, 1.0)
 
 
 def assemble_torus_operator(potential: ScalarPotentialD, geom: TorusGeometry, n_modes) -> np.ndarray:
@@ -130,8 +131,7 @@ def assemble_torus_operator(potential: ScalarPotentialD, geom: TorusGeometry, n_
     -i(e_k - e_-k)/sqrt2 (see spectral1d._lattice_plan).  The array is
     the caller's: no later call writes to it.
     """
-    _check_dimension(potential, geom)
-    return _lattice_operator(potential, geom.alphas, 0.0, n_modes, projected=True)[0]
+    return _form(geom).enclosure(potential, n_modes)[0]
 
 
 def _quad_nodes(potential: ScalarPotentialD) -> list:
@@ -142,7 +142,7 @@ def _quad_nodes(potential: ScalarPotentialD) -> list:
 def potential_power_integral(potential: ScalarPotentialD, geom: TorusGeometry, p: float) -> float:
     """Integral of V_+^p over the torus: the tensor rectangle rule on 16
     nodes per mode per axis, refined by doubling."""
-    _check_dimension(potential, geom)
+    _form(geom).check(potential)
     return float(_power_integral(potential.coeffs[None], p, geom.volume, _quad_nodes(potential))[0])
 
 
@@ -162,12 +162,12 @@ def verify_bound_torus(potentials, geom: TorusGeometry, gamma: float, n_modes=No
     int V^(gamma + d/2), integrated after the eigensolve (one n x n array)."""
     seeds = _seeds_of(potentials, seeds)
     _check_gamma(gamma)
+    form = _form(geom)
     for potential in potentials:
-        _check_dimension(potential, geom)
+        form.check(potential)
     sel = choose_betas(geom)
     integrals = (potential_power_integral(potential, geom, gamma + 0.5 * geom.d) for potential in potentials)
     ladders = [[list(_default_modes(potential.bands) if n_modes is None else n_modes)] for potential in potentials]
-    return _verify_lattice(potentials, seeds, integrals, [None] * len(potentials), ladders, _quad_nodes,
-                           gamma, 1.0, geom.alphas, 0.0, True,
+    return _verify_lattice(form, potentials, seeds, integrals, [None] * len(potentials), ladders, _quad_nodes, gamma,
                            operator="torus", d=geom.d, alphas=list(geom.alphas), betas=list(sel.betas),
                            delta=sel.delta, unit_regime=True)

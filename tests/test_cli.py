@@ -249,6 +249,13 @@ class TestVerify:
     def test_gamma_below_one_exits_2(self, capsys, argv):
         assert run(capsys, *argv.split()) == (2, "", "error: gamma must be >= 1\n")
 
+    @pytest.mark.parametrize("argv, delta", [("verify --kind h2 --delta 1.5 --beta 0.5", "1.5"),
+                                             ("verify --kind trace2 --delta -0.1", "-0.1")])
+    def test_mass_subtracted_kinds_name_the_delta_flag(self, capsys, argv, delta):
+        # --beta is valid and h2 ignores it: the message names --delta's value
+        want = f"error: the mass-subtracted form needs delta in [0, 1), got {delta}\n"
+        assert run(capsys, *argv.split(), "--seeds", "1") == (2, "", want)
+
     @pytest.mark.parametrize(
         "argv",
         ["verify --kind h2 --gamma 400 --scale 3 --seeds 1",
@@ -460,15 +467,22 @@ class TestVerify:
     def test_stack_size_follows_each_kinds_largest_array(self, flags, size):
         assert cli._batch_size(cli._build_parser().parse_args(["verify", *flags.split()])) == size
 
+    def test_stack_size_follows_the_library_quadrature_rule(self, monkeypatch):
+        # 64 nodes per mode double the quadrature grid: 8 * 8 * 2 * 64 * 41 entries per seed
+        monkeypatch.setattr(spectral1d, "_QUAD_PER_MODE", 64)
+        args = cli._build_parser().parse_args(["verify", "--kind", "h1", "--m-dim", "8", "--band", "10"])
+        assert cli._batch_size(args) == 3
+
     @pytest.mark.parametrize("flags", ["--kind h1", "--kind h2", "--kind h2 --m-dim 1",
-                                       "--kind trace1", "--kind trace2"])
+                                       "--kind trace1", "--kind trace2", "--kind torus"])
     def test_a_seeds_report_does_not_depend_on_the_other_seeds(self, capsys, flags):
-        # 40 seeds cross a stack boundary; each seed's report must be the
-        # one it gets alone
-        code, out, _ = run(capsys, "verify", *flags.split(), "--seeds", "40")
+        # 40 seeds (20 torus seeds) cross a stack boundary; each seed's
+        # report must be the one it gets alone
+        seeds = 20 if "torus" in flags else 40
+        code, out, _ = run(capsys, "verify", *flags.split(), "--seeds", str(seeds))
         assert code == 0
         reports = json.loads(out)["reports"]
-        for seed in (0, cli._BATCH - 1, cli._BATCH, 39):
+        for seed in (0, cli._BATCH - 1, cli._BATCH, seeds - 1):
             code, out, _ = run(capsys, "verify", *flags.split(), "--seeds", "1", "--seed-base", str(seed))
             alone, = json.loads(out)["reports"]
             assert json.dumps(reports[seed], sort_keys=True) == json.dumps(alone, sort_keys=True)

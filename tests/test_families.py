@@ -302,7 +302,7 @@ class TestVerifyInterpolation:
             families.verify_interpolation(np.array([1.0, 2.0]), "add", 0.5)
         with pytest.raises(ValueError):
             families.verify_interpolation(np.array([0.0, 1.0, 0.0]), "add", 0.0)
-        with pytest.raises(ValueError, match="beta in"):
+        with pytest.raises(ValueError, match=r"delta in \[0, 1\), got 1.0"):
             families.verify_interpolation(np.array([1.0, 0.0, 1.0]), "subtract", 1.0)
 
 

@@ -437,12 +437,13 @@ class TestAssembly:
         assert float(np.min(np.linalg.eigvalsh(a))) >= 1.0 - 0.8 - 1e-14
 
     def test_assemblers_reject_a_2d_potential(self):
+        # the assemblers and the verifiers all reach _Form.check
         pot = sp1.MatrixPotential(np.eye(2, dtype=complex)[None, None])
         assert pot.d == 2
-        with pytest.raises(ValueError, match="1D potential"):
-            sp1.assemble_h1(pot, 1.0, 0.5, 4)
-        with pytest.raises(ValueError, match="1D potential"):
-            sp1.assemble_h2(pot, 0.5, 4)
+        for call in (lambda: sp1.assemble_h1(pot, 1.0, 0.5, 4), lambda: sp1.assemble_h2(pot, 0.5, 4),
+                     lambda: sp1.verify_bound_h1([pot], 1.0, 0.5, 1.0), lambda: sp1.verify_bound_h2([pot], 0.5, 1.0)):
+            with pytest.raises(ValueError, match="^a 2-dimensional potential on a 1-dimensional lattice$"):
+                call()
 
     def test_h2_mode_count_excludes_zero(self):
         pot = sp1.MatrixPotential(constant_coeffs(1.0, m_dim=2))
@@ -699,7 +700,7 @@ class TestForms:
     @pytest.mark.parametrize(
         "which, beta, alpha, message",
         [("add", 0.0, 1.0, "beta > 0"), ("add", 0.5, 0.0, "alpha > 0"),
-         ("subtract", 1.0, 1.0, r"beta in \[0, 1\)"), ("subtract", 0.5, 0.5, "alpha = 1"),
+         ("subtract", 1.0, 1.0, r"delta in \[0, 1\), got 1.0"), ("subtract", 0.5, 0.5, "alpha = 1"),
          ("both", 0.5, 1.0, "'add' or 'subtract'")],
     )
     def test_parameter_checks(self, which, beta, alpha, message):

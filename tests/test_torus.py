@@ -278,11 +278,14 @@ class TestDimensionMismatch:
             lambda: torus.verify_bound_torus(
                 torus.ScalarPotentialD.random(2, 1, 1.0, [0]), torus.TorusGeometry((1.0, 1.0, 1.0)),
                 1.0, n_modes=(3, 3, 3)),
+            lambda: torus.assemble_torus_operator(
+                torus.ScalarPotentialD(constant_coeffs(2.0)), torus.TorusGeometry((1.0, 1.0)), (4, 4)),
         ],
-        ids=["3d_potential_2_torus_verify", "3d_potential_2_torus_integral", "2d_potential_3_torus_verify"],
+        ids=["3d_potential_2_torus_verify", "3d_potential_2_torus_integral", "2d_potential_3_torus_verify",
+             "1d_potential_2_torus_assembly"],
     )
     def test_rejected(self, call):
-        with pytest.raises(ValueError, match="dimensional potential on a"):
+        with pytest.raises(ValueError, match=r"^a \d-dimensional potential on a \d-dimensional lattice$"):
             call()
 
 

@@ -46,7 +46,7 @@ _TORUS = "src/ltbounds/torus.py"
 _REAL_FORM = "tests/test_spectral1d.py::TestRealForm"
 _SEED_INDEPENDENCE = "tests/test_cli.py::TestVerify::test_a_seeds_report_does_not_depend_on_the_other_seeds"
 _WORKSPACE = "tests/test_torus.py::TestWorkspace"
-_TORUS_K = "gamma, 1.0, geom.alphas,"
+_TORUS_K = "form = _form(geom)"
 
 MUTANTS = (
     # The real lattice plan lists the zero offset's terms first, so a diagonal
@@ -99,14 +99,14 @@ MUTANTS = (
            "return 2 / (1 - iv.exp(-2 * iv.pi * iv.sqrt(beta)))", "return 1 / (1 - iv.exp(-2 * iv.pi * iv.sqrt(beta)))",
            ("tests/test_unit_regime.py::test_tail_constant_bounds_coth",)),
     # wrong constants that a closed form pins: c07's constant potential, c09's formulas
-    Mutant("torus-constant-quartered", _TORUS, _TORUS_K, "gamma, 0.25, geom.alphas,",
+    Mutant("torus-constant-quartered", _TORUS, _TORUS_K, "form = _Form(geom.alphas, 0.0, True, 0.25)",
            ("tests/test_acceptance.py::test_c07_torus_bounds",)),
     Mutant("c-p-quartered", "src/ltbounds/attractor.py", "C_P = math.pi / 6.0", "C_P = math.pi / 24.0",
            ("tests/test_acceptance.py::test_c09_attractor_formulas",)),
     # a torus constant 4x too small only above gamma = 1, which c07's ratios
     # (at most 0.244) let pass and the scale-3 suite (0.271-0.274) does not
     Mutant("torus-constant-quartered-above-gamma-1", _TORUS, _TORUS_K,
-           "gamma, 0.25 if gamma > 1 else 1.0, geom.alphas,",
+           "form = _Form(geom.alphas, 0.0, True, 0.25 if gamma > 1 else 1.0)",
            ("tests/test_torus.py::TestVerifyBound::test_strong_suite_above_gamma_one",)),
     # certified with pass's slack claims a continuum bound that lhs_upper exceeds
     Mutant("certified-with-slack", "src/ltbounds/reports.py", "bool(upper <= rhs)",
